@@ -9,6 +9,7 @@ power-law datum.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -83,7 +84,13 @@ class HarnessConfig:
             return self.schedule_alpha
         return max(2.0 + self.nominal_q_star(), 1.0) + 1.0
 
-    def resolved_threads(self) -> int:
+    def resolved_threads(self, override: int | None = None) -> int:
+        """FFT worker count: `override` (e.g. --threads) if set, then the
+        `threads` key, then CRITHEAT_THREADS, then 1. 0 means unset."""
+        if override is not None and override < 0:
+            raise ConfigError(f"threads must be >= 1 (or 0 for automatic), got {override}")
+        if override:
+            return override
         if self.threads > 0:
             return self.threads
         env = os.environ.get("CRITHEAT_THREADS", "")
@@ -141,9 +148,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return value
 
 
 def _validate(cfg: HarnessConfig) -> HarnessConfig:
@@ -159,6 +169,11 @@ def _validate(cfg: HarnessConfig) -> HarnessConfig:
         raise ConfigError(f"t_end must be positive (or 0 for T_box), got {cfg.t_end}")
     if cfg.snapshot_count < 2:
         raise ConfigError(f"snapshot_count must be >= 2, got {cfg.snapshot_count}")
+    if cfg.snapshot_t_min >= cfg.resolved_t_end():
+        raise ConfigError(
+            f"snapshot_t_min = {cfg.snapshot_t_min} must be below t_end = "
+            f"{cfg.resolved_t_end():.6g} (resolved)"
+        )
     if cfg.datum not in ("bump", "power_law", "file"):
         raise ConfigError(
             f"datum must be one of bump, power_law, file; got {cfg.datum!r}"

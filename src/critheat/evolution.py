@@ -12,6 +12,22 @@ on steps: the Hdot^2 dissipation integral, the Hdot^1 pairing with the
 dealiased cubic, and the space-time L^6 mass. These feed the energy
 identity and Lyapunov monitors downstream.
 
+Apart from the three RK4 stage evaluations of a step, each solver state
+computes its transforms at most once, on first use, and caches them:
+
+  * `SolverState.rates()`: one inverse transform of the dealiased field,
+    its cube, and, for a nonlinear state, one forward transform of the
+    cube. This gives the step-endpoint integrands (Hdot^2 dissipation,
+    L^6 mass as cube * cube, and the Hdot^1 pairing) and the dealiased
+    cubic, which is the first RK4 stage of the next step and the pairing
+    a diagnostics record reports. A linear state skips the forward
+    transform, so its record computes the cubic itself.
+  * `SolverState.norms()`: one inverse transform of the undealiased
+    field, giving sup |u| for the stability bound and h^4 sum u^4 for the
+    energy of a record.
+
+Powers of the field are products (v * v * v), never the generic `pow`.
+
 The dt stability bound is 1.5 / max(||u||_inf^2, dxi^2) with a safety
 factor 0.5, re-evaluated every 100 steps while advancing.
 
@@ -117,14 +133,22 @@ def log_spaced_snapshots(t_min: float, t_end: float, count: int) -> tuple[float,
     return tuple(np.geomspace(t_min, t_end, count))
 
 
-@dataclass
-class _Rates:
-    """Step-endpoint integrands and the cached dealiased cubic."""
+@dataclass(frozen=True)
+class Rates:
+    """Step-endpoint integrands and the dealiased cubic (None for a linear state)."""
 
     dissipation: float
     pairing: float
     l6: float
     nl_hat: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class Norms:
+    """sup |u| and h^4 sum u^4 of the undealiased field."""
+
+    sup: float
+    l4_fourth: float
 
 
 @dataclass
@@ -136,7 +160,25 @@ class SolverState:
     pairing_integral: float = 0.0
     l6_integral: float = 0.0
     nonlinear: bool = True
-    _rates: _Rates | None = dataclass_field(default=None, repr=False)
+    _rates: Rates | None = dataclass_field(default=None, repr=False)
+    _norms: Norms | None = dataclass_field(default=None, repr=False)
+
+    def rates(self) -> Rates:
+        """The state's step-endpoint rates, computed on first use."""
+        if self._rates is None:
+            self._rates = _compute_rates(self.u_hat, self.nonlinear)
+        return self._rates
+
+    def norms(self) -> Norms:
+        """sup |u| and h^4 sum u^4 of the state, from one inverse transform on first use."""
+        if self._norms is None:
+            u = transform_inverse(self.u_hat).values
+            sq = u * u
+            self._norms = Norms(
+                float(np.max(np.abs(u))),
+                float(self.u_hat.grid.spacing**4 * np.sum(sq * sq)),
+            )
+        return self._norms
 
 
 @dataclass(frozen=True)
@@ -158,35 +200,31 @@ def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
     )
 
 
+def _cube(u: PhysicalField) -> PhysicalField:
+    v = u.values
+    with np.errstate(over="ignore"):
+        return PhysicalField(u.grid, v * v * v)
+
+
 def nonlinear_term(u_hat: SpectralField) -> SpectralField:
     """dealias(F(u^3)) with u the inverse transform of dealias(u_hat)."""
     u = transform_inverse(dealias(u_hat))
     if not np.all(np.isfinite(u.values)):
         raise NonFiniteField("non-finite physical values in nonlinear term")
-    with np.errstate(over="ignore"):
-        cubed = PhysicalField(u.grid, u.values**3)
-    return dealias(transform_forward(cubed))
+    return dealias(transform_forward(_cube(u)))
 
 
-def _compute_rates(u_hat: SpectralField, nonlinear: bool) -> _Rates:
+def _compute_rates(u_hat: SpectralField, nonlinear: bool) -> Rates:
     u = transform_inverse(dealias(u_hat))
-    h4 = u.grid.spacing**4
+    cubed = _cube(u)
     with np.errstate(over="ignore"):
-        l6 = float(h4 * np.sum(u.values**6))
+        l6 = float(u.grid.spacing**4 * np.sum(cubed.values * cubed.values))
     diss = sobolev_norm_sq(u_hat, 2.0)
     if not nonlinear:
-        return _Rates(diss, 0.0, l6, None)
-    with np.errstate(over="ignore"):
-        cubed = PhysicalField(u.grid, u.values**3)
+        return Rates(diss, 0.0, l6, None)
     nl = dealias(transform_forward(cubed))
     pair = sobolev_inner(u_hat, nl, 1.0)
-    return _Rates(diss, pair, l6, nl.coefficients)
-
-
-def _ensure_rates(state: SolverState) -> _Rates:
-    if state._rates is None:
-        state._rates = _compute_rates(state.u_hat, state.nonlinear)
-    return state._rates
+    return Rates(diss, pair, l6, nl.coefficients)
 
 
 def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
@@ -229,7 +267,7 @@ def step(
                     out = out + forcing(t)
                 return out
 
-            rates = _ensure_rates(state)
+            rates = state.rates()
             if state.nonlinear and forcing is None and rates.nl_hat is not None:
                 a = rates.nl_hat
             else:
@@ -251,8 +289,8 @@ def step(
             l6_integral=state.l6_integral,
             nonlinear=state.nonlinear,
         )
-        old = _ensure_rates(state)
-        new = _ensure_rates(new_state)
+        old = state.rates()
+        new = new_state.rates()
     except NonFiniteField as exc:
         raise BlowUpSuspected(state) from exc
     half_dt = 0.5 * dt
@@ -264,8 +302,7 @@ def step(
 
 def stability_bound(state: SolverState) -> float:
     """Largest admissible dt, 0.5 * 1.5 / max(||u||_inf^2, dxi^2)."""
-    u = transform_inverse(state.u_hat)
-    sup_sq = float(np.max(np.abs(u.values))) ** 2
+    sup_sq = state.norms().sup ** 2
     return 0.5 * 1.5 / max(sup_sq, state.u_hat.grid.frequency_spacing**2)
 
 
@@ -313,7 +350,7 @@ class DuhamelSample:
 
 
 def duhamel_sample(state: SolverState) -> DuhamelSample:
-    rates = _ensure_rates(state)
+    rates = state.rates()
     nl = rates.nl_hat if rates.nl_hat is not None else np.zeros_like(
         state.u_hat.coefficients
     )

@@ -460,8 +460,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """Run one named experiment; exit code 0 pass, 1 check failure, 2 config error."""
     try:
         cfg = parse_config(spec.config_path, spec.name)
-        workers = spec.threads if spec.threads else cfg.resolved_threads()
-        set_fft_workers(workers)
+        set_fft_workers(cfg.resolved_threads(spec.threads))
         spec.out_dir.mkdir(parents=True, exist_ok=True)
         summary, records, passed = _RUNNERS[spec.name](cfg)
     except ConfigError as exc:

@@ -189,13 +189,6 @@ def transform_inverse(field: SpectralField, imag_tol: float = 1e-8) -> PhysicalF
     return PhysicalField(field.grid, np.ascontiguousarray(vals.real))
 
 
-def imag_residual(field: SpectralField) -> float:
-    """Relative imaginary residue of the inverse transform (realness monitor)."""
-    vals = _fft.ifftn(field.coefficients, workers=_fft_workers)
-    scale = max(np.max(np.abs(vals.real)), 1e-300)
-    return float(np.max(np.abs(vals.imag)) / scale)
-
-
 def hermitian_defect(field: SpectralField) -> float:
     """max_k |v_hat(-k) - conj(v_hat(k))|, zero for real-data fields."""
     c = field.coefficients
@@ -278,8 +271,14 @@ def sobolev_inner(a: SpectralField, b: SpectralField, s: float) -> float:
 
 
 def lebesgue_norm(field: PhysicalField, p: float) -> float:
-    """Discrete L^p norm (h^4 sum |v|^p)^{1/p} for p in {2, 4, 6}."""
+    """Discrete L^p norm (h^4 sum |v|^p)^{1/p} for p in {2, 4, 6}.
+
+    The field is real, so |v|^p is a product of v * v factors.
+    """
     if p not in (2, 4, 6):
         raise ValueError(f"unsupported Lebesgue exponent p={p}; must be 2, 4 or 6")
+    v = field.values
+    sq = v * v
+    power = sq if p == 2 else sq * sq if p == 4 else sq * sq * sq
     h4 = field.grid.spacing**4
-    return float((h4 * np.sum(np.abs(field.values) ** p)) ** (1.0 / p))
+    return float((h4 * np.sum(power)) ** (1.0 / p))

@@ -11,6 +11,7 @@ from critheat.spectral import (
     TorusGrid,
     apply_multiplier,
     dealias,
+    sobolev_inner,
     sobolev_multiplier,
     transform_forward,
     transform_inverse,
@@ -122,6 +123,60 @@ class TestRecord:
 
         # ratio is amplitude-independent: (3/2) / (2 pi)^4
         assert rec.pairing_ratio == pytest.approx(1.5 / (2 * np.pi) ** 4, rel=1e-10)
+
+
+def _counted(func, log):
+    def wrapper(field, *args, **kwargs):
+        log.append(field)
+        return func(field, *args, **kwargs)
+
+    return wrapper
+
+
+class TestRecordCaches:
+    @pytest.fixture()
+    def datum(self, grid, rng):
+        return transform_forward(PhysicalField(grid, 0.3 * rng.standard_normal(grid.shape)))
+
+    def test_nonlinear_pairing_is_the_cubic_pairing(self, datum):
+        start = ev.initial_state(datum)
+        stepped = ev.advance(ev.initial_state(datum), 0.01, 0.005)
+        for state in (start, stepped):
+            direct = sobolev_inner(state.u_hat, ev.nonlinear_term(state.u_hat), 1.0)
+            assert dg.record(state).pairing == direct
+
+    def test_linear_state_computes_its_cubic(self, datum):
+        state = ev.initial_state(datum, nonlinear=False)
+        direct = sobolev_inner(state.u_hat, ev.nonlinear_term(state.u_hat), 1.0)
+        assert direct != 0 and dg.record(state).pairing == direct
+
+    def test_l4_mass_of_undealiased_field(self, datum):
+        rec = dg.record(ev.initial_state(datum))
+        u = transform_inverse(datum).values
+        assert rec.l4_fourth == pytest.approx(datum.grid.spacing**4 * np.sum(u**4), rel=1e-14)
+
+    def test_transforms_per_state(self, datum, monkeypatch):
+        inverse, forward, record_cubics = [], [], []
+        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, inverse))
+        monkeypatch.setattr(ev, "transform_forward", _counted(ev.transform_forward, forward))
+        monkeypatch.setattr(dg, "transform_inverse", _counted(dg.transform_inverse, inverse))
+        monkeypatch.setattr(dg, "nonlinear_term", _counted(dg.nonlinear_term, record_cubics))
+        start = ev.initial_state(datum)
+        end = ev.advance(start, 0.02, 0.005)
+        dg.record(end, dg.SplittingSchedule(dg.POWER))
+        dg.record(end, dg.SplittingSchedule(dg.LOG_CUBED))
+        ev.stability_bound(end)
+        n = end.step_count
+        assert n == 4
+        assert record_cubics == []
+        # one full-field inverse per state whose norms are read: the bound at
+        # the start, and both records and the next bound at the end
+        full = [f for f in inverse if f is start.u_hat or f is end.u_hat]
+        assert [f is end.u_hat for f in full] == [False, True]
+        # each of the n + 1 states: one dealiased inverse and one forward
+        # transform of its cube; each step: three RK4 stage cubics
+        assert len(inverse) == (n + 1) + 3 * n + len(full)
+        assert len(forward) == (n + 1) + 3 * n
 
 
 class TestSplittingSplit:

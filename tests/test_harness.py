@@ -1,12 +1,15 @@
 """Config parsing, experiment orchestration, and file outputs."""
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from critheat import evolution as ev
-from critheat.config import ConfigError, HarnessConfig, parse_config
+from critheat.config import _PARSERS, ConfigError, HarnessConfig, _parse_float, parse_config
 from critheat.diagnostics import CSV_COLUMNS
 from critheat.experiments import ExperimentSpec, build_datum, run_experiment
 from critheat.spectral import PhysicalField, TorusGrid, sobolev_norm_sq
@@ -88,6 +91,21 @@ class TestParseConfig:
         monkeypatch.delenv("CRITHEAT_THREADS")
         assert parse_config(None).resolved_threads() == 1
 
+    def test_threads_override(self):
+        cfg = parse_config(None)
+        assert cfg.resolved_threads(3) == 3
+        assert cfg.resolved_threads(0) == cfg.resolved_threads()
+        with pytest.raises(ConfigError, match="threads must be >= 1.*got -1"):
+            cfg.resolved_threads(-1)
+
+    def test_snapshot_t_min_must_be_below_t_end(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("t_end = 0.5\nsnapshot_t_min = 0.5\n")
+        with pytest.raises(ConfigError, match="snapshot_t_min = 0.5 must be below t_end = 0.5"):
+            parse_config(path)
+        path.write_text("t_end = 0.5\nsnapshot_t_min = 0.49\n")
+        assert parse_config(path).resolved_snapshot_t_min() == 0.49
+
     def test_cutoff_validation_names_nyquist(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("cutoff_rho = 50\n")
@@ -101,6 +119,30 @@ class TestParseConfig:
         assert lo == pytest.approx(cfg.t_box / 100.0)
         assert hi == pytest.approx(cfg.t_box / 3.0)
         assert cfg.resolved_schedule_alpha() == pytest.approx(3.0)  # q*=0 datum
+
+
+FLOAT_KEYS = [
+    f.name for f in fields(HarnessConfig) if type(getattr(HarnessConfig(), f.name)) is float
+]
+# spellings float() accepts; the last two overflow to infinity
+NON_FINITE = ["nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity", "-INFINITY", "1e999", "-2e308"]
+
+
+class TestFloatKeys:
+    def test_float_keys_are_the_float_parsed_keys(self):
+        assert set(FLOAT_KEYS) == {f.name for f in fields(HarnessConfig)} - set(_PARSERS)
+
+    @given(key=st.sampled_from(FLOAT_KEYS), raw=st.sampled_from(NON_FINITE))
+    def test_non_finite_rejected_by_name(self, tmp_path_factory, key, raw):
+        path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+        path.write_text(f"{key} = {raw}\n")
+        message = f"{key} must be a finite number, got '{raw}'"
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            parse_config(path)
+
+    @given(key=st.sampled_from(FLOAT_KEYS), value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_values_parse_exactly(self, key, value):
+        assert _parse_float(key, repr(value)) == value
 
 
 class TestBuildDatum:
@@ -168,6 +210,15 @@ class TestRunExperiment:
         bad.write_text("points_per_dim = 15\n")
         spec = ExperimentSpec("bubble-constants", str(bad), tmp_path / "out")
         assert run_experiment(spec) == 2
+
+    def test_snapshot_t_min_beyond_t_end_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nt_end = 0.5\nsnapshot_t_min = 1\n")
+        spec = ExperimentSpec("lyapunov", str(cfg), tmp_path / "out")
+        assert run_experiment(spec) == 2
+        out = capsys.readouterr().out
+        assert "config error: snapshot_t_min = 1.0 must be below t_end = 0.5" in out
+        assert not (tmp_path / "out").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -239,6 +290,11 @@ class TestCli:
     def test_main_threads_flag(self, tmp_path):
         code = main(["bubble-constants", "--out", str(tmp_path / "out"), "--threads", "1"])
         assert code == 0
+
+    def test_main_negative_threads_exits_2(self, tmp_path, capsys):
+        code = main(["bubble-constants", "--out", str(tmp_path / "out"), "--threads", "-1"])
+        assert code == 2
+        assert "config error: threads must be >= 1" in capsys.readouterr().out
 
     def test_main_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

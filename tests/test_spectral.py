@@ -212,6 +212,14 @@ class TestLebesgueNorms:
         expected = (3.0 * small_grid.side_length**4 / 8.0) ** 0.25
         assert lebesgue_norm(field, 4) == pytest.approx(expected, rel=1e-12)
 
+    def test_products_match_generic_power(self, small_grid, rng):
+        field = PhysicalField(small_grid, rng.standard_normal(small_grid.shape) - 0.5)
+        assert np.any(field.values < 0)
+        h4 = small_grid.spacing**4
+        for p in (2, 4, 6):
+            reference = (h4 * np.sum(np.abs(field.values) ** p)) ** (1.0 / p)
+            assert lebesgue_norm(field, p) == pytest.approx(reference, rel=1e-14)
+
     def test_unsupported_exponent(self, small_grid):
         field = PhysicalField(small_grid, np.zeros(small_grid.shape))
         with pytest.raises(ValueError, match="p=3"):
