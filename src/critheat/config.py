@@ -26,6 +26,10 @@ EXPERIMENT_NAMES = (
     "splitting",
 )
 
+# peak working set of a run in complex N^4 arrays: linear-decay at N = 32
+# peaks at 369 MB of RSS, about 22 arrays of 16.8 MB
+_WORKING_SET_ARRAYS = 22
+
 
 class ConfigError(ValueError):
     """Invalid or unparsable configuration."""
@@ -161,6 +165,14 @@ def _validate(cfg: HarnessConfig) -> HarnessConfig:
         raise ConfigError(
             f"points_per_dim must be an even integer >= 16, got {cfg.points_per_dim}"
         )
+    need = _WORKING_SET_ARRAYS * 16 * cfg.points_per_dim**4
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"points_per_dim = {cfg.points_per_dim} needs an estimated {need / 2**30:.3g} GiB "
+            f"working set ({_WORKING_SET_ARRAYS} complex N^4 arrays), more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
     if not cfg.side_length > 0:
         raise ConfigError(f"side_length must be positive, got {cfg.side_length}")
     if not cfg.dt > 0:
@@ -169,6 +181,10 @@ def _validate(cfg: HarnessConfig) -> HarnessConfig:
         raise ConfigError(f"t_end must be positive (or 0 for T_box), got {cfg.t_end}")
     if cfg.snapshot_count < 2:
         raise ConfigError(f"snapshot_count must be >= 2, got {cfg.snapshot_count}")
+    if cfg.snapshot_t_min < 0:
+        raise ConfigError(
+            f"snapshot_t_min must be positive (or 0 for t_end / 500), got {cfg.snapshot_t_min}"
+        )
     if cfg.snapshot_t_min >= cfg.resolved_t_end():
         raise ConfigError(
             f"snapshot_t_min = {cfg.snapshot_t_min} must be below t_end = "

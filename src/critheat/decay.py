@@ -98,21 +98,6 @@ class RadialProfile:
 
 
 @dataclass(frozen=True)
-class DecayIndicatorCurve:
-    """Samples (rho, P_r(rho)) of the pre-limit indicator, rho decreasing to 0."""
-
-    r: float
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        rhos = [s[0] for s in self.samples]
-        if any(b >= a for a, b in zip(rhos, rhos[1:])):
-            raise ValueError("samples must have strictly decreasing rho")
-        if any(s[1] < 0 for s in self.samples):
-            raise ValueError("indicator values must be nonnegative")
-
-
-@dataclass(frozen=True)
 class DecayCharacterEstimate:
     """Fitted decay character with its window and fit residual.
 
@@ -224,15 +209,6 @@ def decay_indicator(profile: RadialProfile, r: float, rho: float) -> float:
     if r <= -n / 2.0:
         raise ValueError(f"r must exceed -n/2 = {-n / 2.0}, got {r}")
     return float(rho ** (-2.0 * r - n) * shell_mass(profile, rho))
-
-
-def indicator_curve(
-    profile: RadialProfile, r: float, num: int = 17, decades: float = 2.0
-) -> DecayIndicatorCurve:
-    """Indicator samples over the lowest sampled decades, rho decreasing."""
-    rhos = np.geomspace(profile.nodes[0] * 10.0**decades, profile.nodes[0], num)
-    samples = tuple((float(rho), decay_indicator(profile, r, rho)) for rho in rhos)
-    return DecayIndicatorCurve(r, samples)
 
 
 def _window_slope(nodes, mass, rho_max) -> tuple[float, float] | None:

@@ -1,10 +1,21 @@
 """Monitored quantities, Fourier splitting, and decay-rate fitting.
 
-Each solver snapshot yields one record: the Hdot^1 and Hdot^2 masses, the
-energy E = (1/2) int |grad u|^2 - (1/4) int u^4, the L^4 mass, the
-accumulated space-time L^6 integral, the Hdot^1 pairing with the
-dealiased cubic together with its normalized ratio, and the splitting of
-the Hdot^1 mass across the shrinking frequency ball
+Each solver snapshot yields one record, each field from one source:
+
+  * `h1_sq`, `low_sq`, `high_sq`: one Hdot^1 density |xi|^2 |u_hat|^2 in
+    `splitting_split`. `h1_sq` is its full sum (bit for bit
+    `sobolev_norm_sq(u_hat, 1.0)`), never low + high, so the exact
+    partition stays a check; `low_sq` and `high_sq` are its sums inside
+    and outside the ball B(t);
+  * `grad_h1_sq`: the Hdot^2 dissipation cached in `SolverState.rates()`;
+  * `l4_fourth`: h^4 sum u^4 from `SolverState.norms()`, and `energy`
+    = (1/2) h1_sq - (1/4) l4_fourth;
+  * `l6_accum`: the space-time L^6 integral the solver accumulates;
+  * `pairing`: the Hdot^1 pairing with the dealiased cubic, cached in the
+    rates of a nonlinear state and computed here for a linear one, whose
+    rates carry no cubic; `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
+
+The splitting ball is
 
     B(t) = { |xi| <= r(t) },   r(t) = sqrt( g'(t) / (C g(t)) ),
 
@@ -27,12 +38,12 @@ Monitors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .evolution import BalanceSnapshot, SolverState, nonlinear_term
+from .evolution import SolverState, nonlinear_term
 from .spectral import (  # noqa: F401  (transform_inverse stays bound here for callers)
     SpectralField,
     sobolev_inner,
@@ -78,71 +89,57 @@ class SplittingSchedule:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """One snapshot's monitored quantities; the fields are the series.csv columns."""
+
     t: float
     h1_sq: float
     grad_h1_sq: float
     energy: float
     l4_fourth: float
-    l6_time_accum: float
+    l6_accum: float
     low_sq: float
     high_sq: float
     pairing: float
     pairing_ratio: float
 
 
-CSV_COLUMNS = (
-    "t",
-    "h1_sq",
-    "grad_h1_sq",
-    "energy",
-    "l4_fourth",
-    "l6_accum",
-    "low_sq",
-    "high_sq",
-    "pairing",
-    "pairing_ratio",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def csv_row(rec: DiagnosticsRecord) -> tuple[float, ...]:
-    return (
-        rec.t,
-        rec.h1_sq,
-        rec.grad_h1_sq,
-        rec.energy,
-        rec.l4_fourth,
-        rec.l6_time_accum,
-        rec.low_sq,
-        rec.high_sq,
-        rec.pairing,
-        rec.pairing_ratio,
-    )
+    return tuple(getattr(rec, name) for name in CSV_COLUMNS)
 
 
 def splitting_split(
     u_hat: SpectralField, schedule: SplittingSchedule, t: float
-) -> tuple[float, float]:
-    """Hdot^1 mass inside/outside B(t); the two parts add to h1_sq exactly."""
+) -> tuple[float, float, float]:
+    """Hdot^1 mass in total and inside/outside B(t), from one density.
+
+    The total is the full sum of the density, bit for bit
+    `sobolev_norm_sq(u_hat, 1.0)`; the parts are its sums inside and
+    outside the ball, so they add to the total up to rounding.
+    """
     grid = u_hat.grid
     density = grid.xi_mag**2 * np.abs(u_hat.coefficients) ** 2
     norm = (2.0 * np.pi) ** -4 * grid.frequency_spacing**4
+    total = norm * float(np.sum(density))
     inside = grid.xi_mag <= schedule.radius(t)
     low = norm * float(np.sum(density[inside]))
     high = norm * float(np.sum(density[~inside]))
-    return low, high
+    return total, low, high
 
 
-def record(state: SolverState, schedule: SplittingSchedule | None = None) -> DiagnosticsRecord:
+def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord:
     """Assemble all monitored quantities from one solver snapshot.
 
-    The L^4 mass and, for a nonlinear state, the pairing come from the
-    state's caches, so a second record of the same state (another
-    schedule) transforms nothing. A linear state caches no cubic, so its
-    pairing is computed here.
+    Everything but the Hdot^1 density comes from the state's caches, so a
+    second record of the same nonlinear state (another schedule)
+    transforms nothing. A linear state caches no cubic, so its pairing is
+    computed here.
     """
     u_hat = state.u_hat
-    h1_sq = sobolev_norm_sq(u_hat, 1.0)
-    grad_h1_sq = sobolev_norm_sq(u_hat, 2.0)
+    h1_sq, low_sq, high_sq = splitting_split(u_hat, schedule, state.t)
+    grad_h1_sq = state.rates().dissipation
     l4_fourth = state.norms().l4_fourth
     energy = 0.5 * h1_sq - 0.25 * l4_fourth
     if state.nonlinear:
@@ -151,17 +148,13 @@ def record(state: SolverState, schedule: SplittingSchedule | None = None) -> Dia
         pairing = sobolev_inner(u_hat, nonlinear_term(u_hat), 1.0)
     denom = grad_h1_sq * h1_sq
     pairing_ratio = abs(pairing) / denom if denom > 0 else 0.0
-    if schedule is None:
-        low_sq, high_sq = h1_sq, 0.0
-    else:
-        low_sq, high_sq = splitting_split(u_hat, schedule, state.t)
     return DiagnosticsRecord(
         t=state.t,
         h1_sq=h1_sq,
         grad_h1_sq=grad_h1_sq,
         energy=energy,
         l4_fourth=l4_fourth,
-        l6_time_accum=state.l6_integral,
+        l6_accum=state.l6_integral,
         low_sq=low_sq,
         high_sq=high_sq,
         pairing=pairing,
@@ -188,13 +181,14 @@ def lyapunov_check(records: Sequence[DiagnosticsRecord], tol: float = 1e-10) -> 
     return LyapunovReport(not violations, tol, tuple(violations))
 
 
-def energy_identity_residual(balances: Sequence[BalanceSnapshot]) -> float:
-    """Relative defect of the Hdot^1 energy identity between the end snapshots."""
-    if len(balances) < 2:
-        raise ValueError("need at least 2 balance snapshots")
-    first, last = balances[0], balances[-1]
-    lhs = last.h1_sq + 2.0 * (last.dissipation_integral - first.dissipation_integral)
-    rhs = first.h1_sq + 2.0 * (last.pairing_integral - first.pairing_integral)
+def energy_identity_residual(first: SolverState, last: SolverState) -> float:
+    """Relative defect of the Hdot^1 energy identity between two states of one run."""
+    lhs = sobolev_norm_sq(last.u_hat, 1.0) + 2.0 * (
+        last.dissipation_integral - first.dissipation_integral
+    )
+    rhs = sobolev_norm_sq(first.u_hat, 1.0) + 2.0 * (
+        last.pairing_integral - first.pairing_integral
+    )
     scale = max(abs(lhs), abs(rhs))
     if scale == 0:
         return 0.0

@@ -3,14 +3,15 @@
 The equation u_t = Delta u + u^3 (real solutions) is advanced with an
 integrating-factor RK4 scheme on v_hat = e^{t |xi|^2} u_hat: the diagonal
 linear part is treated exactly, so with the nonlinearity disabled a step
-reproduces the heat semigroup to roundoff for any dt. The cubic term is
-evaluated pseudospectrally with 2/3-rule dealiasing on both input and
-output.
+reproduces the heat semigroup to roundoff for any dt. The heat symbol
+e^{-t |xi|^2} of the integrating factors, `heat_propagate` and the
+Duhamel check is `spectral.heat_multiplier`. The cubic term is evaluated
+pseudospectrally with 2/3-rule dealiasing on both input and output.
 
 Along the run three time integrals are accumulated by the trapezoid rule
 on steps: the Hdot^2 dissipation integral, the Hdot^1 pairing with the
-dealiased cubic, and the space-time L^6 mass. These feed the energy
-identity and Lyapunov monitors downstream.
+dealiased cubic, and the space-time L^6 mass. The energy identity reads
+the first two; a diagnostics record reports the third as `l6_accum`.
 
 Apart from the three RK4 stage evaluations of a step, each solver state
 computes its transforms at most once, on first use, and caches them:
@@ -19,12 +20,13 @@ computes its transforms at most once, on first use, and caches them:
     its cube, and, for a nonlinear state, one forward transform of the
     cube. This gives the step-endpoint integrands (Hdot^2 dissipation,
     L^6 mass as cube * cube, and the Hdot^1 pairing) and the dealiased
-    cubic, which is the first RK4 stage of the next step and the pairing
-    a diagnostics record reports. A linear state skips the forward
+    cubic, which is the first RK4 stage of the next step. A diagnostics
+    record takes its `grad_h1_sq` (the dissipation) and, for a nonlinear
+    state, its `pairing` from here. A linear state skips the forward
     transform, so its record computes the cubic itself.
   * `SolverState.norms()`: one inverse transform of the undealiased
-    field, giving sup |u| for the stability bound and h^4 sum u^4 for the
-    energy of a record.
+    field, giving sup |u| for the stability bound and h^4 sum u^4, the
+    `l4_fourth` of a record.
 
 Powers of the field are products (v * v * v), never the generic `pow`.
 
@@ -58,6 +60,7 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     dealias,
+    heat_multiplier,
     sobolev_inner,
     sobolev_norm_sq,
     transform_forward,
@@ -77,54 +80,6 @@ class BlowUpSuspected(RuntimeError):
             "blow-up suspected"
         )
         self.last_state = last_state
-
-
-@dataclass(frozen=True)
-class DatumSpec:
-    """Initial-datum recipe: localized bump, synthesized power-law, or file."""
-
-    kind: str = "power_law"
-    delta: float = 0.1
-    profile_r: float = 0.0
-    cutoff_rho: float = 1.4
-    path: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("bump", "power_law", "file"):
-            raise ValueError(f"unknown datum kind {self.kind!r}")
-        if self.kind == "power_law" and self.profile_r <= -2:
-            raise ValueError(
-                f"profile_r={self.profile_r} <= -2 leaves the decay-character "
-                "hypothesis q* > -2"
-            )
-        if self.kind == "file" and not self.path:
-            raise ValueError("file datum requires a path")
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    grid: TorusGrid
-    dt: float
-    t_end: float
-    snapshot_times: tuple[float, ...]
-    nonlinearity_enabled: bool
-    datum: DatumSpec
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        ts = np.asarray(self.snapshot_times)
-        if ts.size == 0 or np.any(np.diff(ts) <= 0):
-            raise ValueError("snapshot_times must be strictly increasing")
-        if ts[0] <= 0 or ts[-1] > self.t_end * (1 + 1e-12):
-            raise ValueError("snapshot_times must lie in (0, t_end]")
-
-
-def t_box(grid: TorusGrid) -> float:
-    """Horizon (L / 2 pi)^2 / 4 before the lowest-mode exponential cutoff dominates."""
-    return (grid.side_length / (2.0 * np.pi)) ** 2 / 4.0
 
 
 def log_spaced_snapshots(t_min: float, t_end: float, count: int) -> tuple[float, ...]:
@@ -181,23 +136,9 @@ class SolverState:
         return self._norms
 
 
-@dataclass(frozen=True)
-class BalanceSnapshot:
-    """The pieces of the Hdot^1 energy identity at one instant."""
-
-    t: float
-    h1_sq: float
-    dissipation_integral: float
-    pairing_integral: float
-
-
 def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
     """Exact heat semigroup: multiply by e^{-t |xi|^2}."""
-    if t < 0:
-        raise ValueError(f"heat_propagate requires t >= 0, got {t}")
-    return SpectralField(
-        u_hat.grid, u_hat.coefficients * np.exp(-t * u_hat.grid.xi_mag**2)
-    )
+    return SpectralField(u_hat.grid, u_hat.coefficients * heat_multiplier(u_hat.grid, t))
 
 
 def _cube(u: PhysicalField) -> PhysicalField:
@@ -233,8 +174,7 @@ def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
 
 @lru_cache(maxsize=8)
 def _if_factors(n: int, length: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    grid = TorusGrid(n, length)
-    e_half = np.exp(-0.5 * dt * grid.xi_mag**2)
+    e_half = heat_multiplier(TorusGrid(n, length), 0.5 * dt)
     return e_half, e_half**2
 
 
@@ -331,15 +271,6 @@ def advance(
     return state
 
 
-def balance_snapshot(state: SolverState) -> BalanceSnapshot:
-    return BalanceSnapshot(
-        t=state.t,
-        h1_sq=sobolev_norm_sq(state.u_hat, 1.0),
-        dissipation_integral=state.dissipation_integral,
-        pairing_integral=state.pairing_integral,
-    )
-
-
 @dataclass
 class DuhamelSample:
     """A snapshot with its stored nonlinear term, for the mild-solution check."""
@@ -370,13 +301,12 @@ def duhamel_residual(samples: Sequence[DuhamelSample], grid: TorusGrid) -> float
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
     t_final = times[-1]
-    xi_sq = grid.xi_mag**2
     integral = np.zeros_like(samples[0].u_hat)
-    propagated = [np.exp(-(t_final - s.t) * xi_sq) * s.nl_hat for s in samples]
+    propagated = [heat_multiplier(grid, t_final - s.t) * s.nl_hat for s in samples]
     for j in range(len(samples) - 1):
         w = 0.5 * (times[j + 1] - times[j])
         integral += w * (propagated[j] + propagated[j + 1])
-    mild = np.exp(-t_final * xi_sq) * samples[0].u_hat + integral
+    mild = heat_multiplier(grid, t_final) * samples[0].u_hat + integral
     defect = SpectralField(grid, samples[-1].u_hat - mild)
     norm = np.sqrt(sobolev_norm_sq(SpectralField(grid, samples[-1].u_hat), 0.0))
     if norm == 0:

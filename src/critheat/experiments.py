@@ -49,24 +49,23 @@ class ExperimentSpec:
             )
 
 
-def build_datum(cfg: HarnessConfig, grid: TorusGrid) -> tuple[SpectralField, float]:
-    """Initial spectral datum and its nominal q* per the config."""
+def build_datum(cfg: HarnessConfig, grid: TorusGrid) -> SpectralField:
+    """Initial spectral datum per the config; its nominal q* is `cfg.nominal_q_star()`."""
     if cfg.datum == "bump":
-        datum = bb.subcritical_datum(grid, cfg.delta)
-        return transform_forward(datum.field), cfg.nominal_q_star()
+        return transform_forward(bb.subcritical_datum(grid, cfg.delta).field)
     if cfg.datum == "power_law":
         raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
         h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
         target = cfg.delta * np.sqrt(GRAD_W_L2_SQ)
         scale = target / h1 if h1 > 0 else 0.0
-        return SpectralField(grid, raw.coefficients * scale), cfg.profile_r
+        return SpectralField(grid, raw.coefficients * scale)
     field, _, _ = ev.load_checkpoint(cfg.datum_file)
     if field.grid != grid:
         raise ConfigError(
             f"datum file grid (N={field.grid.points_per_dim}, L={field.grid.side_length}) "
             f"does not match config grid (N={grid.points_per_dim}, L={grid.side_length})"
         )
-    return transform_forward(field), cfg.nominal_q_star()
+    return transform_forward(field)
 
 
 def run_simulation(
@@ -77,7 +76,7 @@ def run_simulation(
     Returns, per schedule, one diagnostics record at t = 0 and one per snapshot.
     """
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-    u0_hat, _ = build_datum(cfg, grid)
+    u0_hat = build_datum(cfg, grid)
     t_end = cfg.resolved_t_end()
     times = ev.log_spaced_snapshots(cfg.resolved_snapshot_t_min(), t_end, cfg.snapshot_count)
     state = ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity)
@@ -304,27 +303,34 @@ def _partition_defect(records: Sequence[dg.DiagnosticsRecord]) -> float:
     return worst
 
 
+def _split_checks(cfg: HarnessConfig) -> tuple[dict, list, dict, dict]:
+    """Run under the power and log-cubed schedules and check the splitting.
+
+    Returns the schedules, the power-schedule records, the summary entries
+    of the exact partition and the key inequality, and their verdicts.
+    """
+    schedules = {
+        "power": dg.SplittingSchedule(dg.POWER, cfg.resolved_schedule_alpha(), cfg.c_tilde),
+        "log_cubed": dg.SplittingSchedule(dg.LOG_CUBED, c_tilde=cfg.c_tilde),
+    }
+    result = run_simulation(cfg, schedules)
+    partition = max(_partition_defect(records) for records in result.values())
+    key = {name: dg.key_inequality_check(result[name], s) for name, s in schedules.items()}
+    entries = {
+        "partition_max_defect": partition,
+        "key_inequality": {f"{name}_max_margin": k.max_margin for name, k in key.items()},
+    }
+    verdicts = {"partition_exact": partition <= 1e-13}
+    verdicts.update({f"key_inequality_{name}": k.passed for name, k in key.items()})
+    return schedules, result["power"], entries, verdicts
+
+
 def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list, bool]:
-    power = dg.SplittingSchedule(dg.POWER, cfg.resolved_schedule_alpha(), cfg.c_tilde)
-    logc = dg.SplittingSchedule(dg.LOG_CUBED, c_tilde=cfg.c_tilde)
-    result = run_simulation(cfg, {"power": power, "log_cubed": logc})
-    records = result["power"]
+    _, records, entries, split_verdicts = _split_checks(cfg)
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
     bound_ok = fit is not None and dg.bound_check(q_star, fit, cfg.bound_tol)
-    partition = max(
-        _partition_defect(result["power"]),
-        _partition_defect(result["log_cubed"]),
-    )
-    key_power = dg.key_inequality_check(result["power"], power)
-    key_log = dg.key_inequality_check(result["log_cubed"], logc)
-
-    verdicts = {
-        "bound_check": bound_ok,
-        "partition_exact": partition <= 1e-13,
-        "key_inequality_power": key_power.passed,
-        "key_inequality_log_cubed": key_log.passed,
-    }
+    verdicts = {"bound_check": bound_ok, **split_verdicts}
     summary = _base_summary("nonlinear-decay", cfg)
     summary.update(
         {
@@ -332,11 +338,7 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "decay_bound": min(2.0 + q_star, 1.0),
             "bound_tol": cfg.bound_tol,
             "fit": fit_entry,
-            "partition_max_defect": partition,
-            "key_inequality": {
-                "power_max_margin": key_power.max_margin,
-                "log_cubed_max_margin": key_log.max_margin,
-            },
+            **entries,
             "verdicts": verdicts,
         }
     )
@@ -381,7 +383,7 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list, bool]:
     sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
     records = run_simulation(cfg, {"primary": sched})["primary"]
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-    u0_hat, _ = build_datum(cfg, grid)
+    u0_hat = build_datum(cfg, grid)
     t_end = cfg.resolved_t_end()
     n0 = max(1, math.ceil(t_end / cfg.dt - 1e-12))
     planned = [n0 * 2**k for k in range(cfg.refinement_levels)]
@@ -389,8 +391,7 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list, bool]:
     for n_steps in planned:
         start = ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity)
         end = ev.advance(start, t_end, t_end / n_steps)
-        balances = [ev.balance_snapshot(start), ev.balance_snapshot(end)]
-        residuals.append(dg.energy_identity_residual(balances))
+        residuals.append(dg.energy_identity_residual(start, end))
         steps.append(end.step_count)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     verdicts = {
@@ -412,33 +413,12 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list, bool]:
 
 
 def _splitting(cfg: HarnessConfig) -> tuple[dict, list, bool]:
-    power = dg.SplittingSchedule(dg.POWER, cfg.resolved_schedule_alpha(), cfg.c_tilde)
-    logc = dg.SplittingSchedule(dg.LOG_CUBED, c_tilde=cfg.c_tilde)
-    result = run_simulation(cfg, {"power": power, "log_cubed": logc})
-    records = result["power"]
-    partition = max(
-        _partition_defect(result["power"]),
-        _partition_defect(result["log_cubed"]),
-    )
-    key_power = dg.key_inequality_check(result["power"], power)
-    key_log = dg.key_inequality_check(result["log_cubed"], logc)
-    verdicts = {
-        "partition_exact": partition <= 1e-13,
-        "key_inequality_power": key_power.passed,
-        "key_inequality_log_cubed": key_log.passed,
-    }
+    schedules, records, entries, verdicts = _split_checks(cfg)
     summary = _base_summary("splitting", cfg)
     summary.update(
         {
-            "radius_at_zero": {
-                "log_cubed": logc.radius(0.0),
-                "power": power.radius(0.0),
-            },
-            "partition_max_defect": partition,
-            "key_inequality": {
-                "power_max_margin": key_power.max_margin,
-                "log_cubed_max_margin": key_log.max_margin,
-            },
+            "radius_at_zero": {name: s.radius(0.0) for name, s in schedules.items()},
+            **entries,
             "verdicts": verdicts,
         }
     )

@@ -75,9 +75,8 @@ class TestDecayIndicator:
     def test_indicator_curve_constancy(self):
         # with the true r the indicator is flat over the bottom two decades
         prof = dense_power_profile(1.0)
-        curve = dc.indicator_curve(prof, 1.0, num=21, decades=2.0)
-        rhos = np.array([s[0] for s in curve.samples])
-        vals = np.array([s[1] for s in curve.samples])
+        rhos = np.geomspace(prof.nodes[0] * 10.0**2, prof.nodes[0], 21)
+        vals = np.array([dc.decay_indicator(prof, 1.0, rho) for rho in rhos])
         assert np.all(np.diff(rhos) < 0)
         assert (vals.max() - vals.min()) / vals.mean() <= 0.01
 

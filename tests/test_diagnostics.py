@@ -13,11 +13,15 @@ from critheat.spectral import (
     dealias,
     sobolev_inner,
     sobolev_multiplier,
+    sobolev_norm_sq,
     transform_forward,
     transform_inverse,
 )
 
 from conftest import cosine_field
+
+
+SCHEDULE = dg.SplittingSchedule()
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +40,7 @@ def synthetic_records(ts, h1, low=None):
                 grad_h1_sq=1.0,
                 energy=0.0,
                 l4_fourth=0.0,
-                l6_time_accum=0.0,
+                l6_accum=0.0,
                 low_sq=l,
                 high_sq=h1[i] - l,
                 pairing=0.0,
@@ -82,24 +86,24 @@ class TestSplittingSchedule:
 class TestRecord:
     def test_zero_field(self, grid):
         zero = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
-        rec = dg.record(ev.initial_state(zero))
+        rec = dg.record(ev.initial_state(zero), SCHEDULE)
         assert rec.h1_sq == 0 and rec.grad_h1_sq == 0 and rec.energy == 0
         assert rec.pairing == 0 and rec.pairing_ratio == 0
 
     def test_single_mode_h1(self, grid):
         a = 0.3
         state = ev.initial_state(transform_forward(cosine_field(grid, a)))
-        rec = dg.record(state)
+        rec = dg.record(state, SCHEDULE)
         expected = grid.frequency_spacing**2 * a**2 * grid.side_length**4 / 2.0
         assert rec.h1_sq == pytest.approx(expected, rel=1e-12)
 
     def test_energy_scaling_of_bump(self, grid):
         # E(delta b) = delta^2/2 ||grad b||^2 - delta^4/4 ||b||_4^4, positive when small
         base = cosine_field(grid, 1.0)
-        rec1 = dg.record(ev.initial_state(transform_forward(base)))
+        rec1 = dg.record(ev.initial_state(transform_forward(base)), SCHEDULE)
         delta = 0.01
         scaled = PhysicalField(grid, delta * base.values)
-        rec2 = dg.record(ev.initial_state(transform_forward(scaled)))
+        rec2 = dg.record(ev.initial_state(transform_forward(scaled)), SCHEDULE)
         expected = 0.5 * delta**2 * rec1.h1_sq - 0.25 * delta**4 * rec1.l4_fourth
         assert rec2.energy == pytest.approx(expected, rel=1e-10)
         assert rec2.energy > 0
@@ -108,7 +112,7 @@ class TestRecord:
         # <Lambda u, Lambda(u^3)> = (3/8) a^4 dxi^2 L^4 for u = a cos(dxi x1)
         a = 0.8
         state = ev.initial_state(transform_forward(cosine_field(grid, a)))
-        rec = dg.record(state)
+        rec = dg.record(state, SCHEDULE)
         closed = (3.0 / 8.0) * a**4 * grid.frequency_spacing**2 * grid.side_length**4
         assert rec.pairing == pytest.approx(closed, rel=1e-12)
 
@@ -143,17 +147,48 @@ class TestRecordCaches:
         stepped = ev.advance(ev.initial_state(datum), 0.01, 0.005)
         for state in (start, stepped):
             direct = sobolev_inner(state.u_hat, ev.nonlinear_term(state.u_hat), 1.0)
-            assert dg.record(state).pairing == direct
+            assert dg.record(state, SCHEDULE).pairing == direct
 
     def test_linear_state_computes_its_cubic(self, datum):
         state = ev.initial_state(datum, nonlinear=False)
         direct = sobolev_inner(state.u_hat, ev.nonlinear_term(state.u_hat), 1.0)
-        assert direct != 0 and dg.record(state).pairing == direct
+        assert direct != 0 and dg.record(state, SCHEDULE).pairing == direct
 
     def test_l4_mass_of_undealiased_field(self, datum):
-        rec = dg.record(ev.initial_state(datum))
+        rec = dg.record(ev.initial_state(datum), SCHEDULE)
         u = transform_inverse(datum).values
         assert rec.l4_fourth == pytest.approx(datum.grid.spacing**4 * np.sum(u**4), rel=1e-14)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_sobolev_masses_match_sobolev_norm_sq(self, datum, nonlinear):
+        state = ev.advance(ev.initial_state(datum, nonlinear=nonlinear), 0.01, 0.005)
+        assert state.step_count == 2
+        rec = dg.record(state, dg.SplittingSchedule(dg.POWER))
+        assert rec.h1_sq == sobolev_norm_sq(state.u_hat, 1.0)
+        assert rec.grad_h1_sq == sobolev_norm_sq(state.u_hat, 2.0)
+
+    def test_h1_density_sum_is_sobolev_norm_sq(self, rng):
+        big = TorusGrid(32, 32.0)
+        spec = transform_forward(PhysicalField(big, rng.standard_normal(big.shape)))
+        total, low, high = dg.splitting_split(spec, dg.SplittingSchedule(dg.POWER), 0.5)
+        assert total == sobolev_norm_sq(spec, 1.0)
+        assert low > 0 and high > 0
+
+    def test_second_record_reuses_the_state(self, datum, monkeypatch):
+        state = ev.advance(ev.initial_state(datum), 0.01, 0.005)
+        first = dg.record(state, dg.SplittingSchedule(dg.POWER))
+        calls = []
+        for module in (ev, dg):
+            for name in ("transform_inverse", "transform_forward", "sobolev_norm_sq"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, _counted(getattr(module, name), calls)
+                    )
+        second = dg.record(state, dg.SplittingSchedule(dg.LOG_CUBED))
+        assert calls == []
+        assert (second.h1_sq, second.grad_h1_sq, second.pairing) == (
+            first.h1_sq, first.grad_h1_sq, first.pairing,
+        )
 
     def test_transforms_per_state(self, datum, monkeypatch):
         inverse, forward, record_cubics = [], [], []
@@ -190,14 +225,14 @@ class TestSplittingSplit:
         spec = transform_forward(PhysicalField(grid, rng.standard_normal(grid.shape)))
         # tiny c_tilde pushes r(0) above the Nyquist corner
         sched = dg.SplittingSchedule(dg.POWER, alpha=2.5, c_tilde=1e-6)
-        low, high = dg.splitting_split(spec, sched, 0.0)
+        _, low, high = dg.splitting_split(spec, sched, 0.0)
         assert high == 0.0
         assert low > 0
 
     def test_vanishing_radius_keeps_nothing(self, grid, rng):
         spec = transform_forward(PhysicalField(grid, rng.standard_normal(grid.shape)))
         sched = dg.SplittingSchedule(dg.POWER, alpha=2.5, c_tilde=1e12)
-        low, high = dg.splitting_split(spec, sched, 0.0)
+        _, low, high = dg.splitting_split(spec, sched, 0.0)
         assert low == 0.0
         assert high > 0
 
@@ -224,31 +259,26 @@ class TestLyapunov:
 class TestEnergyIdentity:
     def test_zero_run(self, grid):
         zero = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
-        state = ev.initial_state(zero)
-        b0 = ev.balance_snapshot(state)
-        state = ev.advance(state, 0.2, 0.05)
-        b1 = ev.balance_snapshot(state)
-        assert dg.energy_identity_residual([b0, b1]) == 0.0
+        start = ev.initial_state(zero)
+        end = ev.advance(start, 0.2, 0.05)
+        assert dg.energy_identity_residual(start, end) == 0.0
 
     def test_linear_run_parseval_identity(self):
         # without pairing the identity is pure Parseval calculus; on the
         # slowly decaying L = 32 grid the trapezoid bias sits below 1e-10
         slow = TorusGrid(16, 32.0)
         datum = transform_forward(cosine_field(slow, 0.5))
-        state = ev.initial_state(datum, nonlinear=False)
-        b0 = ev.balance_snapshot(state)
-        state = ev.advance(state, 0.2, 0.001)
-        b1 = ev.balance_snapshot(state)
-        assert dg.energy_identity_residual([b0, b1]) <= 1e-10
+        start = ev.initial_state(datum, nonlinear=False)
+        end = ev.advance(start, 0.2, 0.001)
+        assert dg.energy_identity_residual(start, end) <= 1e-10
 
     def test_nonlinear_second_order_refinement(self, grid):
         datum = transform_forward(cosine_field(grid, 0.5))
         residuals = []
         for dt in (0.02, 0.01, 0.005):
-            state = ev.initial_state(datum, nonlinear=True)
-            b0 = ev.balance_snapshot(state)
-            state = ev.advance(state, 0.4, dt)
-            residuals.append(dg.energy_identity_residual([b0, ev.balance_snapshot(state)]))
+            start = ev.initial_state(datum, nonlinear=True)
+            end = ev.advance(start, 0.4, dt)
+            residuals.append(dg.energy_identity_residual(start, end))
         ratios = [residuals[i] / residuals[i + 1] for i in range(2)]
         assert all(r >= 3.5 for r in ratios), (residuals, ratios)
 
@@ -263,7 +293,7 @@ class TestPairingReport:
         recs = synthetic_records([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
         recs[1] = dg.DiagnosticsRecord(
             t=1.0, h1_sq=1.0, grad_h1_sq=1.0, energy=0, l4_fourth=0,
-            l6_time_accum=0, low_sq=1.0, high_sq=0.0, pairing=0.5, pairing_ratio=0.5,
+            l6_accum=0, low_sq=1.0, high_sq=0.0, pairing=0.5, pairing_ratio=0.5,
         )
         report = dg.pairing_ratio_report(recs)
         assert report.max_ratio == 0.5 and report.t_at_max == 1.0

@@ -259,13 +259,3 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="payload"):
             ev.load_checkpoint(path)
-
-    def test_config_validation(self, grid):
-        with pytest.raises(ValueError, match="dt"):
-            ev.SimulationConfig(grid, 0.0, 1.0, (0.5,), True, ev.DatumSpec())
-        with pytest.raises(ValueError, match="snapshot"):
-            ev.SimulationConfig(grid, 0.1, 1.0, (0.5, 0.2), True, ev.DatumSpec())
-        with pytest.raises(ValueError, match="datum"):
-            ev.DatumSpec(kind="wavelet")
-        with pytest.raises(ValueError, match="q"):
-            ev.DatumSpec(kind="power_law", profile_r=-2.5)

@@ -106,6 +106,45 @@ class TestParseConfig:
         path.write_text("t_end = 0.5\nsnapshot_t_min = 0.49\n")
         assert parse_config(path).resolved_snapshot_t_min() == 0.49
 
+    def test_negative_snapshot_t_min_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("t_end = 0.5\nsnapshot_t_min = -1\n")
+        message = "snapshot_t_min must be positive (or 0 for t_end / 500), got -1.0"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        path.write_text("t_end = 0.5\nsnapshot_t_min = 0\n")
+        assert parse_config(path).resolved_snapshot_t_min() == 0.5 / 500.0
+
+    @pytest.mark.parametrize("dt", ["0", "-0.01"])
+    def test_nonpositive_dt_rejected(self, tmp_path, dt):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"dt = {dt}\n")
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            parse_config(path)
+
+    def test_unknown_datum_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("datum = wavelet\n")
+        with pytest.raises(ConfigError, match="datum must be one of .*; got 'wavelet'"):
+            parse_config(path)
+
+    def test_file_datum_needs_a_path(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("datum = file\n")
+        with pytest.raises(ConfigError, match="datum = file requires datum_file"):
+            parse_config(path)
+
+    def test_grid_beyond_physical_memory_rejected(self, tmp_path):
+        # parsed only: a complex 512^4 array alone would be 1 TiB
+        path = tmp_path / "c.cfg"
+        path.write_text("points_per_dim = 512\n")
+        with pytest.raises(
+            ConfigError,
+            match=r"^points_per_dim = 512 needs an estimated [0-9.e+]+ GiB working set "
+            r"\(22 complex N\^4 arrays\), more than the [0-9.e+]+ GiB of physical memory$",
+        ):
+            parse_config(path)
+
     def test_cutoff_validation_names_nyquist(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("cutoff_rho = 50\n")
@@ -149,8 +188,8 @@ class TestBuildDatum:
     def test_power_law_scaled_to_delta(self):
         cfg = HarnessConfig()
         grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-        u0, q = build_datum(cfg, grid)
-        assert q == 0.0
+        u0 = build_datum(cfg, grid)
+        assert cfg.nominal_q_star() == 0.0
         h1 = np.sqrt(sobolev_norm_sq(u0, 1.0))
         assert h1 == pytest.approx(0.1 * np.sqrt(32 * np.pi**2 / 3), rel=1e-10)
 
@@ -165,7 +204,7 @@ class TestBuildDatum:
             f"points_per_dim = 16\ndatum = file\ndatum_file = {chk}\n"
         )
         cfg = parse_config(cfg_path)
-        u0, _ = build_datum(cfg, grid)
+        u0 = build_datum(cfg, grid)
         back = sobolev_norm_sq(u0, 0.0)
         assert back == pytest.approx(grid.spacing**4 * np.sum(field.values**2), rel=1e-12)
 
@@ -218,6 +257,15 @@ class TestRunExperiment:
         assert run_experiment(spec) == 2
         out = capsys.readouterr().out
         assert "config error: snapshot_t_min = 1.0 must be below t_end = 0.5" in out
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_snapshot_t_min_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nt_end = 0.5\nsnapshot_t_min = -1\n")
+        spec = ExperimentSpec("lyapunov", str(cfg), tmp_path / "out")
+        assert run_experiment(spec) == 2
+        out = capsys.readouterr().out
+        assert "config error: snapshot_t_min must be positive (or 0 for t_end / 500)" in out
         assert not (tmp_path / "out").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -295,6 +343,15 @@ class TestCli:
         code = main(["bubble-constants", "--out", str(tmp_path / "out"), "--threads", "-1"])
         assert code == 2
         assert "config error: threads must be >= 1" in capsys.readouterr().out
+
+    def test_main_splitting_matches_nonlinear_decay_series(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nt_end = 0.2\nsnapshot_count = 8\n")
+        split, decay = tmp_path / "split", tmp_path / "decay"
+        assert main(["splitting", "--config", str(cfg), "--out", str(split)]) == 0
+        assert (split / "series.csv").is_file() and (split / "summary.json").is_file()
+        main(["nonlinear-decay", "--config", str(cfg), "--out", str(decay)])
+        assert (split / "series.csv").read_bytes() == (decay / "series.csv").read_bytes()
 
     def test_main_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
