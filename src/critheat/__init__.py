@@ -6,7 +6,6 @@ from .spectral import (  # noqa: F401
     PhysicalField,
     SpectralField,
     TorusGrid,
-    apply_multiplier,
     dealias,
     lebesgue_norm,
     set_fft_workers,

@@ -1,4 +1,4 @@
-"""The 4D ground-state bubble, its constants, scalings, and small data.
+"""The 4D ground-state bubble, its constants, rescaling, and small data.
 
 W(x) = 1 / (1 + |x|^2 / 8) is the stationary solution of the 4D
 energy-critical heat equation (Delta W + W^3 = 0) and the extremizer of
@@ -40,18 +40,6 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class BubbleSpec:
-    """Scaling lambda and center of a bubble W_lambda(x) = lambda W(lambda (x - center))."""
-
-    scale: float = 1.0
-    center: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-
 def bubble_radial(rho: np.ndarray) -> np.ndarray:
     """W as a function of radius, 1 / (1 + rho^2 / 8)."""
     return 1.0 / (1.0 + np.asarray(rho, dtype=float) ** 2 / 8.0)
@@ -61,15 +49,6 @@ def bubble_radial_derivative(rho: np.ndarray) -> np.ndarray:
     """dW/drho = -(rho/4) (1 + rho^2/8)^{-2}."""
     rho = np.asarray(rho, dtype=float)
     return -(rho / 4.0) / (1.0 + rho**2 / 8.0) ** 2
-
-
-def evaluate_bubble(spec: BubbleSpec, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
-    """W_lambda at one point or an array of points (last axis = 4 coordinates)."""
-    pts = np.asarray(x, dtype=float)
-    rel = pts - np.asarray(spec.center)
-    rho = np.sqrt(np.sum(rel**2, axis=-1))
-    out = spec.scale * bubble_radial(spec.scale * rho)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -83,7 +62,6 @@ class RadialQuadrature:
     """
 
     r_min: float
-    r_max: float
     nodes: np.ndarray
     weights: np.ndarray
     head_volume: float
@@ -113,7 +91,7 @@ class RadialQuadrature:
         nodes = np.concatenate(nodes)
         weights = np.concatenate(weights)
         head_volume = np.pi**2 * r_min**4 / 2.0
-        return cls(r_min, r_max, nodes, weights, head_volume)
+        return cls(r_min, nodes, weights, head_volume)
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.sum(self.weights * f(self.nodes)))
@@ -153,9 +131,9 @@ def sobolev_constant_general(n: int) -> float:
     )
 
 
-def bubble_constants(quadrature: RadialQuadrature | None = None) -> BubbleConstants:
+def bubble_constants() -> BubbleConstants:
     """Gradient, L^4, energy and Sobolev constants of W by radial quadrature."""
-    quad = quadrature if quadrature is not None else RadialQuadrature.build()
+    quad = RadialQuadrature.build()
 
     def grad_sq(rho):
         return bubble_radial_derivative(rho) ** 2
@@ -183,26 +161,22 @@ def stationarity_residual(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != 4:
         raise ValueError("points must have 4 coordinates")
-    spec = BubbleSpec()
+
+    def w(x: np.ndarray) -> float:
+        return float(bubble_radial(np.sqrt(np.sum(x**2))))
+
     out = []
     for x in pts:
         lap = 0.0
         for i in range(4):
             e = np.zeros(4)
             e[i] = h_fd
-            lap += (
-                evaluate_bubble(spec, x + e)
-                - 2.0 * evaluate_bubble(spec, x)
-                + evaluate_bubble(spec, x - e)
-            ) / h_fd**2
-        w = evaluate_bubble(spec, x)
-        out.append(abs(lap + w**3))
+            lap += (w(x + e) - 2.0 * w(x) + w(x - e)) / h_fd**2
+        out.append(abs(lap + w(x) ** 3))
     return out
 
 
-def truncated_l2_growth(
-    r_values: Sequence[float], panels_per_decade: int = 8, gauss_order: int = 16
-) -> list[float]:
+def truncated_l2_growth(r_values: Sequence[float]) -> list[float]:
     """Truncated mass int_{|x| <= R} W^2 dx for increasing radii R.
 
     Grows logarithmically in R (W^2 ~ 64 |x|^{-4}), witnessing W not in L^2.
@@ -212,9 +186,7 @@ def truncated_l2_growth(
         raise ValueError("radii must be positive and strictly increasing")
     out = []
     for r in rs:
-        quad = RadialQuadrature.build(
-            r_min=1e-6, r_max=r, panels_per_decade=panels_per_decade, gauss_order=gauss_order
-        )
+        quad = RadialQuadrature.build(r_min=1e-6, r_max=r, panels_per_decade=8)
         # head below r_min: W ~ 1 there, add the exact small-ball volume
         out.append(quad.integrate(lambda rho: bubble_radial(rho) ** 2) + quad.head_volume)
     return out

@@ -6,8 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import EXPERIMENT_NAMES
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,7 +26,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="FFT worker count (falls back to CRITHEAT_THREADS, then 1)",
+        help=(
+            "FFT worker count, at most the CPUs this process may use "
+            "(default 1; the outputs do not depend on it)"
+        ),
     )
     return parser
 

@@ -5,6 +5,16 @@ lines ignored. Unknown keys are rejected. Every value is validated with a
 message naming the key and the constraint. An empty (or absent) file
 yields the documented defaults: N = 32, L = 32, delta = 0.1, a q* = 0
 power-law datum.
+
+`profile_r` is the q* of the datum: the exponent a power-law datum is
+built with, and the stated q* of a `datum = file` checkpoint, which
+cannot be read off the file (default 0). A bump datum has q* = 1. The q*
+sets the decay bound min(2 + q*, 1) and the automatic power-schedule
+alpha, max(2 + q*, 1) + 1.
+
+The FFT worker count is not a config key: it is a machine setting that
+changes no output, so it is set by `critheat --threads` alone and stays
+out of the config echo in summary.json.
 """
 
 from __future__ import annotations
@@ -15,16 +25,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-
-EXPERIMENT_NAMES = (
-    "bubble-constants",
-    "decay-character",
-    "linear-decay",
-    "nonlinear-decay",
-    "lyapunov",
-    "energy-identity",
-    "splitting",
-)
 
 # peak working set of a run in complex N^4 arrays: linear-decay at N = 32
 # peaks at 369 MB of RSS, about 22 arrays of 16.8 MB
@@ -45,7 +45,7 @@ class HarnessConfig:
     snapshot_t_min: float = 0.0   # 0 -> t_end / 500
     datum: str = "power_law"
     delta: float = 0.1
-    profile_r: float = 0.0
+    profile_r: float = 0.0        # q* of a power_law or file datum
     cutoff_rho: float = 1.4
     datum_file: str = ""
     nonlinearity: bool = True
@@ -57,7 +57,6 @@ class HarnessConfig:
     bound_tol: float = 0.1
     lyapunov_tol: float = 1e-10
     refinement_levels: int = 3
-    threads: int = 0              # 0 -> CRITHEAT_THREADS env var, else 1
 
     @property
     def t_box(self) -> float:
@@ -81,34 +80,12 @@ class HarnessConfig:
     def nominal_q_star(self) -> float:
         # mean-removed smooth bumps have a flat transform off the origin,
         # so the half-Laplacian profile scales like |xi|
-        return self.profile_r if self.datum == "power_law" else 1.0
+        return 1.0 if self.datum == "bump" else self.profile_r
 
     def resolved_schedule_alpha(self) -> float:
         if self.schedule_alpha > 0:
             return self.schedule_alpha
         return max(2.0 + self.nominal_q_star(), 1.0) + 1.0
-
-    def resolved_threads(self, override: int | None = None) -> int:
-        """FFT worker count: `override` (e.g. --threads) if set, then the
-        `threads` key, then CRITHEAT_THREADS, then 1. 0 means unset."""
-        if override is not None and override < 0:
-            raise ConfigError(f"threads must be >= 1 (or 0 for automatic), got {override}")
-        if override:
-            return override
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("CRITHEAT_THREADS", "")
-        if env:
-            try:
-                val = int(env)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"CRITHEAT_THREADS must be an integer, got {env!r}"
-                ) from exc
-            if val < 1:
-                raise ConfigError(f"CRITHEAT_THREADS must be >= 1, got {val}")
-            return val
-        return 1
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -116,7 +93,6 @@ class HarnessConfig:
         out["t_end_resolved"] = self.resolved_t_end()
         out["fit_window_resolved"] = list(self.resolved_fit_window())
         out["schedule_alpha_resolved"] = self.resolved_schedule_alpha()
-        out["threads_resolved"] = self.resolved_threads()
         return out
 
 
@@ -235,8 +211,6 @@ def _validate(cfg: HarnessConfig) -> HarnessConfig:
         raise ConfigError(
             f"refinement_levels must be >= 2, got {cfg.refinement_levels}"
         )
-    if cfg.threads < 0:
-        raise ConfigError(f"threads must be >= 1 (or 0 for automatic), got {cfg.threads}")
     return cfg
 
 
@@ -244,7 +218,6 @@ _PARSERS = {
     "points_per_dim": _parse_int,
     "snapshot_count": _parse_int,
     "refinement_levels": _parse_int,
-    "threads": _parse_int,
     "nonlinearity": _parse_bool,
     "datum": lambda k, v: v,
     "schedule": lambda k, v: v,

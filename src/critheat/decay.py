@@ -17,7 +17,8 @@ log-spaced nodes, plus an analytic head for the interval below the first
 node (local power-law continuation). The limit rho -> 0 is replaced by a
 windowed log-log slope over the smallest sampled decades; r* = (slope - n)/2.
 When the slope drifts monotonically as the window shrinks there is no
-stable limit and the degenerate sentinels -n/2 / +inf are reported.
+stable limit, and the degenerate values r* = -n/2 (P_r infinite for every
+r) or r* = +inf (P_r zero for every r) are reported.
 
 The linear oracle evolves a radial profile under a scalar dissipative
 symbol -c |xi|^{2 alpha} and returns squared L^2 norms
@@ -38,7 +39,7 @@ special treatment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -46,8 +47,14 @@ from scipy.special import gamma as _gamma
 
 from .spectral import SpectralField, TorusGrid
 
-R_STAR_LOWER_SENTINEL = "lower"  # P_r = inf for all r: r* = -n/2
-R_STAR_UPPER_SENTINEL = "upper"  # P_r = 0 for all r: r* = +inf
+# a radial profile's S(rho) slope is fitted over its lowest 2 sampled
+# decades; if widening that window by a decade, twice, moves the slope by
+# more than 0.5 both times in the same direction, there is no stable limit
+_WINDOW_DECADES = 2.0
+_DRIFT_TOL = 0.5
+
+# search bounds of the lattice shell fit for q*
+_Q_BOUNDS = (-1.99, 6.0)
 
 
 def sphere_area(n: int) -> float:
@@ -76,7 +83,6 @@ class RadialProfile:
     dimension: int
     nodes: np.ndarray
     amplitudes: np.ndarray
-    rule: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -92,23 +98,18 @@ class RadialProfile:
         if np.any(~np.isfinite(self.amplitudes)) or np.any(self.amplitudes < 0):
             raise ValueError("amplitudes must be finite and nonnegative")
 
-    def l2_mass_sq(self) -> float:
-        """Squared L^2 mass (2 pi)^{-n} omega_{n-1} int a^2 rho^{n-1} drho."""
-        return radial_linear_evolution(self, DissipationSymbol(), [0.0])[0]
-
 
 @dataclass(frozen=True)
 class DecayCharacterEstimate:
     """Fitted decay character with its window and fit residual.
 
-    `r_star` is finite for the regular case; the degenerate cases carry
-    -n/2 or +inf together with a `sentinel` tag.
+    `r_star` is finite for the regular case and -n/2 or +inf for the
+    degenerate ones.
     """
 
     r_star: float
     fit_window: tuple[float, float]
     slope_residual: float
-    sentinel: str | None = None
 
     def __post_init__(self) -> None:
         if self.slope_residual < 0:
@@ -137,7 +138,7 @@ def power_law_profile(
     """
     decades = np.log10(cutoff / rho_min)
     nodes = log_nodes(rho_min, decades, nodes_per_decade)
-    return RadialProfile(dimension, nodes, nodes**r, rule=lambda s: np.where(s <= cutoff, s**r, 0.0))
+    return RadialProfile(dimension, nodes, nodes**r)
 
 
 def gaussian_profile(
@@ -150,7 +151,7 @@ def gaussian_profile(
     nodes = log_nodes(rho_min, decades, nodes_per_decade)
     amp0 = (2.0 * np.pi) ** (dimension / 2.0)
     amps = amp0 * np.exp(-(nodes**2) / 2.0)
-    return RadialProfile(dimension, nodes, amps, rule=lambda s: amp0 * np.exp(-(s**2) / 2.0))
+    return RadialProfile(dimension, nodes, amps)
 
 
 def _head_mass(profile: RadialProfile) -> float:
@@ -162,7 +163,7 @@ def _head_mass(profile: RadialProfile) -> float:
     r0, r1 = profile.nodes[:2]
     local = np.log(a1 / a0) / np.log(r1 / r0)
     if 2 * local + n <= 1e-9:
-        # head integral diverges; leave it to the sentinel detection
+        # head integral diverges; estimate_decay_character reports r* = -n/2
         return 0.0
     return float(a0**2 * r0**n / (2 * local + n))
 
@@ -221,18 +222,14 @@ def _window_slope(nodes, mass, rho_max) -> tuple[float, float] | None:
     return float(slope), resid
 
 
-def estimate_decay_character(
-    profile: RadialProfile,
-    window_decades: float = 2.0,
-    drift_tol: float = 0.5,
-) -> DecayCharacterEstimate:
+def estimate_decay_character(profile: RadialProfile) -> DecayCharacterEstimate:
     """Estimate r* = (slope - n)/2 from the lowest sampled decades of S(rho).
 
-    Two degenerate paths short-circuit to sentinels: a local power at the
-    origin with 2m + n <= 0 means the shell integral diverges (P_r infinite
-    for every r, the -n/2 case); and widening the window by one decade twice
-    probing the slope, monotone drift beyond `drift_tol` per decade means no
-    stable limit (the +inf case when the slope runs away upward).
+    Two degenerate paths short-circuit: a local power at the origin with
+    2m + n <= 0 means the shell integral diverges (P_r infinite for every
+    r, r* = -n/2); and widening the window by one decade twice probing the
+    slope, monotone drift beyond `_DRIFT_TOL` per decade means no stable
+    limit (r* = +inf when the slope runs away upward).
     """
     n = profile.dimension
     amps = profile.amplitudes
@@ -240,14 +237,14 @@ def estimate_decay_character(
         local_m = np.log(amps[2] / amps[0]) / np.log(profile.nodes[2] / profile.nodes[0])
         if 2 * local_m + n <= 0:
             # the shell integral diverges at the origin: P_r infinite for all r
-            window = (float(profile.nodes[0]), float(profile.nodes[0] * 10.0**window_decades))
-            return DecayCharacterEstimate(-n / 2.0, window, 0.0, R_STAR_LOWER_SENTINEL)
+            window = (float(profile.nodes[0]), float(profile.nodes[0] * 10.0**_WINDOW_DECADES))
+            return DecayCharacterEstimate(-n / 2.0, window, 0.0)
     mass = _shell_mass_cumulative(profile)
     if mass[-1] <= 0:
         raise ValueError("zero shell mass throughout the profile")
     positive = profile.nodes[mass > 0]
     rho_lo = positive[0]
-    window = (float(rho_lo), float(rho_lo * 10.0**window_decades))
+    window = (float(rho_lo), float(rho_lo * 10.0**_WINDOW_DECADES))
     base = _window_slope(profile.nodes, mass, window[1])
     if base is None:
         raise ValueError("fewer than 3 nodes with positive mass inside the fit window")
@@ -259,14 +256,12 @@ def estimate_decay_character(
             slopes.append(wider[0])
     if len(slopes) == 3:
         d1, d2 = slopes[0] - slopes[1], slopes[1] - slopes[2]
-        if d1 > drift_tol and d2 > drift_tol:
-            return DecayCharacterEstimate(np.inf, window, resid, R_STAR_UPPER_SENTINEL)
-        if d1 < -drift_tol and d2 < -drift_tol:
-            return DecayCharacterEstimate(-n / 2.0, window, resid, R_STAR_LOWER_SENTINEL)
+        if d1 > _DRIFT_TOL and d2 > _DRIFT_TOL:
+            return DecayCharacterEstimate(np.inf, window, resid)
+        if d1 < -_DRIFT_TOL and d2 < -_DRIFT_TOL:
+            return DecayCharacterEstimate(-n / 2.0, window, resid)
     r_star = (slope - n) / 2.0
-    if r_star <= -n / 2.0:
-        return DecayCharacterEstimate(-n / 2.0, window, resid, R_STAR_LOWER_SENTINEL)
-    return DecayCharacterEstimate(float(r_star), window, resid)
+    return DecayCharacterEstimate(float(max(r_star, -n / 2.0)), window, resid)
 
 
 def classify_lp(p: float, n: int) -> float:
@@ -352,23 +347,19 @@ def synthesize_datum(
 
 
 def estimate_decay_character_grid(
-    field: SpectralField,
-    weight_power: float = 1.0,
-    rho_max: float | None = None,
-    q_bounds: tuple[float, float] = (-1.99, 6.0),
+    field: SpectralField, rho_max: float | None = None
 ) -> DecayCharacterEstimate:
-    """Decay character of |xi|^weight_power * v_hat from lattice shells.
+    """Decay character q* of |xi| v_hat, the half-Laplacian, from lattice shells.
 
     Cumulative shell masses S(rho_m) over the resolved low shells are
     matched against the lattice model A * sum_{|xi| <= rho_m} |xi|^{2q},
-    minimizing the log-residual variance over q. weight_power = 1 measures
-    q* of the half-Laplacian of the field.
+    minimizing the log-residual variance over q in `_Q_BOUNDS`.
     """
     grid = field.grid
     if rho_max is None:
         rho_max = grid.axis_nyquist / 4.0
     mags = grid.xi_mag.ravel()
-    weights = (mags**weight_power * np.abs(field.coefficients.ravel())) ** 2
+    weights = (mags * np.abs(field.coefficients.ravel())) ** 2
     sel = (mags > 0) & (mags <= rho_max)
     mags, weights = mags[sel], weights[sel]
     if mags.size == 0:
@@ -390,6 +381,6 @@ def estimate_decay_character_grid(
         resid = log_mass - np.log(np.cumsum(model_acc)[keep])
         return float(np.var(resid))
 
-    res = minimize_scalar(cost, bounds=q_bounds, method="bounded")
+    res = minimize_scalar(cost, bounds=_Q_BOUNDS, method="bounded")
     window = (float(shell_radii[keep][0]), float(rho_max))
     return DecayCharacterEstimate(float(res.x), window, float(np.sqrt(res.fun)))

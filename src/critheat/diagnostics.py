@@ -30,10 +30,9 @@ Monitors:
   * key inequality: d/dt [g h1] - g' * (low-frequency Hdot^1 mass) <= 0,
     with centered differences on the snapshot grid and an allowance for
     their truncation error;
-  * rate fits: least-squares slope of log h1_sq against log(1+t) (or
-    against log ln(e+t) in the auxiliary log-law mode), compared
-    one-sidedly with min{2 + q*, 1}: observed decay may be faster than
-    the bound, never slower.
+  * rate fits: least-squares slope of log h1_sq against log(1+t),
+    compared one-sidedly with min{2 + q*, 1}: observed decay may be
+    faster than the bound, never slower.
 """
 
 from __future__ import annotations
@@ -53,6 +52,9 @@ from .spectral import (  # noqa: F401  (transform_inverse stays bound here for c
 
 LOG_CUBED = "log_cubed"
 POWER = "power"
+
+# fewest records with positive h1_sq that a rate fit accepts
+_MIN_FIT_RECORDS = 5
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,6 @@ def energy_identity_residual(first: SolverState, last: SolverState) -> float:
 class PairingReport:
     max_ratio: float
     t_at_max: float
-    records_used: int
 
 
 def pairing_ratio_report(records: Sequence[DiagnosticsRecord]) -> PairingReport:
@@ -215,7 +216,7 @@ def pairing_ratio_report(records: Sequence[DiagnosticsRecord]) -> PairingReport:
             best, t_best = rec.pairing_ratio, rec.t
     if used == 0:
         raise ValueError("no records with nonzero norms")
-    return PairingReport(best, t_best, used)
+    return PairingReport(best, t_best)
 
 
 class UnfittableWindow(ValueError):
@@ -232,36 +233,25 @@ class UnfittableWindow(ValueError):
 @dataclass(frozen=True)
 class RateFit:
     exponent: float
-    intercept: float
     window: tuple[float, float]
     residual: float
-    basis: str = "power"
 
 
-def fit_decay_rate(
-    records: Sequence[DiagnosticsRecord],
-    window: tuple[float, float],
-    basis: str = "power",
-    min_records: int = 5,
-) -> RateFit:
+def fit_decay_rate(records: Sequence[DiagnosticsRecord], window: tuple[float, float]) -> RateFit:
     """Least-squares slope of log h1_sq against log(1+t) over the window.
 
-    basis="log" switches the regressor to log ln(e+t), the auxiliary mode
-    for data decaying like a power of ln(e+t). Raises UnfittableWindow when
-    fewer than `min_records` records with positive h1_sq lie in the window.
+    Raises UnfittableWindow when fewer than `_MIN_FIT_RECORDS` records with
+    positive h1_sq lie in the window.
     """
-    if basis not in ("power", "log"):
-        raise ValueError(f"unknown fit basis {basis!r}")
     t0, t1 = window
     sel = [r for r in records if t0 <= r.t <= t1 and r.h1_sq > 0]
-    if len(sel) < min_records:
-        raise UnfittableWindow(window, len(sel), min_records)
-    ts = np.array([r.t for r in sel])
-    x = np.log1p(ts) if basis == "power" else np.log(np.log(np.e + ts))
+    if len(sel) < _MIN_FIT_RECORDS:
+        raise UnfittableWindow(window, len(sel), _MIN_FIT_RECORDS)
+    x = np.log1p([r.t for r in sel])
     y = np.log([r.h1_sq for r in sel])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(float(slope), float(intercept), (float(t0), float(t1)), resid, basis)
+    return RateFit(float(slope), (float(t0), float(t1)), resid)
 
 
 def bound_check(q_star: float, fit: RateFit, tol: float) -> bool:
@@ -279,9 +269,7 @@ def bound_check(q_star: float, fit: RateFit, tol: float) -> bool:
 @dataclass(frozen=True)
 class KeyInequalityReport:
     passed: bool
-    max_margin: float          # max over snapshots of Q_i - allowance_i
-    max_raw: float             # max over snapshots of Q_i
-    margins: tuple[float, ...]
+    max_margin: float  # max over interior snapshots of Q_i - allowance_i
 
 
 def key_inequality_check(
@@ -299,7 +287,6 @@ def key_inequality_check(
     ts = np.array([r.t for r in records])
     gh1 = np.array([schedule.g(r.t) * r.h1_sq for r in records])
     margins = []
-    raft = []
     for i in range(1, len(records) - 1):
         dt_all = ts[i + 1] - ts[i - 1]
         centered = (gh1[i + 1] - gh1[i - 1]) / dt_all
@@ -307,7 +294,6 @@ def key_inequality_check(
         s_minus = (gh1[i] - gh1[i - 1]) / (ts[i] - ts[i - 1])
         allowance = abs(s_plus - s_minus) + 1e-12 * abs(gh1[i]) / dt_all
         q = centered - schedule.g_prime(ts[i]) * records[i].low_sq
-        raft.append(q)
         margins.append(q - allowance)
     max_margin = float(np.max(margins))
-    return KeyInequalityReport(max_margin <= 0.0, max_margin, float(np.max(raft)), tuple(margins))
+    return KeyInequalityReport(max_margin <= 0.0, max_margin)

@@ -31,7 +31,7 @@ computes its transforms at most once, on first use, and caches them:
 Powers of the field are products (v * v * v), never the generic `pow`.
 
 The dt stability bound is 1.5 / max(||u||_inf^2, dxi^2) with a safety
-factor 0.5, re-evaluated every 100 steps while advancing.
+factor 0.5, re-evaluated every `_RECHECK_EVERY` = 100 steps while advancing.
 
 Checkpoint format (little-endian), used for file data and restarts:
 
@@ -69,6 +69,8 @@ from .spectral import (
 
 CHECKPOINT_MAGIC = b"CRITHEAT"
 _HEADER = struct.Struct("<8sQddQ")
+
+_RECHECK_EVERY = 100
 
 
 class BlowUpSuspected(RuntimeError):
@@ -246,16 +248,10 @@ def stability_bound(state: SolverState) -> float:
     return 0.5 * 1.5 / max(sup_sq, state.u_hat.grid.frequency_spacing**2)
 
 
-def advance(
-    state: SolverState,
-    t_target: float,
-    dt_max: float,
-    forcing: Callable[[float], np.ndarray] | None = None,
-    recheck_every: int = 100,
-) -> SolverState:
+def advance(state: SolverState, t_target: float, dt_max: float) -> SolverState:
     """Advance to t_target in equal substeps of at most min(dt_max, bound).
 
-    The stability bound is re-evaluated every `recheck_every` steps. The
+    The stability bound is re-evaluated every `_RECHECK_EVERY` steps. The
     final time is snapped to t_target to avoid float drift.
     """
     if t_target < state.t - 1e-12:
@@ -265,8 +261,8 @@ def advance(
         dt_eff = min(dt_max, stability_bound(state))
         n_sub = max(1, math.ceil(remaining / dt_eff - 1e-12))
         dt = remaining / n_sub
-        for _ in range(min(n_sub, recheck_every)):
-            state = step(state, dt, forcing=forcing)
+        for _ in range(min(n_sub, _RECHECK_EVERY)):
+            state = step(state, dt)
     state.t = t_target
     return state
 

@@ -3,13 +3,15 @@
 Each experiment writes `series.csv` (one diagnostics record per row,
 fixed columns) and `summary.json` (fitted exponents, verdicts, constants,
 T_box, a full config echo, and the version stamp) into the output
-directory, and reports pass/fail through the exit code.
+directory, and reports pass/fail through the exit code: `passed` is true
+when every verdict is.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,7 +23,7 @@ from . import bubble as bb
 from . import decay as dc
 from . import diagnostics as dg
 from . import evolution as ev
-from .config import ConfigError, EXPERIMENT_NAMES, HarnessConfig, parse_config
+from .config import ConfigError, HarnessConfig, parse_config
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -50,9 +52,21 @@ class ExperimentSpec:
 
 
 def build_datum(cfg: HarnessConfig, grid: TorusGrid) -> SpectralField:
-    """Initial spectral datum per the config; its nominal q* is `cfg.nominal_q_star()`."""
+    """Initial spectral datum per the config; its nominal q* is `cfg.nominal_q_star()`.
+
+    A bump datum must satisfy both small-data conditions, ||grad u0|| <=
+    ||grad W|| and E(u0) <= E(W); delta <= 1/sqrt(2) guarantees them, and
+    a larger delta that breaks one is a config error.
+    """
     if cfg.datum == "bump":
-        return transform_forward(bb.subcritical_datum(grid, cfg.delta).field)
+        datum = bb.subcritical_datum(grid, cfg.delta)
+        if not (datum.grad_condition and datum.energy_condition):
+            raise ConfigError(
+                f"delta = {cfg.delta} gives a bump datum outside the small-data regime: "
+                f"||grad u0||^2 = {datum.grad_l2**2:.6g} (||grad W||^2 = {GRAD_W_L2_SQ:.6g}), "
+                f"E(u0) = {datum.energy:.6g} (E(W) = {BUBBLE_ENERGY:.6g})"
+            )
+        return transform_forward(datum.field)
     if cfg.datum == "power_law":
         raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
         h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
@@ -114,7 +128,7 @@ def _base_summary(name: str, cfg: HarnessConfig) -> dict:
 # ------------------------------------------------------------- experiments
 
 
-def _bubble_constants(cfg: HarnessConfig) -> tuple[dict, list, bool]:
+def _bubble_constants(cfg: HarnessConfig) -> tuple[dict, list]:
     consts = bb.bubble_constants()
     checks = {
         "grad_l2_sq": (consts.grad_l2_sq, GRAD_W_L2_SQ),
@@ -171,10 +185,10 @@ def _bubble_constants(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "verdicts": verdicts,
         }
     )
-    return summary, [], all(verdicts.values())
+    return summary, []
 
 
-def _decay_character(cfg: HarnessConfig) -> tuple[dict, list, bool]:
+def _decay_character(cfg: HarnessConfig) -> tuple[dict, list]:
     recovery = {}
     for r in (-1.0, 0.0, 1.0, 2.0):
         est = dc.estimate_decay_character(dc.power_law_profile(r))
@@ -203,9 +217,7 @@ def _decay_character(cfg: HarnessConfig) -> tuple[dict, list, bool]:
 
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     datum = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, 1.0)
-    grid_est = dc.estimate_decay_character_grid(
-        datum, weight_power=1.0, rho_max=cfg.cutoff_rho / 2.0
-    )
+    grid_est = dc.estimate_decay_character_grid(datum, rho_max=cfg.cutoff_rho / 2.0)
     verdicts["grid_shell_fit"] = abs(grid_est.r_star - cfg.profile_r) <= 0.1
 
     summary = _base_summary("decay-character", cfg)
@@ -223,7 +235,7 @@ def _decay_character(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "verdicts": verdicts,
         }
     )
-    return summary, [], all(verdicts.values())
+    return summary, []
 
 
 def _fit_decay(
@@ -246,7 +258,7 @@ def _fit_decay(
     return fit, {"exponent": fit.exponent, "window": list(fit.window), "residual": fit.residual}
 
 
-def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list, bool]:
+def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     times = np.geomspace(1e2, 1e6, 41)
     oracle_cases = []
     oracle_ok = True
@@ -292,7 +304,7 @@ def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "verdicts": verdicts,
         }
     )
-    return summary, records, all(verdicts.values())
+    return summary, records
 
 
 def _partition_defect(records: Sequence[dg.DiagnosticsRecord]) -> float:
@@ -325,7 +337,7 @@ def _split_checks(cfg: HarnessConfig) -> tuple[dict, list, dict, dict]:
     return schedules, result["power"], entries, verdicts
 
 
-def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list, bool]:
+def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     _, records, entries, split_verdicts = _split_checks(cfg)
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
@@ -342,10 +354,10 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "verdicts": verdicts,
         }
     )
-    return summary, records, all(verdicts.values())
+    return summary, records
 
 
-def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list, bool]:
+def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list]:
     sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
     records = run_simulation(cfg, {"primary": sched})["primary"]
     report = dg.lyapunov_check(records, cfg.lyapunov_tol)
@@ -366,10 +378,10 @@ def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "verdicts": {"lyapunov": report.passed},
         }
     )
-    return summary, records, report.passed
+    return summary, records
 
 
-def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list, bool]:
+def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     """Hdot^1 energy-identity residual over [0, t_end] under nested dt halving.
 
     Level k advances the whole interval in n0 * 2^k equal steps,
@@ -409,10 +421,10 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "verdicts": verdicts,
         }
     )
-    return summary, records, all(verdicts.values())
+    return summary, records
 
 
-def _splitting(cfg: HarnessConfig) -> tuple[dict, list, bool]:
+def _splitting(cfg: HarnessConfig) -> tuple[dict, list]:
     schedules, records, entries, verdicts = _split_checks(cfg)
     summary = _base_summary("splitting", cfg)
     summary.update(
@@ -422,7 +434,7 @@ def _splitting(cfg: HarnessConfig) -> tuple[dict, list, bool]:
             "verdicts": verdicts,
         }
     )
-    return summary, records, all(verdicts.values())
+    return summary, records
 
 
 _RUNNERS = {
@@ -435,21 +447,41 @@ _RUNNERS = {
     "splitting": _splitting,
 }
 
+EXPERIMENT_NAMES = tuple(_RUNNERS)
+
+
+def _fft_worker_count(threads: int | None) -> int:
+    """The --threads value as an FFT worker count; absent or 0 means 1.
+
+    Checked against the CPUs this process may use before any worker
+    starts.
+    """
+    if not threads:
+        return 1
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 1 (--threads 0 means 1), got {threads}")
+    cpus = len(os.sched_getaffinity(0))
+    if threads > cpus:
+        raise ConfigError(
+            f"--threads {threads} exceeds the {cpus} CPUs this process may use"
+        )
+    return threads
+
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run one named experiment; exit code 0 pass, 1 check failure, 2 config error."""
     try:
         cfg = parse_config(spec.config_path, spec.name)
-        set_fft_workers(cfg.resolved_threads(spec.threads))
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
-        summary, records, passed = _RUNNERS[spec.name](cfg)
+        set_fft_workers(_fft_worker_count(spec.threads))
+        summary, records = _RUNNERS[spec.name](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
     # numpy comparisons give numpy.bool, which json cannot serialise
     summary["verdicts"] = {k: bool(v) for k, v in summary["verdicts"].items()}
-    passed = bool(passed)
+    passed = all(summary["verdicts"].values())
     summary["passed"] = passed
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(spec.out_dir / "series.csv", records)
     write_summary_json(spec.out_dir / "summary.json", summary)
     for key, value in sorted(summary.get("verdicts", {}).items()):

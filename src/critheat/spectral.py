@@ -30,12 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.fft as _fft
 
 _fft_workers = 1
+
+# largest imaginary residue of an inverse transform, relative to the field
+# scale, accepted as roundoff of a Hermitian-symmetric input
+_IMAG_TOL = 1e-8
 
 
 class NonFiniteField(ValueError):
@@ -170,10 +173,10 @@ def transform_forward(field: PhysicalField) -> SpectralField:
     return SpectralField(field.grid, coeffs)
 
 
-def transform_inverse(field: SpectralField, imag_tol: float = 1e-8) -> PhysicalField:
+def transform_inverse(field: SpectralField) -> PhysicalField:
     """Inverse transform back to a real physical field.
 
-    The imaginary residue is checked against `imag_tol` times the field
+    The imaginary residue is checked against `_IMAG_TOL` times the field
     magnitude; a violation means the input was not Hermitian-symmetric.
     """
     if not np.all(np.isfinite(field.coefficients)):
@@ -181,9 +184,9 @@ def transform_inverse(field: SpectralField, imag_tol: float = 1e-8) -> PhysicalF
     vals = _fft.ifftn(field.coefficients, workers=_fft_workers) / field.grid.spacing**4
     scale = np.max(np.abs(vals.real))
     imag = np.max(np.abs(vals.imag))
-    if imag > imag_tol * max(scale, 1e-300):
+    if imag > _IMAG_TOL * max(scale, 1e-300):
         raise ValueError(
-            f"imaginary residue {imag:.3e} exceeds {imag_tol:.1e} x field scale {scale:.3e}; "
+            f"imaginary residue {imag:.3e} exceeds {_IMAG_TOL:.1e} x field scale {scale:.3e}; "
             "input is not Hermitian-symmetric"
         )
     return PhysicalField(field.grid, np.ascontiguousarray(vals.real))
@@ -196,21 +199,6 @@ def hermitian_defect(field: SpectralField) -> float:
     for ax in range(4):
         rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
     return float(np.max(np.abs(rev - np.conj(c))))
-
-
-def apply_multiplier(
-    field: SpectralField, symbol: Callable[[np.ndarray], np.ndarray]
-) -> SpectralField:
-    """Apply a radial Fourier multiplier m(|xi|) coefficientwise.
-
-    The symbol receives the |xi| lattice (N^4 array) and must return finite
-    values everywhere, including |xi| = 0; symbols singular at the origin
-    must supply their own rule there (see `sobolev_multiplier`).
-    """
-    m = np.asarray(symbol(field.grid.xi_mag))
-    if not np.all(np.isfinite(m)):
-        raise ValueError("multiplier symbol is non-finite at some lattice point")
-    return SpectralField(field.grid, field.coefficients * m)
 
 
 def sobolev_multiplier(grid: TorusGrid, s: float) -> np.ndarray:

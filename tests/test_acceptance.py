@@ -52,16 +52,16 @@ class _Timer:
 def lyapunov_summary():
     cfg = parse_config(None, "lyapunov")
     with _Timer() as timer:
-        summary, records, passed = _RUNNERS["lyapunov"](cfg)
-    return summary, records, passed, timer.elapsed
+        summary, records = _RUNNERS["lyapunov"](cfg)
+    return summary, records, all(summary["verdicts"].values()), timer.elapsed
 
 
 @pytest.fixture(scope="module")
 def nonlinear_q0_summary():
     cfg = parse_config(None, "nonlinear-decay")
     with _Timer() as timer:
-        summary, _, passed = _RUNNERS["nonlinear-decay"](cfg)
-    return summary, passed, timer.elapsed
+        summary, _ = _RUNNERS["nonlinear-decay"](cfg)
+    return summary, timer.elapsed
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +70,8 @@ def nonlinear_qm15_summary(tmp_path_factory):
     path.write_text("profile_r = -1.5\n")
     cfg = parse_config(path, "nonlinear-decay")
     with _Timer() as timer:
-        summary, _, passed = _RUNNERS["nonlinear-decay"](cfg)
-    return summary, passed, timer.elapsed
+        summary, _ = _RUNNERS["nonlinear-decay"](cfg)
+    return summary, timer.elapsed
 
 
 def test_criterion_1_bubble_constants():
@@ -170,7 +170,7 @@ def test_criterion_5_linear_decay_law():
 def test_criterion_6_torus_linear_consistency():
     cfg = parse_config(None, "linear-decay")
     with _Timer() as timer:
-        summary, _, _ = _RUNNERS["linear-decay"](cfg)
+        summary, _ = _RUNNERS["linear-decay"](cfg)
     fit = summary["torus_fit"]
     ok = abs(-fit["exponent"] - 2.0) <= 0.1 and timer.elapsed < 120.0
     report(
@@ -195,7 +195,7 @@ def test_criterion_7_lyapunov(lyapunov_summary):
 def test_criterion_8_energy_identity():
     cfg = parse_config(None, "energy-identity")
     with _Timer() as timer:
-        summary, _, passed = _RUNNERS["energy-identity"](cfg)
+        summary, _ = _RUNNERS["energy-identity"](cfg)
     residuals = summary["residuals"]
     ratios = summary["refinement_ratios"]
     ok = (
@@ -215,7 +215,7 @@ def test_criterion_9_main_theorem_consistency(nonlinear_q0_summary, nonlinear_qm
     total = 0.0
     all_ok = True
     details = []
-    for label, (summary, passed, elapsed) in (
+    for label, (summary, elapsed) in (
         ("q*=0", nonlinear_q0_summary),
         ("q*=-1.5", nonlinear_qm15_summary),
     ):
@@ -235,7 +235,7 @@ def test_criterion_9_main_theorem_consistency(nonlinear_q0_summary, nonlinear_qm
     for _ in range(100):
         q = rng.uniform(-1.9, 1.0)
         observed = min(2.0 + q, 1.0) + rng.uniform(0.0, 5.0)
-        fit = dg.RateFit(-observed, 0.0, (0.1, 1.0), 0.0)
+        fit = dg.RateFit(-observed, (0.1, 1.0), 0.0)
         all_ok &= dg.bound_check(q, fit, 0.1)
     all_ok &= total < 900.0
     report(

@@ -1,4 +1,4 @@
-"""Ground-state bubble: constants, stationarity, L^2 growth, scalings, small data."""
+"""Ground-state bubble: constants, stationarity, L^2 growth, rescaling, small data."""
 
 import numpy as np
 import pytest
@@ -18,30 +18,15 @@ GRAD_EXACT = 32.0 * np.pi**2 / 3.0
 
 class TestEvaluate:
     def test_value_at_origin(self):
-        assert bb.evaluate_bubble(bb.BubbleSpec(), np.zeros(4)) == 1.0
+        assert bb.bubble_radial(0.0) == 1.0
 
     def test_half_value_radius(self):
         # |x|^2 = 8 gives W = 1/2
-        x = np.array([np.sqrt(8.0), 0.0, 0.0, 0.0])
-        assert bb.evaluate_bubble(bb.BubbleSpec(), x) == pytest.approx(0.5)
-
-    def test_scaling_at_origin(self):
-        assert bb.evaluate_bubble(bb.BubbleSpec(scale=2.0), np.zeros(4)) == 2.0
-
-    def test_translation(self):
-        spec = bb.BubbleSpec(center=(1.0, -2.0, 0.5, 0.0))
-        assert bb.evaluate_bubble(spec, np.array(spec.center)) == 1.0
+        assert bb.bubble_radial(np.sqrt(8.0)) == pytest.approx(0.5)
 
     def test_far_field_tail(self):
         # W ~ 8 / |x|^2 far out
-        x = np.array([200.0, 0.0, 0.0, 0.0])
-        assert bb.evaluate_bubble(bb.BubbleSpec(), x) == pytest.approx(
-            8.0 / 200.0**2, rel=1e-3
-        )
-
-    def test_scale_validation(self):
-        with pytest.raises(ValueError, match="scale"):
-            bb.BubbleSpec(scale=0.0)
+        assert bb.bubble_radial(200.0) == pytest.approx(8.0 / 200.0**2, rel=1e-3)
 
 
 class TestBubbleConstants:

@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, and file outputs."""
 
 import json
+import os
 import re
 from dataclasses import fields
 
@@ -82,21 +83,11 @@ class TestParseConfig:
         path.write_text("points_per_dim = 32\n")
         assert parse_config(path, "energy-identity").points_per_dim == 32
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CRITHEAT_THREADS", "3")
-        assert parse_config(None).resolved_threads() == 3
-        monkeypatch.setenv("CRITHEAT_THREADS", "zero")
-        with pytest.raises(ConfigError, match="integer"):
-            parse_config(None).resolved_threads()
-        monkeypatch.delenv("CRITHEAT_THREADS")
-        assert parse_config(None).resolved_threads() == 1
-
-    def test_threads_override(self):
-        cfg = parse_config(None)
-        assert cfg.resolved_threads(3) == 3
-        assert cfg.resolved_threads(0) == cfg.resolved_threads()
-        with pytest.raises(ConfigError, match="threads must be >= 1.*got -1"):
-            cfg.resolved_threads(-1)
+    def test_threads_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("threads = 2\n")
+        with pytest.raises(ConfigError, match="unknown key 'threads'"):
+            parse_config(path)
 
     def test_snapshot_t_min_must_be_below_t_end(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -158,6 +149,20 @@ class TestParseConfig:
         assert lo == pytest.approx(cfg.t_box / 100.0)
         assert hi == pytest.approx(cfg.t_box / 3.0)
         assert cfg.resolved_schedule_alpha() == pytest.approx(3.0)  # q*=0 datum
+
+    def test_q_star_of_each_datum(self, tmp_path):
+        # a file datum's q* is profile_r (default 0); a bump's is 1
+        path = tmp_path / "c.cfg"
+        path.write_text("datum = file\ndatum_file = u0.chk\n")
+        cfg = parse_config(path)
+        assert cfg.nominal_q_star() == 0.0
+        assert cfg.resolved_schedule_alpha() == 3.0
+        path.write_text("datum = file\ndatum_file = u0.chk\nprofile_r = 1\n")
+        cfg = parse_config(path)
+        assert cfg.nominal_q_star() == 1.0
+        assert cfg.resolved_schedule_alpha() == 4.0
+        path.write_text("datum = bump\n")
+        assert parse_config(path).nominal_q_star() == 1.0
 
 
 FLOAT_KEYS = [
@@ -268,6 +273,25 @@ class TestRunExperiment:
         assert "config error: snapshot_t_min must be positive (or 0 for t_end / 500)" in out
         assert not (tmp_path / "out").exists()
 
+    def test_inadmissible_bump_exits_2(self, tmp_path, capsys):
+        # at delta = 0.9 the bump's energy exceeds E(W): outside the small-data regime
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\ndelta = 0.9\n")
+        spec = ExperimentSpec("lyapunov", str(cfg), tmp_path / "out")
+        assert run_experiment(spec) == 2
+        out = capsys.readouterr().out
+        assert "config error: delta = 0.9 gives a bump datum outside the small-data regime" in out
+        energy = re.search(r"E\(u0\) = ([0-9.e+]+) \(E\(W\) = ([0-9.e+]+)\)", out)
+        assert energy and float(energy[1]) > float(energy[2])
+        assert float(energy[2]) == pytest.approx(8 * np.pi**2 / 3, rel=1e-5)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_echo_has_no_worker_count(self, tmp_path):
+        spec = ExperimentSpec("bubble-constants", None, tmp_path / "out", threads=1)
+        assert run_experiment(spec) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert not any("thread" in key for key in summary["config"])
+
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg = tmp_path / "c.cfg"
@@ -343,6 +367,16 @@ class TestCli:
         code = main(["bubble-constants", "--out", str(tmp_path / "out"), "--threads", "-1"])
         assert code == 2
         assert "config error: threads must be >= 1" in capsys.readouterr().out
+
+    def test_main_threads_above_cpu_count_exits_2(self, tmp_path, capsys):
+        # checked before any worker starts
+        cpus = len(os.sched_getaffinity(0))
+        out = tmp_path / "out"
+        code = main(["bubble-constants", "--out", str(out), "--threads", str(cpus + 1)])
+        assert code == 2
+        message = f"config error: --threads {cpus + 1} exceeds the {cpus} CPUs this process may use"
+        assert message in capsys.readouterr().out
+        assert not out.exists()
 
     def test_main_splitting_matches_nonlinear_decay_series(self, tmp_path):
         cfg = tmp_path / "c.cfg"

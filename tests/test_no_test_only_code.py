@@ -8,6 +8,12 @@ alias (`ev.step`). Imports, strings and same-named attributes of other
 objects (`cfg.t_box`) do not count. The search runs to a fixed point, so
 a name whose only users are themselves unused is unused too. Names on the
 allow-list count as used, each for the reason given.
+
+The members of public classes get a looser check: each annotated field,
+attribute set in `__init__` and public method must be read as an
+attribute (`x.name`) somewhere in `src/`, on any object. A class whose
+fields are enumerated with `fields(...)` is exempt, since that reads
+them all.
 """
 
 import ast
@@ -22,8 +28,11 @@ ALLOWED = {
     "evolution.heat_propagate": "test oracle: the heat semigroup that linear stepping reproduces",
     "decay.decay_indicator": "test oracle: the indicator P_r that defines the decay character",
     "evolution.save_checkpoint": "the checkpoint writer the benchmark uses for its file datum",
-    "spectral.apply_multiplier": "package export",
     "bubble.rescale_field": "kept for the scale-covariance oracle",
+}
+
+MEMBERS_ALLOWED = {
+    "evolution.BlowUpSuspected.last_state": "the last valid state, for recovery from a fault",
 }
 
 
@@ -93,6 +102,56 @@ def unused_names() -> list[str]:
         live -= dead
 
 
+def _members(cls: ast.ClassDef) -> list[str]:
+    """Annotated fields, attributes set in `__init__` and methods of a class."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            names += [
+                sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ]
+        elif isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+    return [name for name in names if not name.startswith("_")]
+
+
+def unread_members() -> list[str]:
+    """Members of public classes that no code in src/ reads as an attribute."""
+    modules = _modules()
+    read: set[str] = set()
+    enumerated: set[str] = set()
+    for mod in modules:
+        for sub in ast.walk(ast.Module(body=mod.body, type_ignores=[])):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+            elif (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Name)
+                and sub.func.id == "fields"
+            ):
+                enumerated |= {arg.id for arg in sub.args if isinstance(arg, ast.Name)}
+    unread = []
+    for mod in modules:
+        for cls in mod.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_public_def(cls)):
+                continue
+            if cls.name in enumerated:
+                continue
+            unread += [
+                f"{mod.name}.{cls.name}.{name}"
+                for name in _members(cls)
+                if name not in read and f"{mod.name}.{cls.name}.{name}" not in MEMBERS_ALLOWED
+            ]
+    return sorted(unread)
+
+
 def test_every_public_name_has_a_caller_in_src():
     assert unused_names() == []
 
@@ -102,3 +161,18 @@ def test_allow_list_names_exist():
         f"{mod.name}.{node.name}" for mod in _modules() for node in mod.body if _is_public_def(node)
     }
     assert set(ALLOWED) <= defs
+
+
+def test_every_class_member_is_read_in_src():
+    assert unread_members() == []
+
+
+def test_member_allow_list_names_exist():
+    members = {
+        f"{mod.name}.{cls.name}.{name}"
+        for mod in _modules()
+        for cls in mod.body
+        if isinstance(cls, ast.ClassDef)
+        for name in _members(cls)
+    }
+    assert set(MEMBERS_ALLOWED) <= members
