@@ -1,4 +1,4 @@
-"""The 4D ground-state bubble, its constants, rescaling, and small data.
+"""The 4D ground-state bubble, its constants, and small data.
 
 W(x) = 1 / (1 + |x|^2 / 8) is the stationary solution of the 4D
 energy-critical heat equation (Delta W + W^3 = 0) and the extremizer of
@@ -16,24 +16,23 @@ so the hard-coded Beta values stay independent test oracles.
 W is never placed on the torus as solver initial data: it is not in
 L^2(R^4) (truncated mass grows logarithmically), so torus truncation of
 its |x|^{-2} tail is uncontrolled. Torus work uses the localized bump
-from `subcritical_datum`.
+from `subcritical_datum`, whose Hdot^1 norm is taken on its half
+spectrum through `spectral`, the one owner of the transforms. Nothing
+here resamples a field from one lattice to another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft as _fft
 from scipy.special import gamma as _gamma
 from numpy.polynomial.legendre import leggauss
 
 from .spectral import (
     PhysicalField,
     TorusGrid,
-    get_fft_workers,
     lebesgue_norm,
     sobolev_norm_sq,
     transform_forward,
@@ -190,60 +189,6 @@ def truncated_l2_growth(r_values: Sequence[float]) -> list[float]:
         # head below r_min: W ~ 1 there, add the exact small-ball volume
         out.append(quad.integrate(lambda rho: bubble_radial(rho) ** 2) + quad.head_volume)
     return out
-
-
-def _as_power_of_int(lam: float) -> tuple[int, int]:
-    """Decompose lambda as m/1 or 1/m; reject anything else."""
-    frac = Fraction(lam).limit_denominator(10**6)
-    if abs(float(frac) - lam) > 1e-12 * max(1.0, abs(lam)):
-        raise ValueError(f"incompatible rescale factor {lam}")
-    if frac.numerator >= 1 and frac.denominator == 1:
-        return frac.numerator, 1
-    if frac.numerator == 1 and frac.denominator >= 1:
-        return 1, frac.denominator
-    raise ValueError(f"rescale factor must be an integer or 1/integer, got {lam}")
-
-
-def _refine_axis(coeffs: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """Zero-pad FFT coefficients along one axis, splitting the Nyquist mode."""
-    n = coeffs.shape[axis]
-    big = n * m
-    moved = np.moveaxis(coeffs, axis, 0)
-    out = np.zeros((big,) + moved.shape[1:], dtype=complex)
-    half = n // 2
-    out[:half] = moved[:half]
-    out[big - half + 1 :] = moved[half + 1 :]
-    out[half] = 0.5 * moved[half]
-    out[big - half] = 0.5 * moved[half]
-    return np.moveaxis(out, 0, axis)
-
-
-def rescale_field(field: PhysicalField, lam: float) -> PhysicalField:
-    """Critical rescaling u_lambda(x) = lambda u(lambda x) on a compatible lattice.
-
-    The lattice spacing is preserved: lambda = m maps (N, L) to (N/m, L/m)
-    by subsampling, lambda = 1/m maps to (mN, mL) by exact spectral
-    refinement. Hdot^1 and L^4 norms are preserved for fields band-limited
-    below the target Nyquist.
-    """
-    num, den = _as_power_of_int(lam)
-    grid = field.grid
-    if num == 1 and den == 1:
-        return PhysicalField(grid, field.values.copy())
-    if den == 1:
-        m = num
-        if grid.points_per_dim % m != 0:
-            raise ValueError(f"lambda={lam} does not divide N={grid.points_per_dim}")
-        target = TorusGrid(grid.points_per_dim // m, grid.side_length / m)
-        values = m * field.values[::m, ::m, ::m, ::m]
-        return PhysicalField(target, values.copy())
-    m = den
-    target = TorusGrid(grid.points_per_dim * m, grid.side_length * m)
-    coeffs = _fft.fftn(field.values, workers=get_fft_workers())
-    for ax in range(4):
-        coeffs = _refine_axis(coeffs, ax, m)
-    fine = _fft.ifftn(coeffs, workers=get_fft_workers()).real * m**4
-    return PhysicalField(target, fine / m)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,15 @@ power-law datum.
 
 `profile_r` is the q* of the datum: the exponent a power-law datum is
 built with, and the stated q* of a `datum = file` checkpoint, which
-cannot be read off the file (default 0). A bump datum has q* = 1. The q*
-sets the decay bound min(2 + q*, 1) and the automatic power-schedule
-alpha, max(2 + q*, 1) + 1.
+cannot be read off the file (default 0). A bump datum has q* = 1, so
+setting `profile_r` with it is an error. The q* sets the decay bound
+min(2 + q*, 1) and the automatic power-schedule alpha, max(2 + q*, 1) + 1.
+
+A bump datum must lie in the small-data regime, ||grad u0|| <= ||grad W||
+and E(u0) <= E(W), or the run is a config error. A file datum is not
+checked against that regime: it is the way to take a run out of it, for
+example to a datum that blows up, which the run then reports as a
+failed check.
 
 The FFT worker count is not a config key: it is a machine setting that
 changes no output, so it is set by `critheat --threads` alone and stays
@@ -21,14 +27,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-# peak working set of a run in complex N^4 arrays: linear-decay at N = 32
-# peaks at 369 MB of RSS, about 22 arrays of 16.8 MB
-_WORKING_SET_ARRAYS = 22
+# peak RSS of a run, estimated as a slope per N^4 lattice point plus an
+# intercept: nonlinear-decay (t_end 0.2, 8 snapshots), the experiment with
+# the largest peak, reaches 93.9 MiB at N = 16 and 308.2 MiB at N = 32
+_RSS_BYTES_PER_POINT = 229
+_RSS_BASE_BYTES = 80 * 2**20
 
 
 class ConfigError(ValueError):
@@ -141,12 +149,13 @@ def _validate(cfg: HarnessConfig) -> HarnessConfig:
         raise ConfigError(
             f"points_per_dim must be an even integer >= 16, got {cfg.points_per_dim}"
         )
-    need = _WORKING_SET_ARRAYS * 16 * cfg.points_per_dim**4
+    need = _RSS_BYTES_PER_POINT * cfg.points_per_dim**4 + _RSS_BASE_BYTES
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
             f"points_per_dim = {cfg.points_per_dim} needs an estimated {need / 2**30:.3g} GiB "
-            f"working set ({_WORKING_SET_ARRAYS} complex N^4 arrays), more than the "
+            f"working set ({_RSS_BYTES_PER_POINT} bytes per N^4 point plus "
+            f"{_RSS_BASE_BYTES // 2**20} MiB), more than the "
             f"{have / 2**30:.3g} GiB of physical memory"
         )
     if not cfg.side_length > 0:
@@ -173,6 +182,11 @@ def _validate(cfg: HarnessConfig) -> HarnessConfig:
     if not 0 <= cfg.delta <= 1:
         raise ConfigError(
             f"delta must lie in [0, 1] (small-data admissibility), got {cfg.delta}"
+        )
+    if cfg.datum == "bump" and cfg.profile_r != HarnessConfig.profile_r:
+        raise ConfigError(
+            f"profile_r = {cfg.profile_r} is the q* of a power_law or file datum; "
+            "datum = bump has q* = 1 and takes no profile_r"
         )
     if cfg.profile_r <= -2:
         raise ConfigError(

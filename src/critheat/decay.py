@@ -45,7 +45,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma as _gamma
 
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, sobolev_density
 
 # a radial profile's S(rho) slope is fitted over its lowest 2 sampled
 # decades; if widening that window by a decade, twice, moves the slope by
@@ -328,8 +328,8 @@ def synthesize_datum(
     """Spectral datum with |u0_hat| = amplitude |xi|^{r-1} chi(|xi|/cutoff_rho).
 
     The half-Laplacian profile then scales as |xi| |u0_hat| ~ |xi|^r near 0,
-    i.e. the datum has prescribed q* = r. Coefficients are real and radial
-    (hence Hermitian-symmetric) with zero mean.
+    i.e. the datum has prescribed q* = r. Coefficients are real, radial and
+    zero-mean: the half spectrum of a real, even field.
     """
     if r <= -2:
         raise ValueError(f"profile exponent must exceed -2, got r={r}")
@@ -341,8 +341,7 @@ def synthesize_datum(
     mag = grid.xi_mag
     with np.errstate(divide="ignore"):
         radial = np.where(mag > 0, mag, 1.0) ** (r - 1.0)
-    coeffs = amplitude * radial * smooth_cutoff(mag / cutoff_rho)
-    coeffs[0, 0, 0, 0] = 0.0
+    coeffs = amplitude * radial * smooth_cutoff(mag / cutoff_rho) * (mag > 0)
     return SpectralField(grid, coeffs.astype(complex))
 
 
@@ -353,19 +352,23 @@ def estimate_decay_character_grid(
 
     Cumulative shell masses S(rho_m) over the resolved low shells are
     matched against the lattice model A * sum_{|xi| <= rho_m} |xi|^{2q},
-    minimizing the log-residual variance over q in `_Q_BOUNDS`.
+    minimizing the log-residual variance over q in `_Q_BOUNDS`. Both sums
+    run over the full lattice: the masses sum the Hdot^1 density of
+    `spectral.sobolev_density`, and the model counts each stored mode
+    `TorusGrid.multiplicity` times.
     """
     grid = field.grid
     if rho_max is None:
         rho_max = grid.axis_nyquist / 4.0
     mags = grid.xi_mag.ravel()
-    weights = (mags * np.abs(field.coefficients.ravel())) ** 2
+    weights = sobolev_density(field, field, 1.0).ravel()
+    counts = np.broadcast_to(grid.multiplicity, grid.xi_mag.shape).ravel()
     sel = (mags > 0) & (mags <= rho_max)
-    mags, weights = mags[sel], weights[sel]
+    mags, weights, counts = mags[sel], weights[sel], counts[sel]
     if mags.size == 0:
         raise ValueError(f"no lattice shells below rho_max={rho_max}")
     order = np.argsort(mags, kind="stable")
-    mags, weights = mags[order], weights[order]
+    mags, weights, counts = mags[order], weights[order], counts[order]
     shell_radii, inverse = np.unique(np.round(mags, 10), return_inverse=True)
     mass_acc = np.zeros(len(shell_radii))
     np.add.at(mass_acc, inverse, weights)
@@ -377,7 +380,7 @@ def estimate_decay_character_grid(
 
     def cost(q: float) -> float:
         model_acc = np.zeros(len(shell_radii))
-        np.add.at(model_acc, inverse, mags ** (2.0 * q))
+        np.add.at(model_acc, inverse, counts * mags ** (2.0 * q))
         resid = log_mass - np.log(np.cumsum(model_acc)[keep])
         return float(np.var(resid))
 

@@ -2,11 +2,11 @@
 
 Each solver snapshot yields one record, each field from one source:
 
-  * `h1_sq`, `low_sq`, `high_sq`: one Hdot^1 density |xi|^2 |u_hat|^2 in
-    `splitting_split`. `h1_sq` is its full sum (bit for bit
-    `sobolev_norm_sq(u_hat, 1.0)`), never low + high, so the exact
-    partition stays a check; `low_sq` and `high_sq` are its sums inside
-    and outside the ball B(t);
+  * `h1_sq`, `low_sq`, `high_sq`: one Hdot^1 density,
+    `spectral.sobolev_density`, in `splitting_split`. `h1_sq` is its full
+    sum (bit for bit `sobolev_norm_sq(u_hat, 1.0)`), never low + high, so
+    the exact partition stays a check; `low_sq` and `high_sq` are its sums
+    inside and outside the ball B(t);
   * `grad_h1_sq`: the Hdot^2 dissipation cached in `SolverState.rates()`;
   * `l4_fourth`: h^4 sum u^4 from `SolverState.norms()`, and `energy`
     = (1/2) h1_sq - (1/4) l4_fourth;
@@ -45,6 +45,7 @@ import numpy as np
 from .evolution import SolverState, nonlinear_term
 from .spectral import (  # noqa: F401  (transform_inverse stays bound here for callers)
     SpectralField,
+    sobolev_density,
     sobolev_inner,
     sobolev_norm_sq,
     transform_inverse,
@@ -117,18 +118,15 @@ def splitting_split(
 ) -> tuple[float, float, float]:
     """Hdot^1 mass in total and inside/outside B(t), from one density.
 
-    The total is the full sum of the density, bit for bit
-    `sobolev_norm_sq(u_hat, 1.0)`; the parts are its sums inside and
-    outside the ball, so they add to the total up to rounding.
+    The density is `sobolev_density(u_hat, u_hat, 1.0)`. The total is its
+    full sum, bit for bit `sobolev_norm_sq(u_hat, 1.0)`; the parts are its
+    sums inside and outside the ball, so they add to the total up to
+    rounding.
     """
-    grid = u_hat.grid
-    density = grid.xi_mag**2 * np.abs(u_hat.coefficients) ** 2
-    norm = (2.0 * np.pi) ** -4 * grid.frequency_spacing**4
-    total = norm * float(np.sum(density))
-    inside = grid.xi_mag <= schedule.radius(t)
-    low = norm * float(np.sum(density[inside]))
-    high = norm * float(np.sum(density[~inside]))
-    return total, low, high
+    density = sobolev_density(u_hat, u_hat, 1.0)
+    inside = u_hat.grid.xi_mag <= schedule.radius(t)
+    low, high = float(np.sum(density[inside])), float(np.sum(density[~inside]))
+    return float(np.sum(density)), low, high
 
 
 def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord:

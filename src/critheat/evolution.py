@@ -8,6 +8,11 @@ e^{-t |xi|^2} of the integrating factors, `heat_propagate` and the
 Duhamel check is `spectral.heat_multiplier`. The cubic term is evaluated
 pseudospectrally with 2/3-rule dealiasing on both input and output.
 
+The state u_hat is the half spectrum of a real field (see `spectral`):
+every array here is an (N, N, N, N/2 + 1) half-lattice array, the
+multipliers are real and even, and the cube of a real field is real, so
+the solution stays real by construction and no step checks it.
+
 Along the run three time integrals are accumulated by the trapezoid rule
 on steps: the Hdot^2 dissipation integral, the Hdot^1 pairing with the
 dealiased cubic, and the space-time L^6 mass. The energy identity reads

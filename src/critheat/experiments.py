@@ -51,13 +51,14 @@ class ExperimentSpec:
             )
 
 
-def build_datum(cfg: HarnessConfig, grid: TorusGrid) -> SpectralField:
+def build_datum(cfg: HarnessConfig) -> SpectralField:
     """Initial spectral datum per the config; its nominal q* is `cfg.nominal_q_star()`.
 
     A bump datum must satisfy both small-data conditions, ||grad u0|| <=
     ||grad W|| and E(u0) <= E(W); delta <= 1/sqrt(2) guarantees them, and
     a larger delta that breaks one is a config error.
     """
+    grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     if cfg.datum == "bump":
         datum = bb.subcritical_datum(grid, cfg.delta)
         if not (datum.grad_condition and datum.energy_condition):
@@ -83,14 +84,12 @@ def build_datum(cfg: HarnessConfig, grid: TorusGrid) -> SpectralField:
 
 
 def run_simulation(
-    cfg: HarnessConfig, schedules: Mapping[str, dg.SplittingSchedule]
+    cfg: HarnessConfig, u0_hat: SpectralField, schedules: Mapping[str, dg.SplittingSchedule]
 ) -> dict[str, list[dg.DiagnosticsRecord]]:
-    """Advance the configured problem through its log-spaced snapshots.
+    """Advance the datum u0_hat through the configured log-spaced snapshots.
 
     Returns, per schedule, one diagnostics record at t = 0 and one per snapshot.
     """
-    grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-    u0_hat = build_datum(cfg, grid)
     t_end = cfg.resolved_t_end()
     times = ev.log_spaced_snapshots(cfg.resolved_snapshot_t_min(), t_end, cfg.snapshot_count)
     state = ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity)
@@ -283,7 +282,7 @@ def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     )
 
     sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
-    records = run_simulation(cfg, {"primary": sched})["primary"]
+    records = run_simulation(cfg, build_datum(cfg), {"primary": sched})["primary"]
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
     expected_exponent = 2.0 + q_star
@@ -325,7 +324,7 @@ def _split_checks(cfg: HarnessConfig) -> tuple[dict, list, dict, dict]:
         "power": dg.SplittingSchedule(dg.POWER, cfg.resolved_schedule_alpha(), cfg.c_tilde),
         "log_cubed": dg.SplittingSchedule(dg.LOG_CUBED, c_tilde=cfg.c_tilde),
     }
-    result = run_simulation(cfg, schedules)
+    result = run_simulation(cfg, build_datum(cfg), schedules)
     partition = max(_partition_defect(records) for records in result.values())
     key = {name: dg.key_inequality_check(result[name], s) for name, s in schedules.items()}
     entries = {
@@ -359,7 +358,7 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
 
 def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list]:
     sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
-    records = run_simulation(cfg, {"primary": sched})["primary"]
+    records = run_simulation(cfg, build_datum(cfg), {"primary": sched})["primary"]
     report = dg.lyapunov_check(records, cfg.lyapunov_tol)
     pairing = dg.pairing_ratio_report(records)
     summary = _base_summary("lyapunov", cfg)
@@ -390,12 +389,12 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     take each snapshot interval shorter than dt in one step at every level,
     and that part of the trapezoid error would never refine. The snapshot
     run at dt supplies series.csv only. If the stability bound forces extra
-    substeps, the levels no longer nest and `steps_nested` fails.
+    substeps, the levels no longer nest and `steps_nested` fails. The
+    snapshot run and every level start from one datum, built once.
     """
     sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
-    records = run_simulation(cfg, {"primary": sched})["primary"]
-    grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-    u0_hat = build_datum(cfg, grid)
+    u0_hat = build_datum(cfg)
+    records = run_simulation(cfg, u0_hat, {"primary": sched})["primary"]
     t_end = cfg.resolved_t_end()
     n0 = max(1, math.ceil(t_end / cfg.dt - 1e-12))
     planned = [n0 * 2**k for k in range(cfg.refinement_levels)]
@@ -469,7 +468,11 @@ def _fft_worker_count(threads: int | None) -> int:
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Run one named experiment; exit code 0 pass, 1 check failure, 2 config error."""
+    """Run one named experiment; exit code 0 pass, 1 check failure, 2 config error.
+
+    A suspected blow-up is a failed check: summary.json names the last
+    valid t and step count, and series.csv holds the header only.
+    """
     try:
         cfg = parse_config(spec.config_path, spec.name)
         set_fft_workers(_fft_worker_count(spec.threads))
@@ -477,6 +480,11 @@ def run_experiment(spec: ExperimentSpec) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
+    except ev.BlowUpSuspected as exc:
+        last = exc.last_state
+        summary, records = _base_summary(spec.name, cfg), []
+        summary["blow_up"] = {"t": last.t, "step_count": last.step_count, "reason": str(exc)}
+        summary["verdicts"] = {"no_blow_up": False}
     # numpy comparisons give numpy.bool, which json cannot serialise
     summary["verdicts"] = {k: bool(v) for k, v in summary["verdicts"].items()}
     passed = all(summary["verdicts"].values())

@@ -7,23 +7,37 @@ coefficients approximate the continuum transform:
     v_hat(k) = h^4 * sum_x v(x) exp(-i xi_k . x),      h = L/N,
     v(x)     = L^{-4} * sum_k v_hat(k) exp(+i xi_k . x),
 
-with frequencies xi_k = (2 pi / L) k, k in {-N/2, ..., N/2 - 1}^4 in FFT
-ordering. Under this convention the discrete Plancherel identity
+with frequencies xi_k = (2 pi / L) k, k in {-N/2, ..., N/2 - 1}^4.
 
-    h^4 sum_x |v|^2 = (2 pi)^{-4} dxi^4 sum_k |v_hat|^2
+Every field is real, so v_hat(-k) = conj(v_hat(k)) and half of the
+lattice repeats the other half. A `SpectralField` stores only the
+real-to-complex half spectrum, an (N, N, N, N/2 + 1) array: FFT order
+on the first three axes and k_4 = 0, ..., N/2 on the last. Realness then
+holds by construction. The k_4 = 0 and k_4 = N/2 planes are their own
+mirror images and stand for one full-lattice plane each; every other
+stored plane also stands for its mirror k_4 -> -k_4. The last axis
+therefore carries a multiplicity (`TorusGrid.multiplicity`), 1 on those
+two planes and 2 elsewhere, and a full-lattice sum is the half-lattice
+sum weighted by it. On the Nyquist plane k_4 = N/2 the stored index is
++N/2 where the full lattice lists -N/2; every symbol here is even in xi,
+so the two agree.
 
-holds exactly, and homogeneous Sobolev norms are
+With that weight the discrete Plancherel identity
 
-    ||v||_{Hdot^s}^2 = (2 pi)^{-4} dxi^4 sum_k |xi_k|^{2s} |v_hat_k|^2.
+    h^4 sum_x |v|^2 = (2 pi)^{-4} dxi^4 sum_k mult(k_4) |v_hat|^2
 
-Multipliers are radial symbols m(|xi|); every symbol this package uses
-(|xi|^s, heat kernel) is even in xi, so the unpaired Nyquist index
-k = -N/2 can be retained safely. The |xi|^s symbol maps the xi = 0
-coefficient to 0 for s > 0 and rejects s < 0 unless the mean vanishes.
+holds exactly, and homogeneous Sobolev norms and inner products sum one
+density (`sobolev_density`):
 
-Transforms run through scipy.fft so a worker count can be set once per
-process (`set_fft_workers`); results are bit-identical across worker
-counts and all reductions are fixed-order numpy sums.
+    <a, b>_{Hdot^s} = (2 pi)^{-4} dxi^4 sum_k mult(k_4) |xi_k|^{2s} Re(conj(a_hat) b_hat).
+
+The |xi|^s symbol maps the xi = 0 coefficient to 0 for s > 0, and
+s < 0 is rejected unless the mean vanishes.
+
+This module is the only one that calls scipy.fft or knows the lattice
+layout. The worker count is set once per process (`set_fft_workers`);
+results are bit-identical across worker counts and all reductions are
+fixed-order numpy sums.
 """
 
 from __future__ import annotations
@@ -35,10 +49,6 @@ import numpy as np
 import scipy.fft as _fft
 
 _fft_workers = 1
-
-# largest imaginary residue of an inverse transform, relative to the field
-# scale, accepted as roundoff of a Hermitian-symmetric input
-_IMAG_TOL = 1e-8
 
 
 class NonFiniteField(ValueError):
@@ -53,13 +63,9 @@ def set_fft_workers(workers: int) -> None:
     _fft_workers = int(workers)
 
 
-def get_fft_workers() -> int:
-    return _fft_workers
-
-
 @dataclass(frozen=True)
 class TorusGrid:
-    """The discrete 4D periodic computational domain and its frequency lattice."""
+    """The discrete 4D periodic computational domain and its half frequency lattice."""
 
     points_per_dim: int
     side_length: float
@@ -88,7 +94,14 @@ class TorusGrid:
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
+        """Shape of a physical field, (N, N, N, N)."""
         return (self.points_per_dim,) * 4
+
+    @property
+    def spectral_shape(self) -> tuple[int, int, int, int]:
+        """Shape of a stored half spectrum, (N, N, N, N/2 + 1)."""
+        n = self.points_per_dim
+        return (n, n, n, n // 2 + 1)
 
     @cached_property
     def x_axis(self) -> np.ndarray:
@@ -96,36 +109,39 @@ class TorusGrid:
         return self.spacing * np.arange(self.points_per_dim)
 
     @cached_property
-    def k_axis(self) -> np.ndarray:
-        """Integer frequency indices in FFT order."""
-        return np.fft.fftfreq(self.points_per_dim, 1.0 / self.points_per_dim)
-
-    @cached_property
-    def xi_axis(self) -> np.ndarray:
-        """Frequencies along one axis in FFT order."""
-        return self.frequency_spacing * self.k_axis
+    def _k_axes(self) -> tuple[np.ndarray, ...]:
+        """Integer frequency indices of the half lattice, one broadcastable array per axis."""
+        n = self.points_per_dim
+        full = np.fft.fftfreq(n, 1.0 / n)
+        half = np.fft.rfftfreq(n, 1.0 / n)
+        return (
+            full[:, None, None, None],
+            full[None, :, None, None],
+            full[None, None, :, None],
+            half[None, None, None, :],
+        )
 
     @cached_property
     def xi_mag(self) -> np.ndarray:
-        """|xi| over the full frequency lattice (N^4 array)."""
-        sq = self.xi_axis**2
-        return np.sqrt(
-            sq[:, None, None, None]
-            + sq[None, :, None, None]
-            + sq[None, None, :, None]
-            + sq[None, None, None, :]
-        )
+        """|xi| over the half lattice."""
+        sq = [(self.frequency_spacing * k) ** 2 for k in self._k_axes]
+        return np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask of modes kept by the 2/3 rule (|k_i| <= N/3 per axis)."""
-        keep = np.abs(self.k_axis) <= self.points_per_dim / 3.0
-        return (
-            keep[:, None, None, None]
-            & keep[None, :, None, None]
-            & keep[None, None, :, None]
-            & keep[None, None, None, :]
-        )
+        keep = [np.abs(k) <= self.points_per_dim / 3.0 for k in self._k_axes]
+        return keep[0] & keep[1] & keep[2] & keep[3]
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Full-lattice modes per stored mode along k_4: 1 at k_4 = 0 and N/2, else 2.
+
+        Broadcasts against half-lattice arrays such as `xi_mag`.
+        """
+        m = np.full(self.points_per_dim // 2 + 1, 2.0)
+        m[0] = m[-1] = 1.0
+        return m
 
 
 @dataclass
@@ -144,16 +160,16 @@ class PhysicalField:
 
 @dataclass
 class SpectralField:
-    """A solution snapshot in frequency representation (full complex lattice)."""
+    """A real field in frequency representation: its half spectrum."""
 
     grid: TorusGrid
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.coefficients.shape != self.grid.shape:
+        if self.coefficients.shape != self.grid.spectral_shape:
             raise ValueError(
-                f"coefficients shape {self.coefficients.shape} does not match grid "
-                f"shape {self.grid.shape}"
+                f"coefficients shape {self.coefficients.shape} does not match the half "
+                f"spectrum shape {self.grid.spectral_shape}"
             )
 
     def copy(self) -> "SpectralField":
@@ -166,45 +182,28 @@ def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
 
 
 def transform_forward(field: PhysicalField) -> SpectralField:
-    """Forward transform, v_hat = h^4 FFT(v)."""
+    """Forward transform to the half spectrum, v_hat = h^4 RFFT(v)."""
     if not np.all(np.isfinite(field.values)):
         raise NonFiniteField("non-finite values in physical field")
-    coeffs = field.grid.spacing**4 * _fft.fftn(field.values, workers=_fft_workers)
+    coeffs = _fft.rfftn(field.values, workers=_fft_workers)
+    coeffs *= field.grid.spacing**4
     return SpectralField(field.grid, coeffs)
 
 
 def transform_inverse(field: SpectralField) -> PhysicalField:
-    """Inverse transform back to a real physical field.
-
-    The imaginary residue is checked against `_IMAG_TOL` times the field
-    magnitude; a violation means the input was not Hermitian-symmetric.
-    """
+    """Inverse transform of a half spectrum back to its real physical field."""
     if not np.all(np.isfinite(field.coefficients)):
         raise NonFiniteField("non-finite coefficients in spectral field")
-    vals = _fft.ifftn(field.coefficients, workers=_fft_workers) / field.grid.spacing**4
-    scale = np.max(np.abs(vals.real))
-    imag = np.max(np.abs(vals.imag))
-    if imag > _IMAG_TOL * max(scale, 1e-300):
-        raise ValueError(
-            f"imaginary residue {imag:.3e} exceeds {_IMAG_TOL:.1e} x field scale {scale:.3e}; "
-            "input is not Hermitian-symmetric"
-        )
-    return PhysicalField(field.grid, np.ascontiguousarray(vals.real))
-
-
-def hermitian_defect(field: SpectralField) -> float:
-    """max_k |v_hat(-k) - conj(v_hat(k))|, zero for real-data fields."""
-    c = field.coefficients
-    rev = c
-    for ax in range(4):
-        rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-    return float(np.max(np.abs(rev - np.conj(c))))
+    grid = field.grid
+    vals = _fft.irfftn(field.coefficients, s=grid.shape, workers=_fft_workers)
+    vals /= grid.spacing**4
+    return PhysicalField(grid, vals)
 
 
 def sobolev_multiplier(grid: TorusGrid, s: float) -> np.ndarray:
     """|xi|^s over the lattice with the xi = 0 coefficient mapped to 0 (s != 0)."""
     if s == 0:
-        return np.ones(grid.shape)
+        return np.ones(grid.spectral_shape)
     with np.errstate(divide="ignore"):
         m = np.where(grid.xi_mag > 0, grid.xi_mag, 1.0) ** s
     m[0, 0, 0, 0] = 0.0
@@ -223,15 +222,31 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coefficients * field.grid.dealias_mask)
 
 
+def sobolev_density(a: SpectralField, b: SpectralField, s: float) -> np.ndarray:
+    """Hdot^s pairing density of two real fields over the half lattice.
+
+    (2 pi)^{-4} dxi^4 mult(k_4) |xi|^{2s} Re(conj(a_hat) b_hat): its sum is
+    <a, b>_{Hdot^s}, and with b = a it is ||a||_{Hdot^s}^2.
+    """
+    _require_same_grid(a.grid, b.grid)
+    grid = a.grid
+    ca, cb = a.coefficients, b.coefficients
+    density = ca.real * cb.real
+    density += ca.imag * cb.imag
+    density *= (2 * np.pi) ** -4 * grid.frequency_spacing**4 * grid.multiplicity
+    if s != 0:
+        density *= sobolev_multiplier(grid, 2 * s)
+    return density
+
+
 def sobolev_norm_sq(field: SpectralField, s: float) -> float:
     """Squared homogeneous Sobolev norm ||v||_{Hdot^s}^2.
 
     s = 0 recovers the squared L^2 norm by Plancherel. For s < 0 the mean
     coefficient must vanish (relative to the field scale).
     """
-    grid = field.grid
-    c = field.coefficients
     if s < 0:
+        c = field.coefficients
         mean = np.abs(c[0, 0, 0, 0])
         scale = max(np.max(np.abs(c)), 1e-300)
         if mean > 1e-13 * scale:
@@ -239,23 +254,12 @@ def sobolev_norm_sq(field: SpectralField, s: float) -> float:
                 f"Hdot^s with s={s} < 0 requires a zero mean coefficient "
                 f"(|v_hat(0)| = {mean:.3e})"
             )
-    if s == 0:
-        weighted = np.abs(c) ** 2
-    else:
-        weighted = sobolev_multiplier(grid, 2 * s) * np.abs(c) ** 2
-    return float(
-        (2 * np.pi) ** -4 * grid.frequency_spacing**4 * np.sum(weighted)
-    )
+    return float(np.sum(sobolev_density(field, field, s)))
 
 
 def sobolev_inner(a: SpectralField, b: SpectralField, s: float) -> float:
-    """Real Hdot^s inner product <a, b>_{Hdot^s} of real-data fields."""
-    _require_same_grid(a.grid, b.grid)
-    grid = a.grid
-    prod = np.real(np.conj(a.coefficients) * b.coefficients)
-    if s != 0:
-        prod = prod * sobolev_multiplier(grid, 2 * s)
-    return float((2 * np.pi) ** -4 * grid.frequency_spacing**4 * np.sum(prod))
+    """Real Hdot^s inner product <a, b>_{Hdot^s} of real fields."""
+    return float(np.sum(sobolev_density(a, b, s)))
 
 
 def lebesgue_norm(field: PhysicalField, p: float) -> float:

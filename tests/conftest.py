@@ -1,11 +1,9 @@
-import os
-
 import numpy as np
 import pytest
 
 from critheat.spectral import PhysicalField, TorusGrid, set_fft_workers
 
-set_fft_workers(int(os.environ.get("CRITHEAT_THREADS", "2")))
+set_fft_workers(2)
 
 
 @pytest.fixture(scope="session")

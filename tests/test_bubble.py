@@ -1,17 +1,11 @@
-"""Ground-state bubble: constants, stationarity, L^2 growth, rescaling, small data."""
+"""Ground-state bubble: constants, stationarity, L^2 growth, small data."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from critheat import bubble as bb
-from critheat.spectral import (
-    PhysicalField,
-    TorusGrid,
-    lebesgue_norm,
-    sobolev_norm_sq,
-    transform_forward,
-)
+from critheat.spectral import TorusGrid, lebesgue_norm, transform_forward
 
 GRAD_EXACT = 32.0 * np.pi**2 / 3.0
 
@@ -132,69 +126,6 @@ class TestTruncatedL2Growth:
     def test_radii_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             bb.truncated_l2_growth([2.0, 1.0])
-
-
-def band_limited_bump(grid: TorusGrid, max_mode: int = 3) -> PhysicalField:
-    """Localized smooth bump supported on |k_i| <= max_mode."""
-    x = grid.x_axis
-    base = np.zeros(grid.shape)
-    for m in range(1, max_mode + 1):
-        phase = np.cos(m * grid.frequency_spacing * (x - grid.side_length / 2.0))
-        amp = np.exp(-m)
-        base += (
-            amp
-            * phase[:, None, None, None]
-            * phase[None, :, None, None]
-            * phase[None, None, :, None]
-            * phase[None, None, None, :]
-        )
-    return PhysicalField(grid, base)
-
-
-class TestRescaleField:
-    def test_identity(self, rng):
-        grid = TorusGrid(16, 8.0)
-        field = PhysicalField(grid, rng.standard_normal(grid.shape))
-        out = bb.rescale_field(field, 1.0)
-        assert out.grid == grid
-        assert np.array_equal(out.values, field.values)
-
-    def test_coarsen_preserves_norms(self):
-        grid = TorusGrid(32, 8.0)
-        field = band_limited_bump(grid)
-        out = bb.rescale_field(field, 2.0)
-        assert out.grid == TorusGrid(16, 4.0)
-        h1_in = np.sqrt(sobolev_norm_sq(transform_forward(field), 1.0))
-        h1_out = np.sqrt(sobolev_norm_sq(transform_forward(out), 1.0))
-        assert h1_out == pytest.approx(h1_in, rel=1e-8)
-        l4_in = lebesgue_norm(field, 4)
-        l4_out = lebesgue_norm(out, 4)
-        assert l4_out == pytest.approx(l4_in, rel=1e-8)
-
-    def test_refine_preserves_norms(self):
-        grid = TorusGrid(16, 8.0)
-        field = band_limited_bump(grid)
-        out = bb.rescale_field(field, 0.5)
-        assert out.grid == TorusGrid(32, 16.0)
-        h1_in = np.sqrt(sobolev_norm_sq(transform_forward(field), 1.0))
-        h1_out = np.sqrt(sobolev_norm_sq(transform_forward(out), 1.0))
-        assert h1_out == pytest.approx(h1_in, rel=1e-8)
-        assert lebesgue_norm(out, 4) == pytest.approx(lebesgue_norm(field, 4), rel=1e-8)
-
-    def test_refine_then_coarsen_roundtrip(self):
-        grid = TorusGrid(16, 8.0)
-        field = band_limited_bump(grid)
-        back = bb.rescale_field(bb.rescale_field(field, 0.5), 2.0)
-        assert back.grid == grid
-        assert np.max(np.abs(back.values - field.values)) <= 1e-10
-
-    def test_incompatible_factors(self):
-        grid = TorusGrid(16, 8.0)
-        field = band_limited_bump(grid)
-        with pytest.raises(ValueError, match="integer"):
-            bb.rescale_field(field, 1.5)
-        with pytest.raises(ValueError, match="divide"):
-            bb.rescale_field(field, 3.0)  # 16/3 is not an integer lattice
 
 
 class TestSubcriticalDatum:

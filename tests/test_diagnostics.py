@@ -84,7 +84,7 @@ class TestSplittingSchedule:
 
 class TestRecord:
     def test_zero_field(self, grid):
-        zero = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
+        zero = SpectralField(grid, np.zeros(grid.spectral_shape, dtype=complex))
         rec = dg.record(ev.initial_state(zero), SCHEDULE)
         assert rec.h1_sq == 0 and rec.grad_h1_sq == 0 and rec.energy == 0
         assert rec.pairing == 0 and rec.pairing_ratio == 0
@@ -257,7 +257,7 @@ class TestLyapunov:
 
 class TestEnergyIdentity:
     def test_zero_run(self, grid):
-        zero = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
+        zero = SpectralField(grid, np.zeros(grid.spectral_shape, dtype=complex))
         start = ev.initial_state(zero)
         end = ev.advance(start, 0.2, 0.05)
         assert dg.energy_identity_residual(start, end) == 0.0

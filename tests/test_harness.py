@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from critheat import bubble as bb
 from critheat import evolution as ev
+from critheat import experiments
 from critheat.config import _PARSERS, ConfigError, HarnessConfig, _parse_float, parse_config
 from critheat.diagnostics import CSV_COLUMNS
 from critheat.experiments import ExperimentSpec, build_datum, run_experiment
@@ -126,15 +128,28 @@ class TestParseConfig:
             parse_config(path)
 
     def test_grid_beyond_physical_memory_rejected(self, tmp_path):
-        # parsed only: a complex 512^4 array alone would be 1 TiB
+        # parsed only: a real 512^4 array alone would be 512 GiB
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 512\n")
         with pytest.raises(
             ConfigError,
             match=r"^points_per_dim = 512 needs an estimated [0-9.e+]+ GiB working set "
-            r"\(22 complex N\^4 arrays\), more than the [0-9.e+]+ GiB of physical memory$",
+            r"\([0-9]+ bytes per N\^4 point plus [0-9]+ MiB\), more than the [0-9.e+]+ GiB "
+            r"of physical memory$",
         ):
             parse_config(path)
+
+    def test_bump_rejects_profile_r(self, tmp_path):
+        # a bump's q* is 1 whatever profile_r says
+        path = tmp_path / "c.cfg"
+        path.write_text("datum = bump\nprofile_r = 0.5\n")
+        with pytest.raises(ConfigError, match=r"profile_r = 0.5 .*datum = bump"):
+            parse_config(path)
+        path.write_text("profile_r = 0.5\n")
+        with pytest.raises(ConfigError, match="profile_r"):
+            parse_config(path, "lyapunov")
+        path.write_text("datum = bump\nprofile_r = 0\n")
+        assert parse_config(path).nominal_q_star() == 1.0
 
     def test_cutoff_validation_names_nyquist(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -192,8 +207,7 @@ class TestFloatKeys:
 class TestBuildDatum:
     def test_power_law_scaled_to_delta(self):
         cfg = HarnessConfig()
-        grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-        u0 = build_datum(cfg, grid)
+        u0 = build_datum(cfg)
         assert cfg.nominal_q_star() == 0.0
         h1 = np.sqrt(sobolev_norm_sq(u0, 1.0))
         assert h1 == pytest.approx(0.1 * np.sqrt(32 * np.pi**2 / 3), rel=1e-10)
@@ -209,7 +223,7 @@ class TestBuildDatum:
             f"points_per_dim = 16\ndatum = file\ndatum_file = {chk}\n"
         )
         cfg = parse_config(cfg_path)
-        u0 = build_datum(cfg, grid)
+        u0 = build_datum(cfg)
         back = sobolev_norm_sq(u0, 0.0)
         assert back == pytest.approx(grid.spacing**4 * np.sum(field.values**2), rel=1e-12)
 
@@ -222,7 +236,7 @@ class TestBuildDatum:
         cfg_path.write_text(f"datum = file\ndatum_file = {chk}\n")  # default N=32
         cfg = parse_config(cfg_path)
         with pytest.raises(ConfigError, match="does not match"):
-            build_datum(cfg, TorusGrid(32, 32.0))
+            build_datum(cfg)
 
 
 class TestRunExperiment:
@@ -352,6 +366,54 @@ class TestRunExperiment:
         assert summary["dt_levels"] == [0.05 / n0, 0.05 / (2 * n0)]
         assert len(summary["residuals"]) == 2
 
+    def test_energy_identity_builds_its_datum_once(self, tmp_path, monkeypatch):
+        calls = {"build_datum": 0, "bubble_constants": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(experiments, "build_datum")
+        counted(bb, "bubble_constants")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("t_end = 0.05\nsnapshot_count = 4\nrefinement_levels = 2\n")
+        spec = ExperimentSpec("energy-identity", str(cfg), tmp_path / "out")
+        assert run_experiment(spec) in (0, 1)
+        assert calls == {"build_datum": 1, "bubble_constants": 1}
+
+    def test_blow_up_is_a_failed_check(self, tmp_path):
+        # 20 exp(-|x - c|^2) is far outside the small-data regime; a file
+        # datum is not checked against it, so the run starts and blows up
+        grid = TorusGrid(16, 16.0)
+        x = grid.x_axis - 8.0
+        r2 = (
+            x[:, None, None, None] ** 2
+            + x[None, :, None, None] ** 2
+            + x[None, None, :, None] ** 2
+            + x[None, None, None, :] ** 2
+        )
+        chk = tmp_path / "u0.chk"
+        ev.save_checkpoint(chk, PhysicalField(grid, 20.0 * np.exp(-r2)), t=0.0, step_count=0)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"points_per_dim = 16\nside_length = 16\ndatum = file\ndatum_file = {chk}\n"
+        )
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("nonlinear-decay", str(cfg), out)) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False
+        assert summary["verdicts"] == {"no_blow_up": False}
+        blow_up = summary["blow_up"]
+        assert blow_up["step_count"] == 19
+        assert blow_up["t"] == pytest.approx(0.0115189, rel=1e-5)
+        assert "non-finite values at t=0.0115189 after 19 steps" in blow_up["reason"]
+        assert (out / "series.csv").read_text().strip() == ",".join(CSV_COLUMNS)
+
 
 class TestCli:
     def test_main_smoke(self, tmp_path):
@@ -386,6 +448,23 @@ class TestCli:
         assert (split / "series.csv").is_file() and (split / "summary.json").is_file()
         main(["nonlinear-decay", "--config", str(cfg), "--out", str(decay)])
         assert (split / "series.csv").read_bytes() == (decay / "series.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "experiment, config, code",
+        [
+            ("decay-character", "t_end = 0.2\nsnapshot_count = 8\n", 0),
+            # the torus fit window holds too few snapshots at t_end = 0.2
+            ("linear-decay", "t_end = 0.2\nsnapshot_count = 8\n", 1),
+            ("lyapunov", "t_end = 0.2\nsnapshot_count = 8\n", 0),
+            ("energy-identity", "t_end = 0.05\nsnapshot_count = 8\nrefinement_levels = 2\n", 0),
+        ],
+    )
+    def test_main_end_to_end(self, tmp_path, experiment, config, code):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\n" + config)
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg), "--out", str(out)]) == code
+        assert (out / "series.csv").is_file() and (out / "summary.json").is_file()
 
     def test_main_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

@@ -9,14 +9,16 @@ from critheat.spectral import (
     TorusGrid,
     dealias,
     heat_multiplier,
-    hermitian_defect,
     lebesgue_norm,
     set_fft_workers,
+    sobolev_inner,
     sobolev_multiplier,
     sobolev_norm_sq,
     transform_forward,
     transform_inverse,
 )
+
+from critheat.diagnostics import POWER, SplittingSchedule, splitting_split
 
 from conftest import cosine_field
 
@@ -48,6 +50,9 @@ class TestTorusGrid:
             PhysicalField(small_grid, np.zeros((16, 16, 16, 8)))
         with pytest.raises(ValueError, match="shape"):
             SpectralField(small_grid, np.zeros((8,) * 4, dtype=complex))
+        # a full complex lattice is not a half spectrum
+        with pytest.raises(ValueError, match="half spectrum shape"):
+            SpectralField(small_grid, np.zeros(small_grid.shape, dtype=complex))
 
 
 class TestTransforms:
@@ -86,13 +91,6 @@ class TestTransforms:
         with pytest.raises(ValueError, match="non-finite"):
             transform_forward(PhysicalField(small_grid, values))
 
-    def test_inverse_rejects_non_hermitian(self, small_grid, rng):
-        coeffs = rng.standard_normal(small_grid.shape) + 1j * rng.standard_normal(
-            small_grid.shape
-        )
-        with pytest.raises(ValueError, match="Hermitian"):
-            transform_inverse(SpectralField(small_grid, coeffs))
-
     def test_worker_count_does_not_change_bits(self, small_grid, random_field):
         set_fft_workers(1)
         one = transform_forward(random_field).coefficients
@@ -121,10 +119,13 @@ class TestMultipliers:
         assert np.max(np.abs(once - square)) <= 1e-12 * scale
 
     def test_real_even_symbol_preserves_hermitian_symmetry(self, small_grid, random_field):
+        # a half spectrum is that of a real field when a round trip through
+        # physical space returns it: the k4 = 0 and N/2 planes, which hold
+        # their own mirror modes, must be Hermitian in themselves
         spec = transform_forward(random_field)
-        assert hermitian_defect(spec) <= 1e-10 * np.max(np.abs(spec.coefficients))
         out = SpectralField(small_grid, spec.coefficients * heat_multiplier(small_grid, 0.3))
-        assert hermitian_defect(out) <= 1e-10 * np.max(np.abs(out.coefficients))
+        back = transform_forward(transform_inverse(out)).coefficients
+        assert np.max(np.abs(back - out.coefficients)) <= 1e-12 * np.max(np.abs(out.coefficients))
 
     def test_negative_heat_time_rejected(self, small_grid):
         with pytest.raises(ValueError, match="t >= 0"):
@@ -141,7 +142,7 @@ class TestDealias:
 
     def test_mode_seven_zeroed_at_n16(self, small_grid):
         # 7 > 16/3, so k = (7,0,0,0) is outside the kept band
-        coeffs = np.zeros(small_grid.shape, dtype=complex)
+        coeffs = np.zeros(small_grid.spectral_shape, dtype=complex)
         coeffs[7, 0, 0, 0] = 1.0
         coeffs[-7, 0, 0, 0] = 1.0
         out = dealias(SpectralField(small_grid, coeffs))
@@ -156,7 +157,7 @@ class TestDealias:
 
 class TestSobolevNorms:
     def test_zero_field(self, small_grid):
-        spec = SpectralField(small_grid, np.zeros(small_grid.shape, dtype=complex))
+        spec = SpectralField(small_grid, np.zeros(small_grid.spectral_shape, dtype=complex))
         assert sobolev_norm_sq(spec, 1.0) == 0.0
 
     def test_single_mode_h1(self, small_grid):
@@ -179,9 +180,79 @@ class TestSobolevNorms:
         assert sobolev_norm_sq(spec, -0.5) > 0
 
     def test_mean_mode_dropped_for_positive_s(self, small_grid):
-        coeffs = np.zeros(small_grid.shape, dtype=complex)
+        coeffs = np.zeros(small_grid.spectral_shape, dtype=complex)
         coeffs[0, 0, 0, 0] = 5.0
         assert sobolev_norm_sq(SpectralField(small_grid, coeffs), 1.0) == 0.0
+
+
+def _full_lattice(grid, values):
+    """Full complex lattice coefficients h^4 FFT(v) and |xi|, from numpy.fft alone."""
+    n = grid.points_per_dim
+    xi = grid.frequency_spacing * np.fft.fftfreq(n, 1.0 / n)
+    sq = xi**2
+    xi_mag = np.sqrt(
+        sq[:, None, None, None] + sq[None, :, None, None] + sq[None, None, :, None] + sq
+    )
+    return grid.spacing**4 * np.fft.fftn(values), xi_mag
+
+
+class TestHalfLatticeOracle:
+    """Half-lattice sums against (2 pi)^-4 dxi^4 sums over the full complex lattice."""
+
+    @pytest.fixture()
+    def fields(self, small_grid, rng):
+        # zero-mean random fields: every plane, the Nyquist planes included, is nonzero
+        a = rng.standard_normal(small_grid.shape)
+        b = rng.standard_normal(small_grid.shape)
+        return a - a.mean(), b - b.mean()
+
+    @staticmethod
+    def reference(grid, a, b, s):
+        ca, xi_mag = _full_lattice(grid, a)
+        cb, _ = _full_lattice(grid, b)
+        if s == 0:
+            weight = np.ones_like(xi_mag)
+        else:
+            weight = np.where(xi_mag > 0, xi_mag, 1.0) ** (2 * s) * (xi_mag > 0)
+        density = (2 * np.pi) ** -4 * grid.frequency_spacing**4 * weight * np.real(np.conj(ca) * cb)
+        return density, xi_mag
+
+    def test_nyquist_planes_are_populated(self, small_grid, fields):
+        coeffs = transform_forward(PhysicalField(small_grid, fields[0])).coefficients
+        assert coeffs.shape == (16, 16, 16, 9)
+        scale = np.max(np.abs(coeffs))
+        assert np.max(np.abs(coeffs[..., -1])) > 0.1 * scale
+        assert np.max(np.abs(coeffs[8])) > 0.1 * scale
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.0])
+    def test_sobolev_norm_sq(self, small_grid, fields, s):
+        a = fields[0]
+        want = float(np.sum(self.reference(small_grid, a, a, s)[0]))
+        got = sobolev_norm_sq(transform_forward(PhysicalField(small_grid, a)), s)
+        assert abs(got / want - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_sobolev_inner(self, small_grid, fields, s):
+        a, b = fields
+        want = float(np.sum(self.reference(small_grid, a, b, s)[0]))
+        got = sobolev_inner(
+            transform_forward(PhysicalField(small_grid, a)),
+            transform_forward(PhysicalField(small_grid, b)),
+            s,
+        )
+        assert abs(got / want - 1.0) <= 1e-12
+
+    def test_splitting_parts(self, small_grid, fields):
+        # radius 10 at t = 0 cuts through the lattice (dxi = 1, corner 16)
+        schedule = SplittingSchedule(POWER, alpha=2.5, c_tilde=0.025)
+        a = fields[0]
+        density, xi_mag = self.reference(small_grid, a, a, 1.0)
+        inside = xi_mag <= schedule.radius(0.0)
+        want = (np.sum(density), np.sum(density[inside]), np.sum(density[~inside]))
+        got = splitting_split(transform_forward(PhysicalField(small_grid, a)), schedule, 0.0)
+        assert 0.1 < want[1] / want[0] < 0.9
+        for g, w in zip(got, want):
+            assert abs(g / w - 1.0) <= 1e-12
 
 
 class TestLebesgueNorms:
