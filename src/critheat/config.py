@@ -32,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-# peak RSS of a run, estimated as a slope per N^4 lattice point plus an
-# intercept: nonlinear-decay (t_end 0.2, 8 snapshots), the experiment with
-# the largest peak, reaches 93.9 MiB at N = 16 and 308.2 MiB at N = 32
-_RSS_BYTES_PER_POINT = 229
+# peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
+# largest peak, energy-identity's (t_end 0.2, 8 snapshots): 90.2 MiB at
+# N = 16, 243.9 at N = 32. nonlinear-decay reaches 88.0 and 219.1 MiB
+_RSS_BYTES_PER_POINT = 164
 _RSS_BASE_BYTES = 80 * 2**20
 
 

@@ -1,12 +1,16 @@
 """Time integration of the 4D nonlinear heat equation on the torus.
 
 The equation u_t = Delta u + u^3 (real solutions) is advanced with an
-integrating-factor RK4 scheme on v_hat = e^{t |xi|^2} u_hat: the diagonal
-linear part is treated exactly, so with the nonlinearity disabled a step
+integrating-factor RK4 scheme on v_hat = e^{t |xi|^2} u_hat. A linear
+state (nonlinearity disabled) takes only the exact factor, so its step
 reproduces the heat semigroup to roundoff for any dt. The heat symbol
-e^{-t |xi|^2} of the integrating factors, `heat_propagate` and the
-Duhamel check is `spectral.heat_multiplier`. The cubic term is evaluated
-pseudospectrally with 2/3-rule dealiasing on both input and output.
+e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
+`spectral.heat_multiplier`. Each step computes its factors, with no
+cache, since `advance` changes dt with every snapshot interval. The
+cubic term is evaluated pseudospectrally with 2/3-rule dealiasing on both
+input and output, by one routine for `nonlinear_term` and the rates. The
+transforms reject non-finite input and are the only finiteness guard: an
+overflowing step raises `BlowUpSuspected` with the last valid state.
 
 The state u_hat is the half spectrum of a real field (see `spectral`):
 every array here is an (N, N, N, N/2 + 1) half-lattice array, the
@@ -38,7 +42,8 @@ Powers of the field are products (v * v * v), never the generic `pow`.
 The dt stability bound is 1.5 / max(||u||_inf^2, dxi^2) with a safety
 factor 0.5, re-evaluated every `_RECHECK_EVERY` = 100 steps while advancing.
 
-Checkpoint format (little-endian), used for file data and restarts:
+Checkpoint format (little-endian) of a file datum, which always starts at
+t = 0: the header's t and step count are recorded, not resumed.
 
     bytes 0-7    magic b"CRITHEAT"
     bytes 8-15   N, points per dimension (uint64)
@@ -53,7 +58,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -148,25 +152,22 @@ def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
     return SpectralField(u_hat.grid, u_hat.coefficients * heat_multiplier(u_hat.grid, t))
 
 
-def _cube(u: PhysicalField) -> PhysicalField:
-    v = u.values
+def _dealiased_cube(u_hat: SpectralField) -> PhysicalField:
+    """u^3 for u the inverse transform of dealias(u_hat); overflow is left as inf."""
+    v = transform_inverse(dealias(u_hat)).values
     with np.errstate(over="ignore"):
-        return PhysicalField(u.grid, v * v * v)
+        return PhysicalField(u_hat.grid, v * v * v)
 
 
 def nonlinear_term(u_hat: SpectralField) -> SpectralField:
     """dealias(F(u^3)) with u the inverse transform of dealias(u_hat)."""
-    u = transform_inverse(dealias(u_hat))
-    if not np.all(np.isfinite(u.values)):
-        raise NonFiniteField("non-finite physical values in nonlinear term")
-    return dealias(transform_forward(_cube(u)))
+    return dealias(transform_forward(_dealiased_cube(u_hat)))
 
 
 def _compute_rates(u_hat: SpectralField, nonlinear: bool) -> Rates:
-    u = transform_inverse(dealias(u_hat))
-    cubed = _cube(u)
+    cubed = _dealiased_cube(u_hat)
     with np.errstate(over="ignore"):
-        l6 = float(u.grid.spacing**4 * np.sum(cubed.values * cubed.values))
+        l6 = float(u_hat.grid.spacing**4 * np.sum(cubed.values * cubed.values))
     diss = sobolev_norm_sq(u_hat, 2.0)
     if not nonlinear:
         return Rates(diss, 0.0, l6, None)
@@ -179,12 +180,6 @@ def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
     return SolverState(t=0.0, u_hat=u0_hat.copy(), nonlinear=nonlinear)
 
 
-@lru_cache(maxsize=8)
-def _if_factors(n: int, length: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    e_half = heat_multiplier(TorusGrid(n, length), 0.5 * dt)
-    return e_half, e_half**2
-
-
 def step(
     state: SolverState,
     dt: float,
@@ -194,38 +189,31 @@ def step(
 
     The optional forcing is a verification hook: a callable t -> spectral
     coefficients added to the nonlinear right-hand side (manufactured
-    solutions).
+    solutions); a linear state, stepped by the heat factor alone, takes none.
     """
+    if forcing is not None and not state.nonlinear:
+        raise ValueError("a forcing needs a nonlinear state; a linear step is exact")
     grid = state.u_hat.grid
     u = state.u_hat.coefficients
-    e1, e2 = _if_factors(grid.points_per_dim, grid.side_length, dt)
+    e1 = heat_multiplier(grid, 0.5 * dt)
+    e2 = e1 * e1
 
     try:
-        if not state.nonlinear and forcing is None:
-            new_coeffs = e2 * u
-        else:
+        if state.nonlinear:
 
             def rhs(coeffs: np.ndarray, t: float) -> np.ndarray:
-                if state.nonlinear:
-                    out = nonlinear_term(SpectralField(grid, coeffs)).coefficients
-                else:
-                    out = np.zeros_like(coeffs)
-                if forcing is not None:
-                    out = out + forcing(t)
-                return out
+                out = nonlinear_term(SpectralField(grid, coeffs)).coefficients
+                return out if forcing is None else out + forcing(t)
 
-            rates = state.rates()
-            if state.nonlinear and forcing is None and rates.nl_hat is not None:
-                a = rates.nl_hat
-            else:
-                a = rhs(u, state.t)
+            a = state.rates().nl_hat
+            if forcing is not None:
+                a = a + forcing(state.t)
             b = rhs(e1 * (u + 0.5 * dt * a), state.t + 0.5 * dt)
             c = rhs(e1 * u + 0.5 * dt * b, state.t + 0.5 * dt)
             d = rhs(e2 * u + dt * e1 * c, state.t + dt)
             new_coeffs = e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
-
-        if not np.all(np.isfinite(new_coeffs)):
-            raise BlowUpSuspected(state)
+        else:
+            new_coeffs = e2 * u
 
         new_state = SolverState(
             t=state.t + dt,
@@ -282,11 +270,8 @@ class DuhamelSample:
 
 
 def duhamel_sample(state: SolverState) -> DuhamelSample:
-    rates = state.rates()
-    nl = rates.nl_hat if rates.nl_hat is not None else np.zeros_like(
-        state.u_hat.coefficients
-    )
-    return DuhamelSample(state.t, state.u_hat.coefficients.copy(), nl.copy())
+    u, nl = state.u_hat.coefficients, state.rates().nl_hat
+    return DuhamelSample(state.t, u.copy(), np.zeros_like(u) if nl is None else nl.copy())
 
 
 def duhamel_residual(samples: Sequence[DuhamelSample], grid: TorusGrid) -> float:

@@ -56,7 +56,8 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
 
     A bump datum must satisfy both small-data conditions, ||grad u0|| <=
     ||grad W|| and E(u0) <= E(W); delta <= 1/sqrt(2) guarantees them, and
-    a larger delta that breaks one is a config error.
+    a larger delta that breaks one is a config error. So is a file datum
+    that cannot be read, is not finite or is too large to record.
     """
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     if cfg.datum == "bump":
@@ -74,13 +75,22 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
         target = cfg.delta * np.sqrt(GRAD_W_L2_SQ)
         scale = target / h1 if h1 > 0 else 0.0
         return SpectralField(grid, raw.coefficients * scale)
-    field, _, _ = ev.load_checkpoint(cfg.datum_file)
+    try:
+        field, _, _ = ev.load_checkpoint(cfg.datum_file)
+        u0_hat = transform_forward(field)
+        # the t = 0 record sums u^4 and cubes the field; both are finite if the sum is
+        with np.errstate(over="ignore"):
+            sq = field.values * field.values
+            if not np.isfinite(np.sum(sq * sq)):
+                raise ValueError(f"max |u| = {np.max(np.abs(field.values)):.3g} overflows u^4")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"datum_file {cfg.datum_file!r}: {exc}") from exc
     if field.grid != grid:
         raise ConfigError(
             f"datum file grid (N={field.grid.points_per_dim}, L={field.grid.side_length}) "
             f"does not match config grid (N={grid.points_per_dim}, L={grid.side_length})"
         )
-    return transform_forward(field)
+    return u0_hat
 
 
 def run_simulation(

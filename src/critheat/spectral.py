@@ -42,7 +42,7 @@ fixed-order numpy sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +69,9 @@ class TorusGrid:
 
     points_per_dim: int
     side_length: float
+    _sobolev_weights: dict[float, np.ndarray] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n, length = self.points_per_dim, self.side_length
@@ -201,20 +204,21 @@ def transform_inverse(field: SpectralField) -> PhysicalField:
 
 
 def sobolev_multiplier(grid: TorusGrid, s: float) -> np.ndarray:
-    """|xi|^s over the lattice with the xi = 0 coefficient mapped to 0 (s != 0)."""
-    if s == 0:
-        return np.ones(grid.spectral_shape)
-    with np.errstate(divide="ignore"):
-        m = np.where(grid.xi_mag > 0, grid.xi_mag, 1.0) ** s
-    m[0, 0, 0, 0] = 0.0
-    return m
+    """|xi|^s (s != 0) with the xi = 0 coefficient 0; built once per grid and s, read-only."""
+    if s not in grid._sobolev_weights:
+        with np.errstate(divide="ignore"):
+            m = np.where(grid.xi_mag > 0, grid.xi_mag, 1.0) ** s
+        m[0, 0, 0, 0] = 0.0
+        m.flags.writeable = False
+        grid._sobolev_weights[s] = m
+    return grid._sobolev_weights[s]
 
 
 def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
     """Heat kernel symbol exp(-t |xi|^2)."""
     if t < 0:
         raise ValueError(f"heat multiplier requires t >= 0, got {t}")
-    return np.exp(-t * grid.xi_mag**2)
+    return np.exp(-t * sobolev_multiplier(grid, 2.0))
 
 
 def dealias(field: SpectralField) -> SpectralField:

@@ -84,6 +84,16 @@ class TestNonlinearTerm:
         back = transform_forward(transform_inverse(SpectralField(random_spec.grid, out)))
         assert np.max(np.abs(back.coefficients - out)) <= 1e-12 * np.max(np.abs(out))
 
+    @pytest.mark.parametrize("datum", ["random", "power_law"])
+    def test_state_rates_hold_the_same_cubic(self, random_spec, datum):
+        # the first RK4 stage of a step is the cubic cached with the state's rates
+        if datum == "power_law":
+            u_hat = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
+        else:
+            u_hat = random_spec
+        cached = ev.initial_state(u_hat).rates().nl_hat
+        assert np.array_equal(cached, ev.nonlinear_term(u_hat).coefficients)
+
 
 def padded_cubic(u_hat: SpectralField) -> np.ndarray:
     """The exact dealiased cubic, from the cube on a 2x zero-padded full lattice.
@@ -140,6 +150,11 @@ class TestStep:
         state = ev.step(state, 0.1)
         assert np.all(state.u_hat.coefficients == 0)
         assert state.t == pytest.approx(0.1)
+
+    def test_linear_state_rejects_forcing(self, random_spec):
+        state = ev.initial_state(random_spec, nonlinear=False)
+        with pytest.raises(ValueError, match="forcing needs a nonlinear state"):
+            ev.step(state, 0.1, forcing=lambda t: np.zeros(random_spec.grid.spectral_shape))
 
     @pytest.mark.parametrize("dt", [0.5, 0.05, 0.001])
     def test_linear_only_matches_semigroup(self, random_spec, dt):

@@ -300,6 +300,54 @@ class TestRunExperiment:
         assert float(energy[2]) == pytest.approx(8 * np.pi**2 / 3, rel=1e-5)
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def write_datum(path, case):
+        if case == "missing":
+            return
+        if case == "not_a_checkpoint":
+            path.write_bytes(b"u0 = 1\n" * 20)
+            return
+        grid = TorusGrid(16, 16.0)
+        values = np.random.default_rng(2).standard_normal(grid.shape)
+        if case == "nan":
+            values[3, 1, 4, 1] = np.nan
+        elif case == "huge":
+            values *= 1e110
+        ev.save_checkpoint(path, PhysicalField(grid, values), t=0.0, step_count=0)
+
+    BAD_DATUM_REASONS = {
+        "missing": "No such file or directory",
+        "not_a_checkpoint": "bad checkpoint magic",
+        "nan": "non-finite values in physical field",
+        "huge": r"max \|u\| = [0-9.]+e\+110 overflows u\^4$",
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "experiment, case",
+        [
+            ("nonlinear-decay", "missing"),
+            ("nonlinear-decay", "not_a_checkpoint"),
+            ("nonlinear-decay", "nan"),
+            ("nonlinear-decay", "huge"),
+            ("linear-decay", "nan"),
+            ("linear-decay", "huge"),
+        ],
+    )
+    def test_bad_datum_file_exits_2(self, tmp_path, capsys, experiment, case):
+        chk = tmp_path / "u0.chk"
+        self.write_datum(chk, case)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"points_per_dim = 16\nside_length = 16\ndatum = file\ndatum_file = {chk}\n"
+        )
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec(experiment, str(cfg), out_dir)) == 2
+        out = capsys.readouterr().out
+        prefix = f"^config error: datum_file '{re.escape(str(chk))}': .*"
+        assert re.search(prefix + self.BAD_DATUM_REASONS[case], out, re.M)
+        assert not out_dir.exists()
+
     def test_config_echo_has_no_worker_count(self, tmp_path):
         spec = ExperimentSpec("bubble-constants", None, tmp_path / "out", threads=1)
         assert run_experiment(spec) == 0

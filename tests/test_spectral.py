@@ -127,6 +127,17 @@ class TestMultipliers:
         back = transform_forward(transform_inverse(out)).coefficients
         assert np.max(np.abs(back - out.coefficients)) <= 1e-12 * np.max(np.abs(out.coefficients))
 
+    def test_sobolev_weight_built_once_per_grid(self):
+        # a fresh grid: the weight is built on the first call and shared after
+        grid = TorusGrid(16, 2 * np.pi)
+        weight = sobolev_multiplier(grid, 2.0)
+        assert sobolev_multiplier(grid, 2.0) is weight
+        assert not weight.flags.writeable
+        assert sobolev_multiplier(TorusGrid(16, 2 * np.pi), 2.0) is not weight
+        # the heat symbol reads the same |xi|^2, bit for bit
+        assert np.array_equal(weight, grid.xi_mag**2)
+        assert np.array_equal(heat_multiplier(grid, 0.3), np.exp(-0.3 * grid.xi_mag**2))
+
     def test_negative_heat_time_rejected(self, small_grid):
         with pytest.raises(ValueError, match="t >= 0"):
             heat_multiplier(small_grid, -0.1)
