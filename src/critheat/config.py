@@ -33,10 +33,10 @@ from pathlib import Path
 import numpy as np
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
-# largest peak, energy-identity's (t_end 0.2, 8 snapshots): 90.2 MiB at
-# N = 16, 243.9 at N = 32. nonlinear-decay reaches 88.0 and 219.1 MiB
-_RSS_BYTES_PER_POINT = 164
-_RSS_BASE_BYTES = 80 * 2**20
+# largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
+# N = 16, 200.8 at N = 32. nonlinear-decay reaches 65.9 and 196.2 MiB
+_RSS_BYTES_PER_POINT = 143
+_RSS_BASE_BYTES = 58 * 2**20
 
 
 class ConfigError(ValueError):

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gamma as _gamma
 
 from .spectral import SpectralField, TorusGrid, sobolev_density
@@ -383,6 +382,9 @@ def estimate_decay_character_grid(
         np.add.at(model_acc, inverse, counts * mags ** (2.0 * q))
         resid = log_mass - np.log(np.cumsum(model_acc)[keep])
         return float(np.var(resid))
+
+    # imported here: scipy.optimize loads scipy.linalg and OpenBLAS, which no other path needs
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(cost, bounds=_Q_BOUNDS, method="bounded")
     window = (float(shell_radii[keep][0]), float(rho_max))

@@ -7,10 +7,14 @@ reproduces the heat semigroup to roundoff for any dt. The heat symbol
 e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
 `spectral.heat_multiplier`. Each step computes its factors, with no
 cache, since `advance` changes dt with every snapshot interval. The
-cubic term is evaluated pseudospectrally with 2/3-rule dealiasing on both
-input and output, by one routine for `nonlinear_term` and the rates. The
-transforms reject non-finite input and are the only finiteness guard: an
-overflowing step raises `BlowUpSuspected` with the last valid state.
+cubic term is evaluated pseudospectrally with the 2/3 rule on both input
+and output, by one routine for `nonlinear_term` and the rates. The rule
+is applied inside the transforms (`dealiased=True`, see `spectral`): the
+inverse transforms only the kept band of the state, the forward transform
+returns only the kept band of the cube, and neither runs the FFT lines
+the rule zeroes. The transforms reject non-finite input and are the only
+finiteness guard: an overflowing step raises `BlowUpSuspected` with the
+last valid state.
 
 The state u_hat is the half spectrum of a real field (see `spectral`):
 every array here is an (N, N, N, N/2 + 1) half-lattice array, the
@@ -25,9 +29,9 @@ the first two; a diagnostics record reports the third as `l6_accum`.
 Apart from the three RK4 stage evaluations of a step, each solver state
 computes its transforms at most once, on first use, and caches them:
 
-  * `SolverState.rates()`: one inverse transform of the dealiased field,
-    its cube, and, for a nonlinear state, one forward transform of the
-    cube. This gives the step-endpoint integrands (Hdot^2 dissipation,
+  * `SolverState.rates()`: one dealiased inverse transform of the field,
+    its cube, and, for a nonlinear state, one dealiased forward transform
+    of the cube. This gives the step-endpoint integrands (Hdot^2 dissipation,
     L^6 mass as cube * cube, and the Hdot^1 pairing) and the dealiased
     cubic, which is the first RK4 stage of the next step. A diagnostics
     record takes its `grad_h1_sq` (the dissipation) and, for a nonlinear
@@ -68,7 +72,6 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    dealias,
     heat_multiplier,
     sobolev_inner,
     sobolev_norm_sq,
@@ -153,15 +156,15 @@ def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
 
 
 def _dealiased_cube(u_hat: SpectralField) -> PhysicalField:
-    """u^3 for u the inverse transform of dealias(u_hat); overflow is left as inf."""
-    v = transform_inverse(dealias(u_hat)).values
+    """u^3 for u the dealiased inverse transform of u_hat; overflow is left as inf."""
+    v = transform_inverse(u_hat, dealiased=True).values
     with np.errstate(over="ignore"):
         return PhysicalField(u_hat.grid, v * v * v)
 
 
 def nonlinear_term(u_hat: SpectralField) -> SpectralField:
-    """dealias(F(u^3)) with u the inverse transform of dealias(u_hat)."""
-    return dealias(transform_forward(_dealiased_cube(u_hat)))
+    """The dealiased forward transform of u^3, u the dealiased inverse transform of u_hat."""
+    return transform_forward(_dealiased_cube(u_hat), dealiased=True)
 
 
 def _compute_rates(u_hat: SpectralField, nonlinear: bool) -> Rates:
@@ -171,7 +174,7 @@ def _compute_rates(u_hat: SpectralField, nonlinear: bool) -> Rates:
     diss = sobolev_norm_sq(u_hat, 2.0)
     if not nonlinear:
         return Rates(diss, 0.0, l6, None)
-    nl = dealias(transform_forward(cubed))
+    nl = transform_forward(cubed, dealiased=True)
     pair = sobolev_inner(u_hat, nl, 1.0)
     return Rates(diss, pair, l6, nl.coefficients)
 

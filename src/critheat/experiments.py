@@ -414,6 +414,7 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
         end = ev.advance(start, t_end, t_end / n_steps)
         residuals.append(dg.energy_identity_residual(start, end))
         steps.append(end.step_count)
+        del start, end  # release this level's states before the next level runs
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     verdicts = {
         "baseline_residual": residuals[0] <= 1e-6,

@@ -34,6 +34,30 @@ density (`sobolev_density`):
 The |xi|^s symbol maps the xi = 0 coefficient to 0 for s > 0, and
 s < 0 is rejected unless the mean vanishes.
 
+The 2/3 rule keeps the modes with every |k_i| <= N/3: the index ranges
+[0, m] and [N - m, N) on each full axis and [0, m] on the half axis,
+m = floor(N/3) (`_kept_band`, the band's one definition). The transforms
+take `dealiased=True` for a field the rule masks: the inverse of the kept
+band of a half spectrum, and the forward transform with the discarded
+modes set to zero. Both return, bit for bit, what the full
+`irfftn`/`rfftn` return on the masked input, while each 1D FFT pass runs
+only over the lines that hold a kept mode. Bit identity rests on
+repeating pocketfft's own order and scaling:
+
+  * inverse: complex passes over axes 0, 1 and 2, in that order, then one
+    real pass over axis 3, all unscaled, then one multiplication by
+    1/N^4, the single factor `irfftn` applies after its last pass. A pass
+    runs only on the lines whose indices on the axes not yet transformed
+    are kept; every other line holds zeros and would stay zero;
+  * forward: one real pass over axis 3, then complex passes over axes 0,
+    1 and 2, all unscaled, each only on the lines whose indices on the
+    axes already transformed are kept; every other line ends in discarded
+    modes.
+
+Each line that runs is the same 1D transform as in the full pass. The
+dealiased inverse checks the whole half spectrum for finiteness, as the
+mask did when it turned a non-finite dropped mode into NaN.
+
 This module is the only one that calls scipy.fft or knows the lattice
 layout. The worker count is set once per process (`set_fft_workers`);
 results are bit-identical across worker counts and all reductions are
@@ -44,6 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 import scipy.fft as _fft
@@ -131,12 +156,6 @@ class TorusGrid:
         return np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask of modes kept by the 2/3 rule (|k_i| <= N/3 per axis)."""
-        keep = [np.abs(k) <= self.points_per_dim / 3.0 for k in self._k_axes]
-        return keep[0] & keep[1] & keep[2] & keep[3]
-
-    @cached_property
     def multiplicity(self) -> np.ndarray:
         """Full-lattice modes per stored mode along k_4: 1 at k_4 = 0 and N/2, else 2.
 
@@ -184,21 +203,73 @@ def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
         raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
-def transform_forward(field: PhysicalField) -> SpectralField:
-    """Forward transform to the half spectrum, v_hat = h^4 RFFT(v)."""
+def _kept_band(n: int) -> tuple[tuple[slice, slice], slice]:
+    """The 2/3 rule's kept indices |k_i| <= N/3: two ranges on a full axis, one on the half axis."""
+    m = n // 3
+    return (slice(0, m + 1), slice(n - m, n)), slice(0, m + 1)
+
+
+def _fft_pass(block: np.ndarray, axis: int, inverse: bool) -> None:
+    """One unscaled complex FFT pass along `axis`, written into `block` in place."""
+    fft, norm = (_fft.ifft, "forward") if inverse else (_fft.fft, "backward")
+    out = fft(block, axis=axis, norm=norm, overwrite_x=True, workers=_fft_workers)
+    if not np.may_share_memory(out, block):
+        block[...] = out
+
+
+def transform_forward(field: PhysicalField, dealiased: bool = False) -> SpectralField:
+    """Forward transform to the half spectrum, v_hat = h^4 RFFT(v).
+
+    With `dealiased`, the modes outside the 2/3 band are zero and the FFT
+    passes skip the lines that only reach them.
+    """
     if not np.all(np.isfinite(field.values)):
         raise NonFiniteField("non-finite values in physical field")
-    coeffs = _fft.rfftn(field.values, workers=_fft_workers)
-    coeffs *= field.grid.spacing**4
-    return SpectralField(field.grid, coeffs)
+    grid = field.grid
+    h4 = grid.spacing**4
+    if not dealiased:
+        coeffs = _fft.rfftn(field.values, workers=_fft_workers)
+        coeffs *= h4
+        return SpectralField(grid, coeffs)
+    full, half = _kept_band(grid.points_per_dim)
+    spectrum = _fft.rfft(field.values, axis=3, workers=_fft_workers)
+    band = spectrum[..., half]
+    _fft_pass(band, 0, inverse=False)
+    for i in full:
+        _fft_pass(band[i], 1, inverse=False)
+    for i, j in product(full, repeat=2):
+        _fft_pass(band[i, j], 2, inverse=False)
+    coeffs = np.zeros(grid.spectral_shape, dtype=complex)
+    for i, j, k in product(full, repeat=3):
+        np.multiply(spectrum[i, j, k, half], h4, out=coeffs[i, j, k, half])
+    return SpectralField(grid, coeffs)
 
 
-def transform_inverse(field: SpectralField) -> PhysicalField:
-    """Inverse transform of a half spectrum back to its real physical field."""
+def transform_inverse(field: SpectralField, dealiased: bool = False) -> PhysicalField:
+    """Inverse transform of a half spectrum back to its real physical field.
+
+    With `dealiased`, only the modes inside the 2/3 band are transformed,
+    and the FFT passes skip the lines that hold none of them.
+    """
     if not np.all(np.isfinite(field.coefficients)):
         raise NonFiniteField("non-finite coefficients in spectral field")
     grid = field.grid
-    vals = _fft.irfftn(field.coefficients, s=grid.shape, workers=_fft_workers)
+    n = grid.points_per_dim
+    if not dealiased:
+        vals = _fft.irfftn(field.coefficients, s=grid.shape, workers=_fft_workers)
+    else:
+        full, half = _kept_band(n)
+        work = np.zeros(grid.spectral_shape, dtype=complex)
+        for i, j, k in product(full, repeat=3):
+            work[i, j, k, half] = field.coefficients[i, j, k, half]
+        band = work[..., half]
+        for j, k in product(full, repeat=2):
+            _fft_pass(band[:, j, k], 0, inverse=True)
+        for k in full:
+            _fft_pass(band[:, :, k], 1, inverse=True)
+        _fft_pass(band, 2, inverse=True)
+        vals = _fft.irfft(work, n=n, axis=3, norm="forward", workers=_fft_workers)
+        vals *= 1.0 / n**4
     vals /= grid.spacing**4
     return PhysicalField(grid, vals)
 
@@ -219,11 +290,6 @@ def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"heat multiplier requires t >= 0, got {t}")
     return np.exp(-t * sobolev_multiplier(grid, 2.0))
-
-
-def dealias(field: SpectralField) -> SpectralField:
-    """Zero all modes with any |k_i| > N/3 (2/3 rule, idempotent)."""
-    return SpectralField(field.grid, field.coefficients * field.grid.dealias_mask)
 
 
 def sobolev_density(a: SpectralField, b: SpectralField, s: float) -> np.ndarray:

@@ -21,6 +21,14 @@ def random_field(small_grid, rng) -> PhysicalField:
     return PhysicalField(small_grid, rng.standard_normal(small_grid.shape))
 
 
+def kept_band_mask(grid: TorusGrid) -> np.ndarray:
+    """The 2/3 rule on the half lattice, every |k_i| <= N/3, from numpy's frequency lists."""
+    n = grid.points_per_dim
+    full = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= n / 3.0
+    half = np.abs(np.fft.rfftfreq(n, 1.0 / n)) <= n / 3.0
+    return full[:, None, None, None] & full[None, :, None, None] & full[None, None, :, None] & half
+
+
 def cosine_field(grid: TorusGrid, amplitude: float = 1.0, mode: int = 1) -> PhysicalField:
     """a * cos(mode * dxi * x1), constant in the other directions."""
     profile = amplitude * np.cos(mode * grid.frequency_spacing * grid.x_axis)

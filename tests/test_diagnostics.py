@@ -9,7 +9,6 @@ from critheat.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    dealias,
     sobolev_inner,
     sobolev_multiplier,
     sobolev_norm_sq,
@@ -129,8 +128,10 @@ class TestRecord:
 
 
 def _counted(func, log):
+    """Wrap `func` to log each call's field and whether it asked for the dealiased transform."""
+
     def wrapper(field, *args, **kwargs):
-        log.append(field)
+        log.append((field, kwargs.get("dealiased", False)))
         return func(field, *args, **kwargs)
 
     return wrapper
@@ -205,12 +206,14 @@ class TestRecordCaches:
         assert record_cubics == []
         # one full-field inverse per state whose norms are read: the bound at
         # the start, and both records and the next bound at the end
-        full = [f for f in inverse if f is start.u_hat or f is end.u_hat]
+        full = [f for f, dealiased in inverse if not dealiased]
+        assert [f is start.u_hat for f in full] == [True, False]
         assert [f is end.u_hat for f in full] == [False, True]
         # each of the n + 1 states: one dealiased inverse and one forward
         # transform of its cube; each step: three RK4 stage cubics
         assert len(inverse) == (n + 1) + 3 * n + len(full)
         assert len(forward) == (n + 1) + 3 * n
+        assert all(dealiased for _, dealiased in forward)
 
 
 class TestSplittingSplit:

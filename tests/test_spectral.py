@@ -1,13 +1,13 @@
-"""Transforms, multipliers, dealiasing, and norms on the 4D torus."""
+"""Transforms, multipliers, the dealiased transforms, and norms on the 4D torus."""
 
 import numpy as np
 import pytest
 
 from critheat.spectral import (
+    NonFiniteField,
     PhysicalField,
     SpectralField,
     TorusGrid,
-    dealias,
     heat_multiplier,
     lebesgue_norm,
     set_fft_workers,
@@ -20,7 +20,7 @@ from critheat.spectral import (
 
 from critheat.diagnostics import POWER, SplittingSchedule, splitting_split
 
-from conftest import cosine_field
+from conftest import cosine_field, kept_band_mask
 
 
 class TestTorusGrid:
@@ -144,26 +144,63 @@ class TestMultipliers:
 
 
 class TestDealias:
+    """The pruned transforms against the full transforms of the masked field.
+
+    The mask comes from numpy's frequency lists (`kept_band_mask`), not from
+    the band the transforms prune to.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [16, 18, 24])
+    def test_pruned_transforms_are_the_masked_full_transforms(self, n, workers, rng):
+        grid = TorusGrid(n, 7.0)
+        field = PhysicalField(grid, rng.standard_normal(grid.shape))
+        mask = kept_band_mask(grid)
+        set_fft_workers(workers)
+        try:
+            spec = transform_forward(field)
+            forward = transform_forward(field, dealiased=True).coefficients
+            inverse = transform_inverse(spec, dealiased=True).values
+            masked_inverse = transform_inverse(SpectralField(grid, spec.coefficients * mask)).values
+        finally:
+            set_fft_workers(2)
+        assert np.array_equal(forward, spec.coefficients * mask)
+        assert np.array_equal(inverse, masked_inverse)
+        assert 0 < np.count_nonzero(forward) <= np.count_nonzero(mask) < mask.size
+
     def test_low_mode_kept(self, small_grid):
-        spec = transform_forward(cosine_field(small_grid))
-        out = dealias(spec)
+        field = cosine_field(small_grid)
+        spec = transform_forward(field)
+        out = transform_forward(field, dealiased=True)
         scale = np.max(np.abs(spec.coefficients))
         assert out.coefficients[1, 0, 0, 0] == spec.coefficients[1, 0, 0, 0]
         assert np.max(np.abs(out.coefficients - spec.coefficients)) <= 1e-12 * scale
+        back = transform_inverse(spec, dealiased=True).values
+        assert np.max(np.abs(back - field.values)) <= 1e-12
 
     def test_mode_seven_zeroed_at_n16(self, small_grid):
         # 7 > 16/3, so k = (7,0,0,0) is outside the kept band
         coeffs = np.zeros(small_grid.spectral_shape, dtype=complex)
         coeffs[7, 0, 0, 0] = 1.0
         coeffs[-7, 0, 0, 0] = 1.0
-        out = dealias(SpectralField(small_grid, coeffs))
-        assert np.all(out.coefficients == 0)
+        out = transform_inverse(SpectralField(small_grid, coeffs), dealiased=True)
+        assert np.all(out.values == 0)
 
-    def test_idempotent(self, random_field):
-        spec = transform_forward(random_field)
-        once = dealias(spec)
-        twice = dealias(once)
-        assert np.array_equal(once.coefficients, twice.coefficients)
+    def test_idempotent(self, small_grid, random_field):
+        # a dealiased forward of a dealiased inverse reproduces a dealiased spectrum
+        mask = kept_band_mask(small_grid)
+        masked = transform_forward(random_field).coefficients * mask
+        spec = SpectralField(small_grid, masked)
+        back = transform_forward(transform_inverse(spec, dealiased=True), dealiased=True)
+        assert np.max(np.abs(back.coefficients - masked)) <= 1e-12 * np.max(np.abs(masked))
+        assert np.all(back.coefficients[~mask] == 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_dropped_mode_rejected(self, small_grid, random_field, bad):
+        coeffs = transform_forward(random_field).coefficients
+        coeffs[7, 0, 0, 0] = bad
+        with pytest.raises(NonFiniteField):
+            transform_inverse(SpectralField(small_grid, coeffs), dealiased=True)
 
 
 class TestSobolevNorms:
