@@ -73,8 +73,6 @@ class RadialQuadrature:
         panels_per_decade: int = 4,
         gauss_order: int = 16,
     ) -> "RadialQuadrature":
-        if not 0 < r_min < r_max:
-            raise ValueError("need 0 < r_min < r_max")
         u_lo, u_hi = np.log(r_min), np.log(r_max)
         n_panels = int(np.ceil(panels_per_decade * (u_hi - u_lo) / np.log(10.0)))
         edges = np.linspace(u_lo, u_hi, n_panels + 1)
@@ -122,9 +120,7 @@ class BubbleConstants:
 
 def sobolev_constant_general(n: int) -> float:
     """Best constant of Hdot^1(R^n) subset L^{2n/(n-2)}:
-    sqrt(1/(pi n (n-2))) (Gamma(n)/Gamma(n/2))^{1/n}."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    sqrt(1/(pi n (n-2))) (Gamma(n)/Gamma(n/2))^{1/n}, n >= 3."""
     return float(
         np.sqrt(1.0 / (np.pi * n * (n - 2))) * (_gamma(n) / _gamma(n / 2.0)) ** (1.0 / n)
     )
@@ -158,8 +154,6 @@ def stationarity_residual(
 ) -> list[float]:
     """|Delta W + W^3| at each point via second-order central differences."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != 4:
-        raise ValueError("points must have 4 coordinates")
 
     def w(x: np.ndarray) -> float:
         return float(bubble_radial(np.sqrt(np.sum(x**2))))
@@ -180,11 +174,8 @@ def truncated_l2_growth(r_values: Sequence[float]) -> list[float]:
 
     Grows logarithmically in R (W^2 ~ 64 |x|^{-4}), witnessing W not in L^2.
     """
-    rs = np.asarray(r_values, dtype=float)
-    if np.any(rs <= 0) or np.any(np.diff(rs) <= 0):
-        raise ValueError("radii must be positive and strictly increasing")
     out = []
-    for r in rs:
+    for r in r_values:
         quad = RadialQuadrature.build(r_min=1e-6, r_max=r, panels_per_decade=8)
         # head below r_min: W ~ 1 there, add the exact small-ball volume
         out.append(quad.integrate(lambda rho: bubble_radial(rho) ** 2) + quad.head_volume)
@@ -207,15 +198,8 @@ def subcritical_datum(grid: TorusGrid, delta: float) -> SubcriticalDatum:
     """Gaussian bump (width L/8, zero mean) with ||grad u0|| = delta ||grad W||.
 
     Both admissibility conditions are evaluated numerically; delta below
-    1/sqrt(2) guarantees them, larger delta is checked, delta > 1 is
-    rejected outright.
+    1/sqrt(2) guarantees them, and a larger delta in [0, 1] is checked.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if delta > 1:
-        raise ValueError(
-            f"delta={delta} > 1 would violate ||grad u0|| <= ||grad W||"
-        )
     length = grid.side_length
     width = length / 8.0
     x = grid.x_axis - length / 2.0
@@ -230,9 +214,6 @@ def subcritical_datum(grid: TorusGrid, delta: float) -> SubcriticalDatum:
     bump -= bump.mean()
     consts = bubble_constants()
     grad_w = np.sqrt(consts.grad_l2_sq)
-    if delta == 0:
-        field = PhysicalField(grid, np.zeros(grid.shape))
-        return SubcriticalDatum(field, 0.0, 0.0, 0.0, True, True)
     raw = PhysicalField(grid, bump)
     raw_grad = np.sqrt(sobolev_norm_sq(transform_forward(raw), 1.0))
     scale = delta * grad_w / raw_grad

@@ -16,6 +16,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Numerical laboratory for the 4D energy-critical nonlinear heat "
             "equation: bubble constants, decay characters, and decay-rate checks."
         ),
+        epilog=(
+            "exit codes: 0 every verdict passed; 1 a check failed (summary.json "
+            "gives the reason); 2 a config or usage error. A traceback is a bug."
+        ),
     )
     parser.add_argument("experiment", choices=EXPERIMENT_NAMES)
     parser.add_argument("--config", default=None, help="key = value config file")

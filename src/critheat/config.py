@@ -6,6 +6,12 @@ message naming the key and the constraint. An empty (or absent) file
 yields the documented defaults: N = 32, L = 32, delta = 0.1, a q* = 0
 power-law datum.
 
+`parse_config` is the one validator of config values: the modules below
+it take their parameters as given and do not check them again. What only
+the built datum shows (a checkpoint that cannot be read or is not finite,
+a datum with ||grad u0|| = 0) is checked where the datum is built,
+`experiments.build_datum`.
+
 `profile_r` is the q* of the datum: the exponent a power-law datum is
 built with, and the stated q* of a `datum = file` checkpoint, which
 cannot be read off the file (default 0). A bump datum has q* = 1, so
@@ -31,6 +37,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+
+from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
 # largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
@@ -144,7 +152,7 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
-def _validate(cfg: HarnessConfig) -> HarnessConfig:
+def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
     if cfg.points_per_dim % 2 != 0 or cfg.points_per_dim < 16:
         raise ConfigError(
             f"points_per_dim must be an even integer >= 16, got {cfg.points_per_dim}"
@@ -193,11 +201,17 @@ def _validate(cfg: HarnessConfig) -> HarnessConfig:
             f"profile_r = {cfg.profile_r} violates the decay-character hypothesis "
             "q* > -2"
         )
-    nyquist = np.pi * cfg.points_per_dim / cfg.side_length
-    if not 0 < cfg.cutoff_rho <= nyquist:
+    grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
+    if not 0 < cfg.cutoff_rho <= grid.axis_nyquist:
         raise ConfigError(
-            f"cutoff_rho must lie in (0, {nyquist:.4g}] (axis Nyquist), "
+            f"cutoff_rho must lie in (0, {grid.axis_nyquist:.4g}] (axis Nyquist), "
             f"got {cfg.cutoff_rho}"
+        )
+    if experiment == "decay-character" and grid.frequency_spacing > cfg.cutoff_rho / 2:
+        raise ConfigError(
+            f"cutoff_rho = {cfg.cutoff_rho}: decay-character fits the lattice shells below "
+            f"cutoff_rho / 2, and the first lies at 2 pi / side_length = "
+            f"{grid.frequency_spacing:.4g}"
         )
     if cfg.datum == "file" and not cfg.datum_file:
         raise ConfigError("datum = file requires datum_file")
@@ -249,13 +263,17 @@ def parse_config(path: str | Path | None, experiment: str = "") -> HarnessConfig
     if experiment and experiment in _EXPERIMENT_DEFAULTS:
         cfg = replace(cfg, **_EXPERIMENT_DEFAULTS[experiment])  # type: ignore[arg-type]
     if path is None:
-        return _validate(cfg)
+        return _validate(cfg, experiment)
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
     valid = {f.name for f in fields(HarnessConfig)}
     overrides: dict[str, object] = {}
-    for lineno, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -267,4 +285,4 @@ def parse_config(path: str | Path | None, experiment: str = "") -> HarnessConfig
         parser = _PARSERS.get(key, _parse_float)
         overrides[key] = parser(key, raw)
     cfg = replace(cfg, **overrides)  # type: ignore[arg-type]
-    return _validate(cfg)
+    return _validate(cfg, experiment)

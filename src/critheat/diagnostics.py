@@ -43,7 +43,9 @@ from typing import Sequence
 import numpy as np
 
 from .evolution import SolverState, nonlinear_term
-from .spectral import (  # noqa: F401  (transform_inverse stays bound here for callers)
+# transform_inverse is bound here for the transform counts of
+# tests/test_diagnostics.py::test_transforms_per_state and bench/test_checks.py
+from .spectral import (  # noqa: F401
     SpectralField,
     sobolev_density,
     sobolev_inner,
@@ -66,14 +68,6 @@ class SplittingSchedule:
     alpha: float = 2.5
     c_tilde: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.kind not in (LOG_CUBED, POWER):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == POWER and not self.alpha > 0:
-            raise ValueError(f"power schedule needs alpha > 0, got {self.alpha}")
-        if not self.c_tilde > 0:
-            raise ValueError(f"c_tilde must be positive, got {self.c_tilde}")
-
     def g(self, t: float) -> float:
         if self.kind == LOG_CUBED:
             return float(np.log(np.e + t) ** 3)
@@ -85,8 +79,6 @@ class SplittingSchedule:
         return float(self.alpha * (1.0 + t) ** (self.alpha - 1.0))
 
     def radius(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"schedule evaluated at t={t} < 0")
         return float(np.sqrt(self.g_prime(t) / (self.c_tilde * self.g(t))))
 
 
@@ -171,8 +163,6 @@ class LyapunovReport:
 
 def lyapunov_check(records: Sequence[DiagnosticsRecord], tol: float = 1e-10) -> LyapunovReport:
     """Flag every adjacent snapshot pair where h1_sq increased beyond tol."""
-    if len(records) < 2:
-        raise ValueError("need at least 2 records")
     violations = []
     for a, b in zip(records, records[1:]):
         if b.h1_sq > a.h1_sq * (1.0 + tol):
@@ -202,19 +192,9 @@ class PairingReport:
 
 
 def pairing_ratio_report(records: Sequence[DiagnosticsRecord]) -> PairingReport:
-    """Maximum |pairing| / (grad_h1_sq * h1_sq) across the series."""
-    best, t_best, used = 0.0, 0.0, 0
-    for rec in records:
-        if rec.h1_sq <= 0 or rec.grad_h1_sq <= 0:
-            continue
-        used += 1
-        if not np.isfinite(rec.pairing_ratio):
-            raise ValueError(f"non-finite pairing ratio at t={rec.t}")
-        if rec.pairing_ratio > best:
-            best, t_best = rec.pairing_ratio, rec.t
-    if used == 0:
-        raise ValueError("no records with nonzero norms")
-    return PairingReport(best, t_best)
+    """Maximum |pairing| / (grad_h1_sq * h1_sq) across the series, at its first time."""
+    best = max(records, key=lambda rec: rec.pairing_ratio)
+    return PairingReport(best.pairing_ratio, best.t)
 
 
 class UnfittableWindow(ValueError):
@@ -258,8 +238,6 @@ def bound_check(q_star: float, fit: RateFit, tol: float) -> bool:
     Passes when the observed decay exponent (-fit.exponent) is at least
     min{2+q*, 1} - tol; faster observed decay always passes.
     """
-    if q_star <= -2:
-        raise ValueError(f"q_star must exceed -2, got {q_star}")
     bound = min(2.0 + q_star, 1.0)
     return bool(-fit.exponent >= bound - tol)
 
@@ -280,8 +258,6 @@ def key_inequality_check(
     covering the truncation error of the nonuniform centered difference.
     Splitting parts in the records must come from the same schedule.
     """
-    if len(records) < 3:
-        raise ValueError("need at least 3 records")
     ts = np.array([r.t for r in records])
     gh1 = np.array([schedule.g(r.t) * r.h1_sq for r in records])
     margins = []

@@ -57,9 +57,12 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
     A bump datum must satisfy both small-data conditions, ||grad u0|| <=
     ||grad W|| and E(u0) <= E(W); delta <= 1/sqrt(2) guarantees them, and
     a larger delta that breaks one is a config error. So is a file datum
-    that cannot be read, is not finite or is too large to record.
+    that cannot be read, is not finite or is too large to record, and any
+    datum with ||grad u0|| = 0, which has no decay to measure.
     """
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
+    if cfg.datum != "file" and cfg.delta == 0:
+        raise ConfigError(f"delta = {cfg.delta} gives a zero {cfg.datum} datum (||grad u0|| = 0)")
     if cfg.datum == "bump":
         datum = bb.subcritical_datum(grid, cfg.delta)
         if not (datum.grad_condition and datum.energy_condition):
@@ -72,8 +75,14 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
     if cfg.datum == "power_law":
         raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
         h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
+        if h1 == 0:
+            raise ConfigError(
+                f"cutoff_rho = {cfg.cutoff_rho} gives a zero power_law datum: no lattice "
+                f"shell lies below it (the first is at 2 pi / side_length = "
+                f"{grid.frequency_spacing:.4g})"
+            )
         target = cfg.delta * np.sqrt(GRAD_W_L2_SQ)
-        scale = target / h1 if h1 > 0 else 0.0
+        scale = target / h1
         return SpectralField(grid, raw.coefficients * scale)
     try:
         field, _, _ = ev.load_checkpoint(cfg.datum_file)
@@ -89,6 +98,10 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
         raise ConfigError(
             f"datum file grid (N={field.grid.points_per_dim}, L={field.grid.side_length}) "
             f"does not match config grid (N={grid.points_per_dim}, L={grid.side_length})"
+        )
+    if np.ptp(field.values) == 0:
+        raise ConfigError(
+            f"datum_file {cfg.datum_file!r}: a zero or constant datum (||grad u0|| = 0)"
         )
     return u0_hat
 
@@ -478,6 +491,19 @@ def _fft_worker_count(threads: int | None) -> int:
     return threads
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """The output directory exists, or its nearest existing ancestor is a directory.
+
+    Checked before the run and without creating anything, so a bad --out
+    fails at once and writes nothing.
+    """
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out_dir}: {path} exists and is not a directory")
+            return
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run one named experiment; exit code 0 pass, 1 check failure, 2 config error.
 
@@ -487,6 +513,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     try:
         cfg = parse_config(spec.config_path, spec.name)
         set_fft_workers(_fft_worker_count(spec.threads))
+        _check_out_dir(spec.out_dir)
         summary, records = _RUNNERS[spec.name](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}")

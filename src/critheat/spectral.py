@@ -287,8 +287,6 @@ def sobolev_multiplier(grid: TorusGrid, s: float) -> np.ndarray:
 
 def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
     """Heat kernel symbol exp(-t |xi|^2)."""
-    if t < 0:
-        raise ValueError(f"heat multiplier requires t >= 0, got {t}")
     return np.exp(-t * sobolev_multiplier(grid, 2.0))
 
 

@@ -118,16 +118,6 @@ class TestDecayCharacterEstimator:
         est = dc.estimate_decay_character(prof)
         assert est.r_star == -2.0
 
-    def test_zero_mass_rejected(self):
-        nodes = dc.log_nodes(1e-6, 8)
-        prof = dc.RadialProfile(4, nodes, np.zeros_like(nodes))
-        with pytest.raises(ValueError, match="zero shell mass"):
-            dc.estimate_decay_character(prof)
-
-    def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            dc.RadialProfile(4, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-
 
 class TestClassifiers:
     def test_lp_closed_forms(self):
@@ -136,20 +126,10 @@ class TestClassifiers:
         # p -> 1+ limit approaches 0
         assert abs(dc.classify_lp(1.0 + 1e-9, 4)) <= 1e-8
 
-    def test_lp_domain(self):
-        for p in (0.5, 1.0, 2.0, 3.0):
-            with pytest.raises(ValueError, match="p must lie"):
-                dc.classify_lp(p, 4)
-
     def test_weighted(self):
         assert dc.classify_weighted(1.0, True) == 1.0
         assert dc.classify_weighted(0.5, False) == 0.0
         assert dc.classify_weighted(0.0, True) == 0.0
-
-    def test_weighted_domain(self):
-        for g in (-0.1, 1.1):
-            with pytest.raises(ValueError, match="gamma"):
-                dc.classify_weighted(g, True)
 
 
 class TestLinearDecayExponent:
@@ -157,16 +137,6 @@ class TestLinearDecayExponent:
         assert dc.linear_decay_exponent(0.0, dc.DissipationSymbol(1, 1.0), 4) == 2.0
         assert dc.linear_decay_exponent(-1.0, dc.DissipationSymbol(1, 1.0), 4) == 1.0
         assert dc.linear_decay_exponent(0.0, dc.DissipationSymbol(1, 0.5), 4) == 4.0
-
-    def test_boundary_rejected(self):
-        with pytest.raises(ValueError, match="r_star"):
-            dc.linear_decay_exponent(-2.0, dc.DissipationSymbol(), 4)
-
-    def test_symbol_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            dc.DissipationSymbol(1.0, 1.5)
-        with pytest.raises(ValueError, match="c must be"):
-            dc.DissipationSymbol(0.0, 1.0)
 
 
 class TestRadialLinearEvolution:
@@ -202,30 +172,11 @@ class TestRadialLinearEvolution:
         slope = np.polyfit(np.log1p(times), np.log(vals), 1)[0]
         assert abs(slope + dc.linear_decay_exponent(r_star, sym, 4)) <= 0.05
 
-    def test_bad_times_rejected(self):
-        prof = dc.power_law_profile(0.0)
-        with pytest.raises(ValueError, match="at least one"):
-            dc.radial_linear_evolution(prof, dc.DissipationSymbol(), [])
-        with pytest.raises(ValueError, match="nonnegative"):
-            dc.radial_linear_evolution(prof, dc.DissipationSymbol(), [-1.0])
-
-    def test_empty_profile_rejected(self):
-        nodes = dc.log_nodes(1e-6, 8)
-        prof = dc.RadialProfile(4, nodes, np.zeros_like(nodes))
-        with pytest.raises(ValueError, match="empty profile"):
-            dc.radial_linear_evolution(prof, dc.DissipationSymbol(), [0.0])
-
 
 class TestSynthesizedDatum:
     def test_zero_amplitude(self, small_grid):
         field = dc.synthesize_datum(small_grid, 0.0, 1.0, 0.0)
         assert np.all(field.coefficients == 0)
-
-    def test_validation(self, small_grid):
-        with pytest.raises(ValueError, match="exceed -2"):
-            dc.synthesize_datum(small_grid, -2.5, 1.0, 1.0)
-        with pytest.raises(ValueError, match="Nyquist"):
-            dc.synthesize_datum(small_grid, 0.0, 100.0, 1.0)
 
     def test_real_zero_mean_datum(self, small_grid):
         field = dc.synthesize_datum(small_grid, 0.0, 2.0, 1.0)

@@ -348,6 +348,73 @@ class TestRunExperiment:
         assert re.search(prefix + self.BAD_DATUM_REASONS[case], out, re.M)
         assert not out_dir.exists()
 
+    ZERO_DATUM_CASES = {
+        "bump_delta": (
+            "datum = bump\ndelta = 0\n", "delta = 0.0 gives a zero bump datum (||grad u0|| = 0)"
+        ),
+        "power_law_delta": (
+            "datum = power_law\ndelta = 0\n",
+            "delta = 0.0 gives a zero power_law datum (||grad u0|| = 0)",
+        ),
+        # the first lattice shell of L = 32 lies at 2 pi / 32 = 0.196
+        "cutoff_rho": (
+            "datum = power_law\ncutoff_rho = 0.15\n",
+            "cutoff_rho = 0.15 gives a zero power_law datum: no lattice shell lies below it "
+            "(the first is at 2 pi / side_length = 0.1963)",
+        ),
+        # a checkpoint holding this one value everywhere
+        "zero_file": (0.0, "a zero or constant datum (||grad u0|| = 0)"),
+        "constant_file": (0.3, "a zero or constant datum (||grad u0|| = 0)"),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", list(ZERO_DATUM_CASES))
+    @pytest.mark.parametrize(
+        "experiment",
+        ["lyapunov", "energy-identity", "nonlinear-decay", "linear-decay", "splitting"],
+    )
+    def test_zero_datum_exits_2(self, tmp_path, capsys, experiment, case):
+        keys, reason = self.ZERO_DATUM_CASES[case]
+        if isinstance(keys, float):
+            chk = tmp_path / "u0.chk"
+            grid = TorusGrid(16, 32.0)
+            values = np.full(grid.shape, keys)
+            ev.save_checkpoint(chk, PhysicalField(grid, values), t=0.0, step_count=0)
+            keys = f"datum = file\ndatum_file = {chk}\n"
+            reason = f"datum_file '{chk}': " + reason
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\n" + keys)
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec(experiment, str(cfg), out_dir)) == 2
+        out = capsys.readouterr().out
+        assert out == f"config error: {reason}\n"
+        assert not out_dir.exists()
+
+    def test_decay_character_without_fit_shells_exits_2(self, tmp_path, capsys):
+        # the fit runs below cutoff_rho / 2 = 0.075; the first shell is at 0.196
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\ncutoff_rho = 0.15\n")
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("decay-character", str(cfg), out_dir)) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "config error: cutoff_rho = 0.15: decay-character fits the lattice shells below "
+            "cutoff_rho / 2, and the first lies at 2 pi / side_length = 0.1963"
+        )
+        assert not out_dir.exists()
+        # at exactly twice the first shell the fit has that shell
+        cfg.write_text(f"points_per_dim = 16\ncutoff_rho = {4 * np.pi / 32}\n")
+        assert parse_config(cfg, "decay-character").cutoff_rho == 4 * np.pi / 32
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"delta = 0.1\n\xff\n")
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("bubble-constants", str(cfg), out_dir)) == 2
+        message = f"config error: config file {cfg}: 'utf-8' codec can't decode byte 0xff"
+        assert capsys.readouterr().out.startswith(message)
+        assert not out_dir.exists()
+
     def test_config_echo_has_no_worker_count(self, tmp_path):
         spec = ExperimentSpec("bubble-constants", None, tmp_path / "out", threads=1)
         assert run_experiment(spec) == 0
@@ -487,6 +554,26 @@ class TestCli:
         message = f"config error: --threads {cpus + 1} exceeds the {cpus} CPUs this process may use"
         assert message in capsys.readouterr().out
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_main_out_on_a_file_exits_2(self, tmp_path, capsys, under):
+        # checked before the run, so nothing is computed or written
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "out" if under else blocker
+        assert main(["bubble-constants", "--out", str(out)]) == 2
+        message = f"config error: --out {out}: {blocker} exists and is not a directory"
+        assert capsys.readouterr().out.startswith(message)
+        assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_help_names_the_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "exit codes: 0 every verdict passed; 1 a check failed" in text
+        assert "2 a config or usage error. A traceback is a bug." in text
 
     def test_main_splitting_matches_nonlinear_decay_series(self, tmp_path):
         cfg = tmp_path / "c.cfg"

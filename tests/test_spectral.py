@@ -138,10 +138,6 @@ class TestMultipliers:
         assert np.array_equal(weight, grid.xi_mag**2)
         assert np.array_equal(heat_multiplier(grid, 0.3), np.exp(-0.3 * grid.xi_mag**2))
 
-    def test_negative_heat_time_rejected(self, small_grid):
-        with pytest.raises(ValueError, match="t >= 0"):
-            heat_multiplier(small_grid, -0.1)
-
 
 class TestDealias:
     """The pruned transforms against the full transforms of the masked field.
