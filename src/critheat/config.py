@@ -17,6 +17,11 @@ built with, and the stated q* of a `datum = file` checkpoint, which
 cannot be read off the file (default 0). A bump datum has q* = 1, so
 setting `profile_r` with it is an error. The q* sets the decay bound
 min(2 + q*, 1) and the automatic power-schedule alpha, max(2 + q*, 1) + 1.
+Likewise `delta` sizes a bump or power-law datum and `cutoff_rho` cuts
+off a power-law one; setting either for a datum that does not read it is
+an error, so the config echo in summary.json names only keys that shaped
+the datum. decay-character is the exception: it builds its own power-law
+datum from `profile_r` and `cutoff_rho`, whatever `datum` says.
 
 A bump datum must lie in the small-data regime, ||grad u0|| <= ||grad W||
 and E(u0) <= E(W), or the run is a config error. A file datum is not
@@ -42,7 +47,9 @@ from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
 # largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
-# N = 16, 200.8 at N = 32. nonlinear-decay reaches 65.9 and 196.2 MiB
+# N = 16, 200.8 at N = 32 when fitted, 67.3 and 200.3 now. The other solver
+# experiments peak lower: lyapunov at 66.2 and 192.3 MiB, nonlinear-decay
+# 65.1 and 181.8, splitting 65.2 and 180.3, linear-decay 62.0 and 113.4
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
 
@@ -196,6 +203,14 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             f"profile_r = {cfg.profile_r} is the q* of a power_law or file datum; "
             "datum = bump has q* = 1 and takes no profile_r"
         )
+    if experiment != "decay-character":
+        for key, shapes in (("cutoff_rho", ("power_law",)), ("delta", ("bump", "power_law"))):
+            value = getattr(cfg, key)
+            if cfg.datum not in shapes and value != getattr(HarnessConfig, key):
+                raise ConfigError(
+                    f"{key} = {value} shapes a {' or '.join(shapes)} datum; "
+                    f"datum = {cfg.datum} takes no {key}"
+                )
     if cfg.profile_r <= -2:
         raise ConfigError(
             f"profile_r = {cfg.profile_r} violates the decay-character hypothesis "

@@ -21,6 +21,19 @@ every array here is an (N, N, N, N/2 + 1) half-lattice array, the
 multipliers are real and even, and the cube of a real field is real, so
 the solution stays real by construction and no step checks it.
 
+Each lattice array is held once. The initial state shares its datum's
+coefficients through a read-only view, which is safe because no step
+writes a state's coefficients in place; a caller that drops its own
+reference to the datum frees it with the initial state, after the first
+step. While a step's new state computes its rates, the step holds the old
+and new states and:
+
+  * linear: nothing more. Its one factor, e^{-dt |xi|^2}, is built as the
+    in-place square of e^{-dt |xi|^2 / 2} (bit for bit e1 * e1) and is
+    released once it has made the new state;
+  * nonlinear: the factors e1 = e^{-dt |xi|^2 / 2} and e2 = e1 * e1 and
+    the RK4 stages b, c and d (stage a is the old state's cached cubic).
+
 Along the run three time integrals are accumulated by the trapezoid rule
 on steps: the Hdot^2 dissipation integral, the Hdot^1 pairing with the
 dealiased cubic, and the space-time L^6 mass. The energy identity reads
@@ -178,7 +191,10 @@ def _compute_rates(u_hat: SpectralField, nonlinear: bool) -> Rates:
 
 
 def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
-    return SolverState(t=0.0, u_hat=u0_hat.copy(), nonlinear=nonlinear)
+    """The state at t = 0; it shares the datum's coefficients through a read-only view."""
+    coeffs = u0_hat.coefficients.view()
+    coeffs.flags.writeable = False
+    return SolverState(t=0.0, u_hat=SpectralField(u0_hat.grid, coeffs), nonlinear=nonlinear)
 
 
 def step(
@@ -196,11 +212,11 @@ def step(
         raise ValueError("a forcing needs a nonlinear state; a linear step is exact")
     grid = state.u_hat.grid
     u = state.u_hat.coefficients
-    e1 = heat_multiplier(grid, 0.5 * dt)
-    e2 = e1 * e1
 
     try:
         if state.nonlinear:
+            e1 = heat_multiplier(grid, 0.5 * dt)
+            e2 = e1 * e1
 
             def rhs(coeffs: np.ndarray, t: float) -> np.ndarray:
                 out = nonlinear_term(SpectralField(grid, coeffs)).coefficients
@@ -214,7 +230,10 @@ def step(
             d = rhs(e2 * u + dt * e1 * c, state.t + dt)
             new_coeffs = e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
         else:
-            new_coeffs = e2 * u
+            factor = heat_multiplier(grid, 0.5 * dt)
+            factor *= factor  # e^{-dt |xi|^2}, bit for bit e1 * e1
+            new_coeffs = factor * u
+            del factor  # not held while the new state's rates run
 
         new_state = SolverState(
             t=state.t + dt,

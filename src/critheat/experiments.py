@@ -116,6 +116,7 @@ def run_simulation(
     t_end = cfg.resolved_t_end()
     times = ev.log_spaced_snapshots(cfg.resolved_snapshot_t_min(), t_end, cfg.snapshot_count)
     state = ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity)
+    del u0_hat  # the state shares it; a datum built inline is freed after the first step
     records = {key: [dg.record(state, sched)] for key, sched in schedules.items()}
     for t_snap in times:
         state = ev.advance(state, t_snap, cfg.dt)

@@ -194,9 +194,6 @@ class SpectralField:
                 f"spectrum shape {self.grid.spectral_shape}"
             )
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coefficients.copy())
-
 
 def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
     if a != b:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,18 @@ def cosine_field(grid: TorusGrid, amplitude: float = 1.0, mode: int = 1) -> Phys
     profile = amplitude * np.cos(mode * grid.frequency_spacing * grid.x_axis)
     values = np.broadcast_to(profile[:, None, None, None], grid.shape).copy()
     return PhysicalField(grid, values)
+
+
+def traced_peak(run, grid: TorusGrid) -> float:
+    """Peak memory that run() allocates, under tracemalloc, in half spectra of the grid.
+
+    A half spectrum is N^3 (N/2 + 1) complex values; a real half-lattice
+    factor counts 0.5 and a physical field N/(N + 2).
+    """
+    n = grid.points_per_dim
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (n**3 * (n // 2 + 1) * 16)
+    finally:
+        tracemalloc.stop()

@@ -15,7 +15,7 @@ from critheat.spectral import (
     transform_inverse,
 )
 
-from conftest import cosine_field, kept_band_mask
+from conftest import cosine_field, kept_band_mask, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +196,24 @@ class TestStep:
             errs.append(np.sqrt(sobolev_norm_sq(diff, 0.0)))
         ratio = errs[0] / errs[1]
         assert ratio == pytest.approx(8.0, rel=0.15)
+
+
+class TestLatticeArraysHeldOnce:
+    def test_initial_state_shares_the_datum_read_only(self, random_spec):
+        state = ev.initial_state(random_spec)
+        assert np.shares_memory(state.u_hat.coefficients, random_spec.coefficients)
+        with pytest.raises(ValueError, match="read-only"):
+            state.u_hat.coefficients *= 2.0
+        assert random_spec.coefficients.flags.writeable
+
+    def test_linear_step_holds_one_factor(self, random_spec):
+        # the new state (1), the dealiased inverse's work array (1) and field
+        # (16/18) peak together with the factor e^{-dt|xi|^2} (0.5) released;
+        # e^{-dt|xi|^2/2} and e^{-dt|xi|^2} both alive add 1.0
+        state = ev.initial_state(random_spec, nonlinear=False)
+        state.rates()
+        ev.step(state, 0.5)  # first calls, outside the trace
+        assert traced_peak(lambda: ev.step(state, 0.5), random_spec.grid) <= 3.0
 
 
 class TestManufacturedOrder:

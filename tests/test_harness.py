@@ -13,10 +13,12 @@ from critheat import bubble as bb
 from critheat import evolution as ev
 from critheat import experiments
 from critheat.config import _PARSERS, ConfigError, HarnessConfig, _parse_float, parse_config
-from critheat.diagnostics import CSV_COLUMNS
+from critheat.diagnostics import CSV_COLUMNS, SplittingSchedule
 from critheat.experiments import ExperimentSpec, build_datum, run_experiment
 from critheat.spectral import PhysicalField, TorusGrid, sobolev_norm_sq
 from critheat.cli import main
+
+from conftest import traced_peak
 
 
 class TestParseConfig:
@@ -151,6 +153,16 @@ class TestParseConfig:
         path.write_text("datum = bump\nprofile_r = 0\n")
         assert parse_config(path).nominal_q_star() == 1.0
 
+    def test_datum_rejects_keys_it_ignores(self, tmp_path):
+        # a file datum is given whole (see also test_key_the_datum_ignores_exits_2)
+        path = tmp_path / "c.cfg"
+        path.write_text("datum = file\ndatum_file = u0.chk\ncutoff_rho = 0.5\n")
+        with pytest.raises(ConfigError, match=r"cutoff_rho = 0.5 .*datum = file"):
+            parse_config(path, "splitting")
+        # decay-character builds its own power-law datum from cutoff_rho
+        path.write_text("datum = bump\ncutoff_rho = 0.5\n")
+        assert parse_config(path, "decay-character").cutoff_rho == 0.5
+
     def test_cutoff_validation_names_nyquist(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("cutoff_rho = 50\n")
@@ -239,6 +251,23 @@ class TestBuildDatum:
             build_datum(cfg)
 
 
+class TestRunSimulation:
+    def test_linear_run_holds_each_array_once(self, tmp_path):
+        # the state shares the datum built inline, which is freed after the
+        # first step, and a linear step holds one heat factor: 6.40 half
+        # spectra; a copied datum and a second factor would add 2.0
+        path = tmp_path / "c.cfg"
+        path.write_text("points_per_dim = 16\nsnapshot_count = 6\n")
+        cfg = parse_config(path, "linear-decay")
+        sched = SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
+
+        def run():
+            experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched})
+
+        run()  # first calls, outside the trace
+        assert traced_peak(run, TorusGrid(16, cfg.side_length)) <= 6.5
+
+
 class TestRunExperiment:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -285,6 +314,29 @@ class TestRunExperiment:
         assert run_experiment(spec) == 2
         out = capsys.readouterr().out
         assert "config error: snapshot_t_min must be positive (or 0 for t_end / 500)" in out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, keys, reason",
+        [
+            (
+                "lyapunov",
+                "cutoff_rho = 0.5\n",
+                "cutoff_rho = 0.5 shapes a power_law datum; datum = bump takes no cutoff_rho",
+            ),
+            (
+                "nonlinear-decay",
+                "datum = file\ndatum_file = u0.chk\ndelta = 0.7\n",
+                "delta = 0.7 shapes a bump or power_law datum; datum = file takes no delta",
+            ),
+        ],
+        ids=["bump-cutoff_rho", "file-delta"],
+    )
+    def test_key_the_datum_ignores_exits_2(self, tmp_path, capsys, experiment, keys, reason):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\n" + keys)
+        assert run_experiment(ExperimentSpec(experiment, str(cfg), tmp_path / "out")) == 2
+        assert capsys.readouterr().out == f"config error: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     def test_inadmissible_bump_exits_2(self, tmp_path, capsys):
