@@ -32,7 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "FFT worker count, at most the CPUs this process may use "
-            "(default 1; the outputs do not depend on it)"
+            "(default 1; the outputs do not depend on it). It pays only on "
+            "large grids: on a 2-CPU machine, 2 workers slowed nonlinear-decay "
+            "at N = 16 from 0.6 s to 0.9-1.2 s, left N = 32 unchanged and cut "
+            "the step time at N = 48 by 22%%"
         ),
     )
     return parser

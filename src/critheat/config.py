@@ -47,9 +47,9 @@ from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
 # largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
-# N = 16, 200.8 at N = 32 when fitted, 67.3 and 200.3 now. The other solver
-# experiments peak lower: lyapunov at 66.2 and 192.3 MiB, nonlinear-decay
-# 65.1 and 181.8, splitting 65.2 and 180.3, linear-decay 62.0 and 113.4
+# N = 16, 200.8 at N = 32 when fitted, 66.9 and 192.8 now. The other solver
+# experiments peak lower: nonlinear-decay at 65.4 and 188.8 MiB, splitting
+# 65.4 and 188.7, lyapunov 65.8 and 183.7, linear-decay 62.8 and 117.6
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
 

@@ -9,11 +9,15 @@ Each solver snapshot yields one record, each field from one source:
     inside and outside the ball B(t);
   * `grad_h1_sq`: the Hdot^2 dissipation cached in `SolverState.rates()`;
   * `l4_fourth`: h^4 sum u^4 from `SolverState.norms()`, and `energy`
-    = (1/2) h1_sq - (1/4) l4_fourth;
+    = (1/2) h1_sq - (1/4) l4_fourth. A band-limited state reads it from
+    the dealiased field its rates hold, which is then bit for bit the full
+    inverse transform; any other state inverse-transforms its field once;
   * `l6_accum`: the space-time L^6 integral the solver accumulates;
   * `pairing`: the Hdot^1 pairing with the dealiased cubic, cached in the
-    rates of a nonlinear state and computed here for a linear one, whose
-    rates carry no cubic; `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
+    rates of a nonlinear state. A linear state's rates carry no cubic, so
+    the record takes it from `SolverState.cubic()`: the cube of the
+    dealiased field the state holds, transformed forward once, with no
+    inverse transform; `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
 
 The splitting ball is
 
@@ -42,9 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import SolverState, nonlinear_term
-# transform_inverse is bound here for the transform counts of
-# tests/test_diagnostics.py::test_transforms_per_state and bench/test_checks.py
+# nonlinear_term and transform_inverse are bound here, though no record
+# calls them, for the counts of tests/test_diagnostics.py and bench/
+from .evolution import SolverState, nonlinear_term  # noqa: F401
 from .spectral import (  # noqa: F401
     SpectralField,
     sobolev_density,
@@ -127,7 +131,7 @@ def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord
     Everything but the Hdot^1 density comes from the state's caches, so a
     second record of the same nonlinear state (another schedule)
     transforms nothing. A linear state caches no cubic, so its pairing is
-    computed here.
+    computed here, from the cube of the field the state holds.
     """
     u_hat = state.u_hat
     h1_sq, low_sq, high_sq = splitting_split(u_hat, schedule, state.t)
@@ -137,7 +141,7 @@ def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord
     if state.nonlinear:
         pairing = state.rates().pairing
     else:
-        pairing = sobolev_inner(u_hat, nonlinear_term(u_hat), 1.0)
+        pairing = sobolev_inner(u_hat, state.cubic(), 1.0)
     denom = grad_h1_sq * h1_sq
     pairing_ratio = abs(pairing) / denom if denom > 0 else 0.0
     return DiagnosticsRecord(

@@ -8,7 +8,8 @@ e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
 `spectral.heat_multiplier`. Each step computes its factors, with no
 cache, since `advance` changes dt with every snapshot interval. The
 cubic term is evaluated pseudospectrally with the 2/3 rule on both input
-and output, by one routine for `nonlinear_term` and the rates. The rule
+and output; `nonlinear_term`, the rates and `SolverState.cubic` share
+one cube of the dealiased field. The rule
 is applied inside the transforms (`dealiased=True`, see `spectral`): the
 inverse transforms only the kept band of the state, the forward transform
 returns only the kept band of the cube, and neither runs the FFT lines
@@ -26,7 +27,7 @@ coefficients through a read-only view, which is safe because no step
 writes a state's coefficients in place; a caller that drops its own
 reference to the datum frees it with the initial state, after the first
 step. While a step's new state computes its rates, the step holds the old
-and new states and:
+and new states (the old one without its held field, below) and:
 
   * linear: nothing more. Its one factor, e^{-dt |xi|^2}, is built as the
     in-place square of e^{-dt |xi|^2 / 2} (bit for bit e1 * e1) and is
@@ -49,10 +50,35 @@ computes its transforms at most once, on first use, and caches them
     L^6 mass as cube * cube, and the Hdot^1 pairing) and the dealiased
     cubic, which is the first RK4 stage of the next step. A linear state
     skips the forward transform.
-  * `SolverState.norms()`: one inverse transform of the undealiased
-    field, giving sup |u| for the stability bound and h^4 sum u^4.
+  * `SolverState.norms()`: sup |u| for the stability bound and h^4 sum u^4,
+    from the undealiased field: one full inverse transform, or none for a
+    band-limited state (below).
+  * `SolverState.cubic()`: the dealiased cubic of a linear state, whose
+    rates carry none, for its record's pairing: the cube of the held
+    field, transformed forward.
 
-Powers of the field are products (v * v * v), never the generic `pow`.
+A state is band-limited when every mode outside the 2/3 band is exactly
+zero. `initial_state` checks the datum once, and a step passes the flag
+on: the heat factor and the IF-RK4 update leave an out-of-band mode at
+e2 * 0 = 0, since every RK4 stage is a dealiased cubic. A forcing clears
+the flag. The dealiased inverse of a band-limited field is bit for bit
+its full inverse (see `spectral`), so its norms read the field its rates
+transformed. A spectral power-law datum whose cutoff lies inside the
+band is band-limited. A bump, a file datum (whose round trip through
+physical space leaves roundoff outside the band) and a power law cut
+off past the band are not, and their norms take the full inverse.
+
+A linear or band-limited state holds its dealiased field, read-only,
+from its rates until a step leaves it: `step` reads the old state's
+rates first and then releases the field, which no later step or record
+reads; it frees its cube before the rates' Sobolev densities run, so
+the field takes the cube's place. Any other state frees the field once
+it is cubed, and the cube when its rates are done. A released field is
+transformed again if a record still asks for it.
+
+Powers of the field are products (v * v * v), never the generic `pow`;
+the cube is built in place (v * v, then *= v) and u^6 is its in-place
+square.
 
 The dt stability bound is 1.5 / max(||u||_inf^2, dxi^2) with a safety
 factor 0.5, re-evaluated every `_RECHECK_EVERY` = 100 steps while advancing.
@@ -84,6 +110,7 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     heat_multiplier,
+    is_band_limited,
     sobolev_inner,
     sobolev_norm_sq,
     transform_forward,
@@ -138,25 +165,73 @@ class SolverState:
     pairing_integral: float = 0.0
     l6_integral: float = 0.0
     nonlinear: bool = True
+    band_limited: bool = False
     _rates: Rates | None = dataclass_field(default=None, repr=False)
     _norms: Norms | None = dataclass_field(default=None, repr=False)
+    _field: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     def rates(self) -> Rates:
-        """The state's step-endpoint rates, computed on first use."""
+        """The state's step-endpoint rates, computed on first use.
+
+        A linear or band-limited state keeps the dealiased field transformed
+        here, read-only, until a step leaves the state.
+        """
         if self._rates is None:
-            self._rates = _compute_rates(self.u_hat, self.nonlinear)
+            grid = self.u_hat.grid
+            v = transform_inverse(self.u_hat, dealiased=True).values
+            cube = _cube(v)
+            if not self.nonlinear or self.band_limited:
+                v.flags.writeable = False
+                self._field = v
+            del v
+            nl = None
+            if self.nonlinear:
+                # first the transform, whose finiteness check names a blow-up
+                # before the Hdot^2 density of a huge field overflows
+                nl = transform_forward(PhysicalField(grid, cube), dealiased=True)
+            with np.errstate(over="ignore"):
+                cube *= cube  # u^6, bit for bit cube * cube
+            l6 = float(grid.spacing**4 * np.sum(cube))
+            if self._field is not None:
+                # the held field takes the cube's place in the densities;
+                # freeing the cube early elsewhere only costs page faults
+                del cube
+            diss = sobolev_norm_sq(self.u_hat, 2.0)
+            if nl is None:
+                self._rates = Rates(diss, 0.0, l6, None)
+            else:
+                pair = sobolev_inner(self.u_hat, nl, 1.0)
+                self._rates = Rates(diss, pair, l6, nl.coefficients)
         return self._rates
 
     def norms(self) -> Norms:
-        """sup |u| and h^4 sum u^4 of the state, from one inverse transform on first use."""
+        """sup |u| and h^4 sum u^4 of the undealiased field, computed on first use."""
         if self._norms is None:
-            u = transform_inverse(self.u_hat).values
+            u = self._physical(dealiased=False)
             sq = u * u
+            sq *= sq
             self._norms = Norms(
-                float(np.max(np.abs(u))),
-                float(self.u_hat.grid.spacing**4 * np.sum(sq * sq)),
+                float(max(u.max(), -u.min())),
+                float(self.u_hat.grid.spacing**4 * np.sum(sq)),
             )
         return self._norms
+
+    def cubic(self) -> SpectralField:
+        """The dealiased forward transform of u^3, u the dealiased field.
+
+        A linear state's rates carry no cubic; its record takes the cubic
+        from here, from the held field: one forward transform, no inverse.
+        """
+        cube = _cube(self._physical(dealiased=True))
+        return transform_forward(PhysicalField(self.u_hat.grid, cube), dealiased=True)
+
+    def _physical(self, dealiased: bool) -> np.ndarray:
+        """The field in physical space: the held field where it is the same bit for bit."""
+        if dealiased or self.band_limited:
+            self.rates()
+            if self._field is not None:
+                return self._field
+        return transform_inverse(self.u_hat, dealiased=dealiased).values
 
 
 def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
@@ -164,37 +239,30 @@ def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
     return SpectralField(u_hat.grid, u_hat.coefficients * heat_multiplier(u_hat.grid, t))
 
 
-def _dealiased_cube(u_hat: SpectralField) -> PhysicalField:
-    """u^3 for u the dealiased inverse transform of u_hat; overflow is left as inf."""
-    v = transform_inverse(u_hat, dealiased=True).values
+def _cube(v: np.ndarray) -> np.ndarray:
+    """v^3 in one new array, bit for bit v * v * v; overflow is left as inf."""
     with np.errstate(over="ignore"):
-        return PhysicalField(u_hat.grid, v * v * v)
+        cube = v * v
+        cube *= v
+    return cube
 
 
 def nonlinear_term(u_hat: SpectralField) -> SpectralField:
     """The dealiased forward transform of u^3, u the dealiased inverse transform of u_hat."""
-    return transform_forward(_dealiased_cube(u_hat), dealiased=True)
-
-
-def _compute_rates(u_hat: SpectralField, nonlinear: bool) -> Rates:
-    cubed = _dealiased_cube(u_hat)
-    with np.errstate(over="ignore"):
-        l6 = float(u_hat.grid.spacing**4 * np.sum(cubed.values * cubed.values))
-    if not nonlinear:
-        return Rates(sobolev_norm_sq(u_hat, 2.0), 0.0, l6, None)
-    # first the transform, whose finiteness check names a blow-up before the
-    # Hdot^2 density of a huge field overflows
-    nl = transform_forward(cubed, dealiased=True)
-    diss = sobolev_norm_sq(u_hat, 2.0)
-    pair = sobolev_inner(u_hat, nl, 1.0)
-    return Rates(diss, pair, l6, nl.coefficients)
+    cube = _cube(transform_inverse(u_hat, dealiased=True).values)
+    return transform_forward(PhysicalField(u_hat.grid, cube), dealiased=True)
 
 
 def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
     """The state at t = 0; it shares the datum's coefficients through a read-only view."""
     coeffs = u0_hat.coefficients.view()
     coeffs.flags.writeable = False
-    return SolverState(t=0.0, u_hat=SpectralField(u0_hat.grid, coeffs), nonlinear=nonlinear)
+    return SolverState(
+        t=0.0,
+        u_hat=SpectralField(u0_hat.grid, coeffs),
+        nonlinear=nonlinear,
+        band_limited=is_band_limited(u0_hat),
+    )
 
 
 def step(
@@ -214,6 +282,8 @@ def step(
     u = state.u_hat.coefficients
 
     try:
+        old = state.rates()
+        state._field = None  # the step leaves the state, and nothing reads it again
         if state.nonlinear:
             e1 = heat_multiplier(grid, 0.5 * dt)
             e2 = e1 * e1
@@ -222,7 +292,7 @@ def step(
                 out = nonlinear_term(SpectralField(grid, coeffs)).coefficients
                 return out if forcing is None else out + forcing(t)
 
-            a = state.rates().nl_hat
+            a = old.nl_hat
             if forcing is not None:
                 a = a + forcing(state.t)
             b = rhs(e1 * (u + 0.5 * dt * a), state.t + 0.5 * dt)
@@ -243,8 +313,9 @@ def step(
             pairing_integral=state.pairing_integral,
             l6_integral=state.l6_integral,
             nonlinear=state.nonlinear,
+            # out-of-band modes stay e2 * 0 + 0 = 0; a forcing may fill them
+            band_limited=state.band_limited and forcing is None,
         )
-        old = state.rates()
         new = new_state.rates()
     except NonFiniteField as exc:
         raise BlowUpSuspected(state) from exc

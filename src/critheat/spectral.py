@@ -58,6 +58,11 @@ Each line that runs is the same 1D transform as in the full pass. The
 dealiased inverse checks the whole half spectrum for finiteness, as the
 mask did when it turned a non-finite dropped mode into NaN.
 
+A field is band-limited when every mode outside the kept band is exactly
+zero (`is_band_limited`). The mask then changes nothing, so its dealiased
+inverse is, bit for bit, its full inverse: `evolution` reads both from one
+transform.
+
 This module is the only one that calls scipy.fft or knows the lattice
 layout. The worker count is set once per process (`set_fft_workers`);
 results are bit-identical across worker counts and all reductions are
@@ -204,6 +209,17 @@ def _kept_band(n: int) -> tuple[tuple[slice, slice], slice]:
     """The 2/3 rule's kept indices |k_i| <= N/3: two ranges on a full axis, one on the half axis."""
     m = n // 3
     return (slice(0, m + 1), slice(n - m, n)), slice(0, m + 1)
+
+
+def is_band_limited(field: SpectralField) -> bool:
+    """Whether every mode of the half spectrum outside the 2/3 band is exactly zero."""
+    (low, high), half = _kept_band(field.grid.points_per_dim)
+    gap = slice(low.stop, high.start)
+    band = field.coefficients[..., half]
+    outside = [field.coefficients[..., half.stop:], band[gap]]
+    outside += [band[i, gap] for i in (low, high)]
+    outside += [band[i, j, gap] for i, j in product((low, high), repeat=2)]
+    return not any(np.any(part) for part in outside)
 
 
 def _fft_pass(block: np.ndarray, axis: int, inverse: bool) -> None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from critheat import decay as dc
 from critheat import diagnostics as dg
 from critheat import evolution as ev
 from critheat.spectral import (
@@ -203,6 +204,31 @@ class TestRecordCaches:
         # transform of its cube; each step: three RK4 stage cubics
         assert len(inverse) == (n + 1) + 3 * n + len(full)
         assert len(forward) == (n + 1) + 3 * n
+        assert all(dealiased for _, dealiased in forward)
+
+    def test_band_limited_linear_run_transforms_once_per_state(self, monkeypatch):
+        # cutoff 1.4 lies inside the 2/3 band at N = L = 16
+        datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
+        inverse, forward, record_cubics = [], [], []
+        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, inverse))
+        monkeypatch.setattr(ev, "transform_forward", _counted(ev.transform_forward, forward))
+        monkeypatch.setattr(dg, "transform_inverse", _counted(dg.transform_inverse, inverse))
+        monkeypatch.setattr(dg, "nonlinear_term", _counted(dg.nonlinear_term, record_cubics))
+        state = ev.initial_state(datum, nonlinear=False)
+        assert state.band_limited
+        records = [dg.record(state, SCHEDULE)]
+        for t in (0.01, 0.02):
+            state = ev.advance(state, t, 0.005)
+            records.append(dg.record(state, SCHEDULE))
+        ev.stability_bound(state)
+        n = state.step_count
+        assert n == 4
+        assert record_cubics == []
+        # each of the n + 1 states: one dealiased inverse, no full inverse;
+        # each record: one forward transform of the held field's cube
+        assert len(inverse) == n + 1
+        assert all(dealiased for _, dealiased in inverse)
+        assert len(forward) == len(records)
         assert all(dealiased for _, dealiased in forward)
 
 

@@ -216,6 +216,63 @@ class TestLatticeArraysHeldOnce:
         assert traced_peak(lambda: ev.step(state, 0.5), random_spec.grid) <= 3.0
 
 
+class TestHeldField:
+    """A band-limited state stays band-limited and reads its norms from its held field."""
+
+    @pytest.fixture()
+    def power_law(self) -> SpectralField:
+        # cutoff 1.4 lies inside the 2/3 band at N = L = 16
+        return dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_steps_keep_out_of_band_modes_zero(self, power_law, nonlinear):
+        outside = ~kept_band_mask(power_law.grid)
+        state = ev.initial_state(power_law, nonlinear=nonlinear)
+        assert state.band_limited
+        for _ in range(3):
+            state = ev.step(state, 0.05)
+            assert state.band_limited
+            assert np.all(state.u_hat.coefficients[outside] == 0)
+            assert np.count_nonzero(state.u_hat.coefficients) > 0
+
+    def test_forcing_clears_the_flag(self, power_law):
+        state = ev.initial_state(power_law)
+        forced = ev.step(state, 0.05, forcing=lambda t: np.zeros(power_law.grid.spectral_shape))
+        assert not forced.band_limited
+
+    @pytest.mark.parametrize("datum", ["power_law", "random"])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_norms_equal_the_full_inverse_norms(self, power_law, random_spec, datum, nonlinear):
+        # a band-limited state reads its held field; a linear state that is
+        # not band-limited holds a dealiased field that its norms must not read
+        u0 = power_law if datum == "power_law" else random_spec
+        state = ev.advance(ev.initial_state(u0, nonlinear=nonlinear), 0.1, 0.05)
+        assert state.band_limited == (datum == "power_law")
+        got = state.norms()
+        # a nonlinear state that is not band-limited holds no field
+        full = ev.SolverState(t=state.t, u_hat=state.u_hat).norms()
+        assert got == full
+
+    @pytest.mark.parametrize("datum, nonlinear, holds", [
+        ("power_law", True, True),
+        ("power_law", False, True),
+        ("random", True, False),
+        ("random", False, True),
+    ])
+    def test_which_states_hold_their_field(self, power_law, random_spec, datum, nonlinear, holds):
+        state = ev.initial_state(power_law if datum == "power_law" else random_spec, nonlinear)
+        state.rates()
+        assert (state._field is not None) == holds
+        if holds:
+            assert np.array_equal(
+                state._field, transform_inverse(state.u_hat, dealiased=True).values
+            )
+            assert not state._field.flags.writeable
+        new = ev.step(state, 0.05)
+        assert state._field is None  # released once the step leaves the state
+        assert (new._field is not None) == holds
+
+
 class TestManufacturedOrder:
     def test_fourth_order_convergence(self, grid):
         # forced single-mode solution: u*(t) = phi(t) cos(dxi x1)

@@ -15,7 +15,14 @@ from critheat import experiments
 from critheat.config import _PARSERS, ConfigError, HarnessConfig, _parse_float, parse_config
 from critheat.diagnostics import CSV_COLUMNS, SplittingSchedule
 from critheat.experiments import ExperimentSpec, build_datum, run_experiment
-from critheat.spectral import PhysicalField, TorusGrid, sobolev_norm_sq
+from critheat.spectral import (
+    PhysicalField,
+    SpectralField,
+    TorusGrid,
+    is_band_limited,
+    sobolev_norm_sq,
+    transform_inverse,
+)
 from critheat.cli import main
 
 from conftest import traced_peak
@@ -266,6 +273,53 @@ class TestRunSimulation:
 
         run()  # first calls, outside the trace
         assert traced_peak(run, TorusGrid(16, cfg.side_length)) <= 6.5
+
+
+class TestBandLimitedDatum:
+    """Which data start band-limited, and that reading their held field changes no byte."""
+
+    @pytest.mark.parametrize("config, limited", [
+        # the power-law cutoff 1.4 against the band edge floor(N/3) 2 pi / L
+        ("points_per_dim = 16\nside_length = 16\n", True),   # edge 1.96
+        ("points_per_dim = 32\nside_length = 32\n", True),   # edge 1.96
+        ("points_per_dim = 16\nside_length = 32\n", False),  # edge 0.98
+        ("points_per_dim = 16\ndatum = bump\n", False),
+    ])
+    def test_built_datum_flag(self, tmp_path, config, limited):
+        path = tmp_path / "c.cfg"
+        path.write_text(config)
+        assert ev.initial_state(build_datum(parse_config(path))).band_limited is limited
+
+    def test_file_datum_is_not_band_limited(self, tmp_path):
+        # a band-limited power-law spectrum with random phases; its round
+        # trip through physical space leaves roundoff outside the band
+        path = tmp_path / "c.cfg"
+        path.write_text("points_per_dim = 16\nside_length = 16\n")
+        spectral = build_datum(parse_config(path))
+        grid = spectral.grid
+        noise = np.fft.rfftn(np.random.default_rng(7).standard_normal(grid.shape))
+        phased = SpectralField(grid, spectral.coefficients * (noise / np.abs(noise)))
+        assert is_band_limited(phased)
+        chk = tmp_path / "u0.chk"
+        ev.save_checkpoint(chk, transform_inverse(phased), t=0.0, step_count=0)
+        path.write_text(f"points_per_dim = 16\nside_length = 16\ndatum = file\ndatum_file = {chk}\n")
+        assert not ev.initial_state(build_datum(parse_config(path))).band_limited
+
+    @pytest.mark.parametrize("experiment", ["linear-decay", "nonlinear-decay"])
+    def test_held_field_changes_no_byte(self, tmp_path, monkeypatch, experiment):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nside_length = 16\nt_end = 0.2\nsnapshot_count = 8\n")
+        assert ev.initial_state(build_datum(parse_config(cfg, experiment))).band_limited
+        outputs = {}
+        for name in ("held", "full"):
+            if name == "full":
+                # every state then takes its norms from a full inverse transform
+                monkeypatch.setattr(ev, "is_band_limited", lambda field: False)
+                assert not ev.initial_state(build_datum(parse_config(cfg, experiment))).band_limited
+            out = tmp_path / name
+            run_experiment(ExperimentSpec(experiment, str(cfg), out))
+            outputs[name] = [(out / f).read_bytes() for f in ("series.csv", "summary.json")]
+        assert outputs["held"] == outputs["full"]
 
 
 class TestRunExperiment:

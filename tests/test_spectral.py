@@ -9,6 +9,7 @@ from critheat.spectral import (
     SpectralField,
     TorusGrid,
     heat_multiplier,
+    is_band_limited,
     lebesgue_norm,
     set_fft_workers,
     sobolev_inner,
@@ -197,6 +198,22 @@ class TestDealias:
         coeffs[7, 0, 0, 0] = bad
         with pytest.raises(NonFiniteField):
             transform_inverse(SpectralField(small_grid, coeffs), dealiased=True)
+
+
+    @pytest.mark.parametrize("n", [16, 18, 24])
+    def test_band_limited_is_the_kept_band_mask(self, n, rng):
+        # out-of-band modes, each set alone to the smallest subnormal, unset it
+        grid = TorusGrid(n, 7.0)
+        mask = kept_band_mask(grid)
+        spec = transform_forward(PhysicalField(grid, rng.standard_normal(grid.shape)))
+        limited = spec.coefficients * mask
+        assert is_band_limited(SpectralField(grid, limited))
+        assert not is_band_limited(spec)
+        for index in rng.permutation(np.argwhere(~mask))[:3000]:
+            index = tuple(index)
+            limited[index] = 5e-324j
+            assert not is_band_limited(SpectralField(grid, limited)), index
+            limited[index] = 0
 
 
 class TestSobolevNorms:
