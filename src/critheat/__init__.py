@@ -6,7 +6,6 @@ from .spectral import (  # noqa: F401
     PhysicalField,
     SpectralField,
     TorusGrid,
-    lebesgue_norm,
     set_fft_workers,
     sobolev_norm_sq,
     transform_forward,

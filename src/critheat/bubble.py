@@ -33,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from .spectral import (
     PhysicalField,
     TorusGrid,
-    lebesgue_norm,
+    l4_fourth,
     sobolev_norm_sq,
     transform_forward,
 )
@@ -219,7 +219,7 @@ def subcritical_datum(grid: TorusGrid, delta: float) -> SubcriticalDatum:
     scale = delta * grad_w / raw_grad
     field = PhysicalField(grid, scale * bump)
     grad_l2 = np.sqrt(sobolev_norm_sq(transform_forward(field), 1.0))
-    energy = 0.5 * grad_l2**2 - 0.25 * lebesgue_norm(field, 4) ** 4
+    energy = 0.5 * grad_l2**2 - 0.25 * l4_fourth(field)
     return SubcriticalDatum(
         field=field,
         delta=delta,

@@ -48,8 +48,8 @@ from .spectral import TorusGrid
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
 # largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
 # N = 16, 200.8 at N = 32 when fitted, 66.9 and 192.8 now. The other solver
-# experiments peak lower: nonlinear-decay at 65.4 and 188.8 MiB, splitting
-# 65.4 and 188.7, lyapunov 65.8 and 183.7, linear-decay 62.8 and 117.6
+# experiments peak lower: nonlinear-decay at 65.4 and 188.8 MiB, lyapunov
+# 65.8 and 183.7, linear-decay 62.8 and 117.6
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
 
@@ -129,7 +129,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
         "dt": 0.004,
         "t_end": 0.5,
     },
-    "splitting": {"snapshot_count": 32},
 }
 
 

@@ -8,7 +8,7 @@ Each solver snapshot yields one record, each field from one source:
     the exact partition stays a check; `low_sq` and `high_sq` are its sums
     inside and outside the ball B(t);
   * `grad_h1_sq`: the Hdot^2 dissipation cached in `SolverState.rates()`;
-  * `l4_fourth`: h^4 sum u^4 from `SolverState.norms()`, and `energy`
+  * `l4_fourth`: `spectral.l4_fourth` in `SolverState.norms()`, and `energy`
     = (1/2) h1_sq - (1/4) l4_fourth. A band-limited state reads it from
     the dealiased field its rates hold, which is then bit for bit the full
     inverse transform; any other state inverse-transforms its field once;

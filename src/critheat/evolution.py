@@ -111,6 +111,7 @@ from .spectral import (
     TorusGrid,
     heat_multiplier,
     is_band_limited,
+    l4_fourth,
     sobolev_inner,
     sobolev_norm_sq,
     transform_forward,
@@ -208,11 +209,8 @@ class SolverState:
         """sup |u| and h^4 sum u^4 of the undealiased field, computed on first use."""
         if self._norms is None:
             u = self._physical(dealiased=False)
-            sq = u * u
-            sq *= sq
             self._norms = Norms(
-                float(max(u.max(), -u.min())),
-                float(self.u_hat.grid.spacing**4 * np.sum(sq)),
+                float(max(u.max(), -u.min())), l4_fourth(PhysicalField(self.u_hat.grid, u))
             )
         return self._norms
 

@@ -27,6 +27,7 @@ from .config import ConfigError, HarnessConfig, parse_config
 from .spectral import (
     SpectralField,
     TorusGrid,
+    l4_fourth,
     set_fft_workers,
     sobolev_norm_sq,
     transform_forward,
@@ -89,8 +90,7 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
         u0_hat = transform_forward(field)
         # the t = 0 record sums u^4 and cubes the field; both are finite if the sum is
         with np.errstate(over="ignore"):
-            sq = field.values * field.values
-            if not np.isfinite(np.sum(sq * sq)):
+            if not np.isfinite(l4_fourth(field)):
                 raise ValueError(f"max |u| = {np.max(np.abs(field.values)):.3g} overflows u^4")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"datum_file {cfg.datum_file!r}: {exc}") from exc
@@ -338,11 +338,12 @@ def _partition_defect(records: Sequence[dg.DiagnosticsRecord]) -> float:
     return worst
 
 
-def _split_checks(cfg: HarnessConfig) -> tuple[dict, list, dict, dict]:
-    """Run under the power and log-cubed schedules and check the splitting.
+def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
+    """The decay bound on the power-schedule records, and the splitting under both schedules.
 
-    Returns the schedules, the power-schedule records, the summary entries
-    of the exact partition and the key inequality, and their verdicts.
+    One simulation records every snapshot under the power and the
+    log-cubed schedule: the partition low + high = h1 must be exact and
+    the key inequality must hold under each.
     """
     schedules = {
         "power": dg.SplittingSchedule(dg.POWER, cfg.resolved_schedule_alpha(), cfg.c_tilde),
@@ -351,21 +352,12 @@ def _split_checks(cfg: HarnessConfig) -> tuple[dict, list, dict, dict]:
     result = run_simulation(cfg, build_datum(cfg), schedules)
     partition = max(_partition_defect(records) for records in result.values())
     key = {name: dg.key_inequality_check(result[name], s) for name, s in schedules.items()}
-    entries = {
-        "partition_max_defect": partition,
-        "key_inequality": {f"{name}_max_margin": k.max_margin for name, k in key.items()},
-    }
-    verdicts = {"partition_exact": partition <= 1e-13}
-    verdicts.update({f"key_inequality_{name}": k.passed for name, k in key.items()})
-    return schedules, result["power"], entries, verdicts
-
-
-def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
-    _, records, entries, split_verdicts = _split_checks(cfg)
+    records = result["power"]
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
     bound_ok = fit is not None and dg.bound_check(q_star, fit, cfg.bound_tol)
-    verdicts = {"bound_check": bound_ok, **split_verdicts}
+    verdicts = {"bound_check": bound_ok, "partition_exact": partition <= 1e-13}
+    verdicts.update({f"key_inequality_{name}": k.passed for name, k in key.items()})
     summary = _base_summary("nonlinear-decay", cfg)
     summary.update(
         {
@@ -373,7 +365,8 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
             "decay_bound": min(2.0 + q_star, 1.0),
             "bound_tol": cfg.bound_tol,
             "fit": fit_entry,
-            **entries,
+            "partition_max_defect": partition,
+            "key_inequality": {f"{name}_max_margin": k.max_margin for name, k in key.items()},
             "verdicts": verdicts,
         }
     )
@@ -448,19 +441,6 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     return summary, records
 
 
-def _splitting(cfg: HarnessConfig) -> tuple[dict, list]:
-    schedules, records, entries, verdicts = _split_checks(cfg)
-    summary = _base_summary("splitting", cfg)
-    summary.update(
-        {
-            "radius_at_zero": {name: s.radius(0.0) for name, s in schedules.items()},
-            **entries,
-            "verdicts": verdicts,
-        }
-    )
-    return summary, records
-
-
 _RUNNERS = {
     "bubble-constants": _bubble_constants,
     "decay-character": _decay_character,
@@ -468,7 +448,6 @@ _RUNNERS = {
     "nonlinear-decay": _nonlinear_decay,
     "lyapunov": _lyapunov,
     "energy-identity": _energy_identity,
-    "splitting": _splitting,
 }
 
 EXPERIMENT_NAMES = tuple(_RUNNERS)

@@ -3,9 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critheat.spectral import PhysicalField, TorusGrid, set_fft_workers
-
-set_fft_workers(2)
+from critheat.spectral import PhysicalField, TorusGrid
 
 
 @pytest.fixture(scope="session")
