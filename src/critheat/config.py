@@ -47,9 +47,10 @@ from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
 # largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
-# N = 16, 200.8 at N = 32 when fitted, 66.9 and 192.8 now. The other solver
-# experiments peak lower: nonlinear-decay at 65.4 and 188.8 MiB, lyapunov
-# 65.8 and 183.7, linear-decay 62.8 and 117.6
+# N = 16, 200.8 at N = 32 when fitted, 66.0 and 187.0-190.8 now. The other
+# solver experiments peak lower: nonlinear-decay at 64.4-64.5 and
+# 168.6-171.3 MiB, lyapunov 64.9-65.0 and 177.0-177.1, linear-decay
+# 62.1-62.7 and 109.2
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
 

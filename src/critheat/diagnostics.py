@@ -13,11 +13,12 @@ Each solver snapshot yields one record, each field from one source:
     the dealiased field its rates hold, which is then bit for bit the full
     inverse transform; any other state inverse-transforms its field once;
   * `l6_accum`: the space-time L^6 integral the solver accumulates;
-  * `pairing`: the Hdot^1 pairing with the dealiased cubic, cached in the
-    rates of a nonlinear state. A linear state's rates carry no cubic, so
-    the record takes it from `SolverState.cubic()`: the cube of the
-    dealiased field the state holds, transformed forward once, with no
-    inverse transform; `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
+  * `pairing`: the Hdot^1 pairing with the dealiased cubic,
+    `SolverState.pairing()`, cached with the state. A nonlinear state reads
+    it from its rates. A linear state's rates carry no cubic, so it cubes
+    the dealiased field it holds, releases that field, and transforms the
+    cube forward once, with no inverse transform;
+    `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
 
 The splitting ball is
 
@@ -52,7 +53,6 @@ from .evolution import SolverState, nonlinear_term  # noqa: F401
 from .spectral import (  # noqa: F401
     SpectralField,
     sobolev_density,
-    sobolev_inner,
     sobolev_norm_sq,
     transform_inverse,
 )
@@ -129,19 +129,15 @@ def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord
     """Assemble all monitored quantities from one solver snapshot.
 
     Everything but the Hdot^1 density comes from the state's caches, so a
-    second record of the same nonlinear state (another schedule)
-    transforms nothing. A linear state caches no cubic, so its pairing is
-    computed here, from the cube of the field the state holds.
+    second record of the same state (another schedule) transforms nothing.
+    The norms are read before the pairing, which releases a linear
+    state's held field.
     """
-    u_hat = state.u_hat
-    h1_sq, low_sq, high_sq = splitting_split(u_hat, schedule, state.t)
+    h1_sq, low_sq, high_sq = splitting_split(state.u_hat, schedule, state.t)
     grad_h1_sq = state.rates().dissipation
     l4_fourth = state.norms().l4_fourth
     energy = 0.5 * h1_sq - 0.25 * l4_fourth
-    if state.nonlinear:
-        pairing = state.rates().pairing
-    else:
-        pairing = sobolev_inner(u_hat, state.cubic(), 1.0)
+    pairing = state.pairing()
     denom = grad_h1_sq * h1_sq
     pairing_ratio = abs(pairing) / denom if denom > 0 else 0.0
     return DiagnosticsRecord(

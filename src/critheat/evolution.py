@@ -8,7 +8,7 @@ e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
 `spectral.heat_multiplier`. Each step computes its factors, with no
 cache, since `advance` changes dt with every snapshot interval. The
 cubic term is evaluated pseudospectrally with the 2/3 rule on both input
-and output; `nonlinear_term`, the rates and `SolverState.cubic` share
+and output; `nonlinear_term`, the rates and `SolverState.pairing` share
 one cube of the dealiased field. The rule
 is applied inside the transforms (`dealiased=True`, see `spectral`): the
 inverse transforms only the kept band of the state, the forward transform
@@ -26,8 +26,12 @@ Each lattice array is held once. The initial state shares its datum's
 coefficients through a read-only view, which is safe because no step
 writes a state's coefficients in place; a caller that drops its own
 reference to the datum frees it with the initial state, after the first
-step. While a step's new state computes its rates, the step holds the old
-and new states (the old one without its held field, below) and:
+step. `advance` is the one owner of the state it steps: it yields the
+state at each snapshot time, and a caller that drops the yielded state
+before asking for the next one (as `experiments.run_simulation` does)
+pins no state the loop has stepped away from. While a step's new state
+computes its rates, only the old and new states are alive (the old one
+without its held field, below), and the step holds:
 
   * linear: nothing more. Its one factor, e^{-dt |xi|^2}, is built as the
     in-place square of e^{-dt |xi|^2 / 2} (bit for bit e1 * e1) and is
@@ -53,9 +57,10 @@ computes its transforms at most once, on first use, and caches them
   * `SolverState.norms()`: sup |u| for the stability bound and h^4 sum u^4,
     from the undealiased field: one full inverse transform, or none for a
     band-limited state (below).
-  * `SolverState.cubic()`: the dealiased cubic of a linear state, whose
-    rates carry none, for its record's pairing: the cube of the held
-    field, transformed forward.
+  * `SolverState.pairing()`: the Hdot^1 pairing with the dealiased cubic,
+    for the records. A nonlinear state reads it from its rates. A linear
+    state, whose rates carry no cubic, cubes its held field, releases the
+    field and transforms the cube forward: no inverse transform.
 
 A state is band-limited when every mode outside the 2/3 band is exactly
 zero. `initial_state` checks the datum once, and a step passes the flag
@@ -69,12 +74,13 @@ physical space leaves roundoff outside the band) and a power law cut
 off past the band are not, and their norms take the full inverse.
 
 A linear or band-limited state holds its dealiased field, read-only,
-from its rates until a step leaves it: `step` reads the old state's
-rates first and then releases the field, which no later step or record
-reads; it frees its cube before the rates' Sobolev densities run, so
-the field takes the cube's place. Any other state frees the field once
-it is cubed, and the cube when its rates are done. A released field is
-transformed again if a record still asks for it.
+from its rates until a step leaves it or, for a linear state, until its
+pairing cubes it (a record reads the norms first). `step` reads the old
+state's rates first and then releases the field, which no later step or
+record reads. A holding state frees its cube before the rates' Sobolev
+densities run, so the field takes the cube's place. Any other state
+frees the field once it is cubed, and the cube when its rates are done.
+A released field is transformed again if a record still asks for it.
 
 Powers of the field are products (v * v * v), never the generic `pow`;
 the cube is built in place (v * v, then *= v) and u^6 is its in-place
@@ -100,7 +106,7 @@ import math
 import struct
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -169,13 +175,15 @@ class SolverState:
     band_limited: bool = False
     _rates: Rates | None = dataclass_field(default=None, repr=False)
     _norms: Norms | None = dataclass_field(default=None, repr=False)
+    _pairing: float | None = dataclass_field(default=None, repr=False)
     _field: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     def rates(self) -> Rates:
         """The state's step-endpoint rates, computed on first use.
 
         A linear or band-limited state keeps the dealiased field transformed
-        here, read-only, until a step leaves the state.
+        here, read-only, until a step leaves the state or, for a linear
+        state, until its pairing cubes it.
         """
         if self._rates is None:
             grid = self.u_hat.grid
@@ -214,14 +222,22 @@ class SolverState:
             )
         return self._norms
 
-    def cubic(self) -> SpectralField:
-        """The dealiased forward transform of u^3, u the dealiased field.
+    def pairing(self) -> float:
+        """The Hdot^1 pairing of u_hat with its dealiased cubic, computed on first use.
 
-        A linear state's rates carry no cubic; its record takes the cubic
-        from here, from the held field: one forward transform, no inverse.
+        A nonlinear state reads it from its rates. A linear state's rates
+        carry no cubic: it cubes the dealiased field it holds, releases the
+        field, and transforms the cube forward, with no inverse transform.
         """
-        cube = _cube(self._physical(dealiased=True))
-        return transform_forward(PhysicalField(self.u_hat.grid, cube), dealiased=True)
+        if self._pairing is None:
+            if self.nonlinear:
+                self._pairing = self.rates().pairing
+            else:
+                cube = _cube(self._physical(dealiased=True))
+                self._field = None  # released once cubed; a record reads the norms first
+                nl = transform_forward(PhysicalField(self.u_hat.grid, cube), dealiased=True)
+                self._pairing = sobolev_inner(self.u_hat, nl, 1.0)
+        return self._pairing
 
     def _physical(self, dealiased: bool) -> np.ndarray:
         """The field in physical space: the held field where it is the same bit for bit."""
@@ -330,21 +346,30 @@ def stability_bound(state: SolverState) -> float:
     return 0.5 * 1.5 / max(sup_sq, state.u_hat.grid.frequency_spacing**2)
 
 
-def advance(state: SolverState, t_target: float, dt_max: float) -> SolverState:
-    """Advance to t_target in equal substeps of at most min(dt_max, bound).
+def advance(
+    state: SolverState, times: Iterable[float], dt_max: float
+) -> Iterator[SolverState]:
+    """Step through the increasing snapshot times, yielding the state at each.
 
-    The stability bound is re-evaluated every `_RECHECK_EVERY` steps. The
-    final time is snapped to t_target to avoid float drift.
+    Each interval is taken in equal substeps of at most min(dt_max, bound);
+    the stability bound is re-evaluated every `_RECHECK_EVERY` steps. A
+    snapshot time already reached yields the state unstepped. Each yielded
+    time is snapped to its target to avoid float drift.
+
+    The generator is the one owner of the state it steps: a caller that
+    drops a yielded state before asking for the next one leaves only the
+    step's old and new states alive.
     """
-    while t_target - state.t > 1e-12 * max(1.0, t_target):
-        remaining = t_target - state.t
-        dt_eff = min(dt_max, stability_bound(state))
-        n_sub = max(1, math.ceil(remaining / dt_eff - 1e-12))
-        dt = remaining / n_sub
-        for _ in range(min(n_sub, _RECHECK_EVERY)):
-            state = step(state, dt)
-    state.t = t_target
-    return state
+    for t_target in times:
+        while t_target - state.t > 1e-12 * max(1.0, t_target):
+            remaining = t_target - state.t
+            dt_eff = min(dt_max, stability_bound(state))
+            n_sub = max(1, math.ceil(remaining / dt_eff - 1e-12))
+            dt = remaining / n_sub
+            for _ in range(min(n_sub, _RECHECK_EVERY)):
+                state = step(state, dt)
+        state.t = t_target
+        yield state
 
 
 @dataclass

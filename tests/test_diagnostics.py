@@ -135,7 +135,7 @@ class TestRecordCaches:
 
     def test_nonlinear_pairing_is_the_cubic_pairing(self, datum):
         start = ev.initial_state(datum)
-        stepped = ev.advance(ev.initial_state(datum), 0.01, 0.005)
+        (stepped,) = ev.advance(ev.initial_state(datum), (0.01,), 0.005)
         for state in (start, stepped):
             direct = sobolev_inner(state.u_hat, ev.nonlinear_term(state.u_hat), 1.0)
             assert dg.record(state, SCHEDULE).pairing == direct
@@ -152,7 +152,7 @@ class TestRecordCaches:
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_sobolev_masses_match_sobolev_norm_sq(self, datum, nonlinear):
-        state = ev.advance(ev.initial_state(datum, nonlinear=nonlinear), 0.01, 0.005)
+        (state,) = ev.advance(ev.initial_state(datum, nonlinear=nonlinear), (0.01,), 0.005)
         assert state.step_count == 2
         rec = dg.record(state, dg.SplittingSchedule(dg.POWER))
         assert rec.h1_sq == sobolev_norm_sq(state.u_hat, 1.0)
@@ -166,7 +166,7 @@ class TestRecordCaches:
         assert low > 0 and high > 0
 
     def test_second_record_reuses_the_state(self, datum, monkeypatch):
-        state = ev.advance(ev.initial_state(datum), 0.01, 0.005)
+        (state,) = ev.advance(ev.initial_state(datum), (0.01,), 0.005)
         first = dg.record(state, dg.SplittingSchedule(dg.POWER))
         calls = []
         for module in (ev, dg):
@@ -181,6 +181,21 @@ class TestRecordCaches:
             first.h1_sq, first.grad_h1_sq, first.pairing,
         )
 
+    def test_second_linear_record_transforms_nothing(self, datum, monkeypatch):
+        # a linear state caches its pairing: the first record cubes the held
+        # field and releases it, the second transforms nothing
+        (state,) = ev.advance(ev.initial_state(datum, nonlinear=False), (0.01,), 0.005)
+        first = dg.record(state, dg.SplittingSchedule(dg.POWER))
+        assert state._field is None
+        calls = []
+        for module in (ev, dg):
+            for name in ("transform_inverse", "transform_forward", "sobolev_inner"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _counted(getattr(module, name), calls))
+        second = dg.record(state, dg.SplittingSchedule(dg.LOG_CUBED))
+        assert calls == []
+        assert second.pairing.hex() == first.pairing.hex()
+
     def test_transforms_per_state(self, datum, monkeypatch):
         inverse, forward, record_cubics = [], [], []
         monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, inverse))
@@ -188,7 +203,7 @@ class TestRecordCaches:
         monkeypatch.setattr(dg, "transform_inverse", _counted(dg.transform_inverse, inverse))
         monkeypatch.setattr(dg, "nonlinear_term", _counted(dg.nonlinear_term, record_cubics))
         start = ev.initial_state(datum)
-        end = ev.advance(start, 0.02, 0.005)
+        (end,) = ev.advance(start, (0.02,), 0.005)
         dg.record(end, dg.SplittingSchedule(dg.POWER))
         dg.record(end, dg.SplittingSchedule(dg.LOG_CUBED))
         ev.stability_bound(end)
@@ -218,7 +233,7 @@ class TestRecordCaches:
         assert state.band_limited
         records = [dg.record(state, SCHEDULE)]
         for t in (0.01, 0.02):
-            state = ev.advance(state, t, 0.005)
+            (state,) = ev.advance(state, (t,), 0.005)
             records.append(dg.record(state, SCHEDULE))
         ev.stability_bound(state)
         n = state.step_count
@@ -278,7 +293,7 @@ class TestEnergyIdentity:
     def test_zero_run(self, grid):
         zero = SpectralField(grid, np.zeros(grid.spectral_shape, dtype=complex))
         start = ev.initial_state(zero)
-        end = ev.advance(start, 0.2, 0.05)
+        (end,) = ev.advance(start, (0.2,), 0.05)
         assert dg.energy_identity_residual(start, end) == 0.0
 
     def test_linear_run_parseval_identity(self):
@@ -287,7 +302,7 @@ class TestEnergyIdentity:
         slow = TorusGrid(16, 32.0)
         datum = transform_forward(cosine_field(slow, 0.5))
         start = ev.initial_state(datum, nonlinear=False)
-        end = ev.advance(start, 0.2, 0.001)
+        (end,) = ev.advance(start, (0.2,), 0.001)
         assert dg.energy_identity_residual(start, end) <= 1e-10
 
     def test_nonlinear_second_order_refinement(self, grid):
@@ -295,7 +310,7 @@ class TestEnergyIdentity:
         residuals = []
         for dt in (0.02, 0.01, 0.005):
             start = ev.initial_state(datum, nonlinear=True)
-            end = ev.advance(start, 0.4, dt)
+            (end,) = ev.advance(start, (0.4,), dt)
             residuals.append(dg.energy_identity_residual(start, end))
         ratios = [residuals[i] / residuals[i + 1] for i in range(2)]
         assert all(r >= 3.5 for r in ratios), (residuals, ratios)

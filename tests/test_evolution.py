@@ -190,7 +190,7 @@ class TestStep:
         for delta in (0.02, 0.01):
             datum = transform_forward(cosine_field(grid, delta))
             state = ev.initial_state(datum, nonlinear=True)
-            state = ev.advance(state, t_end, 0.01)
+            (state,) = ev.advance(state, (t_end,), 0.01)
             linear = ev.heat_propagate(datum, t_end)
             diff = SpectralField(grid, state.u_hat.coefficients - linear.coefficients)
             errs.append(np.sqrt(sobolev_norm_sq(diff, 0.0)))
@@ -246,7 +246,7 @@ class TestHeldField:
         # a band-limited state reads its held field; a linear state that is
         # not band-limited holds a dealiased field that its norms must not read
         u0 = power_law if datum == "power_law" else random_spec
-        state = ev.advance(ev.initial_state(u0, nonlinear=nonlinear), 0.1, 0.05)
+        (state,) = ev.advance(ev.initial_state(u0, nonlinear=nonlinear), (0.1,), 0.05)
         assert state.band_limited == (datum == "power_law")
         got = state.norms()
         # a nonlinear state that is not band-limited holds no field
@@ -309,7 +309,7 @@ class TestManufacturedOrder:
 class TestAdvance:
     def test_snaps_to_target(self, random_spec):
         state = ev.initial_state(random_spec, nonlinear=False)
-        state = ev.advance(state, 0.3141, 0.1)
+        (state,) = ev.advance(state, (0.3141,), 0.1)
         assert state.t == 0.3141
 
     def test_stability_bound_positive(self, random_spec):
@@ -321,7 +321,7 @@ class TestAdvance:
         # (linear mode so the clamp is observable without blow-up)
         datum = transform_forward(cosine_field(grid, 3.0))
         state = ev.initial_state(datum, nonlinear=False)
-        state = ev.advance(state, 0.5, dt_max=10.0)
+        (state,) = ev.advance(state, (0.5,), dt_max=10.0)
         assert state.step_count >= int(0.5 / (0.75 / 9.0))
 
 
@@ -331,7 +331,7 @@ class TestDuhamelResidual:
         state = ev.initial_state(datum, nonlinear=nonlinear)
         samples = [ev.duhamel_sample(state)]
         for t in np.linspace(0.0, t_end, n_samples)[1:]:
-            state = ev.advance(state, t, 0.002)
+            (state,) = ev.advance(state, (t,), 0.002)
             samples.append(ev.duhamel_sample(state))
         return samples
 
@@ -344,7 +344,7 @@ class TestDuhamelResidual:
         state = ev.initial_state(zero, nonlinear=True)
         samples = [ev.duhamel_sample(state)]
         for t in (0.1, 0.2, 0.3):
-            state = ev.advance(state, t, 0.05)
+            (state,) = ev.advance(state, (t,), 0.05)
             samples.append(ev.duhamel_sample(state))
         assert ev.duhamel_residual(samples, grid) == 0.0
 

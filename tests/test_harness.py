@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from critheat import bubble as bb
+from critheat import diagnostics as dg
 from critheat import evolution as ev
 from critheat import experiments
 from critheat.config import _PARSERS, ConfigError, HarnessConfig, _parse_float, parse_config
@@ -261,8 +263,11 @@ class TestBuildDatum:
 class TestRunSimulation:
     def test_linear_run_holds_each_array_once(self, tmp_path):
         # the state shares the datum built inline, which is freed after the
-        # first step, and a linear step holds one heat factor: 6.40 half
-        # spectra; a copied datum and a second factor would add 2.0
+        # first step; a linear step holds one heat factor and two states, not
+        # the snapshot state as well; a record frees the held field once it
+        # is cubed: 5.47 half spectra; a pinned snapshot state and a held
+        # field through the pairing's forward transform would add 0.9, a
+        # copied datum and a second factor 2.0
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 16\nsnapshot_count = 6\n")
         cfg = parse_config(path, "linear-decay")
@@ -272,7 +277,33 @@ class TestRunSimulation:
             experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched})
 
         run()  # first calls, outside the trace
-        assert traced_peak(run, TorusGrid(16, cfg.side_length)) <= 6.5
+        assert traced_peak(run, TorusGrid(16, cfg.side_length)) <= 5.6
+
+    def test_snapshot_state_is_freed_while_stepping(self, tmp_path, monkeypatch):
+        # an interval of several substeps: from its second substep on, only
+        # the step's old and new states are alive, not the snapshot it left
+        path = tmp_path / "c.cfg"
+        path.write_text("points_per_dim = 16\nt_end = 0.2\nsnapshot_count = 4\ndt = 0.02\n")
+        cfg = parse_config(path, "nonlinear-decay")
+        sched = SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
+        snapshots, pinned, later_substeps = [], [], []
+        record, step = dg.record, ev.step
+
+        def recorded(state, schedule):
+            snapshots.append(weakref.ref(state))
+            return record(state, schedule)
+
+        def stepped(state, dt):
+            if all(ref() is not state for ref in snapshots):
+                later_substeps.append(state.t)
+                pinned.extend(ref().t for ref in snapshots if ref() is not None)
+            return step(state, dt)
+
+        monkeypatch.setattr(dg, "record", recorded)
+        monkeypatch.setattr(ev, "step", stepped)
+        experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched})
+        assert len(snapshots) == 5 and later_substeps
+        assert pinned == []
 
 
 class TestBandLimitedDatum:
