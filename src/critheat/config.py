@@ -7,9 +7,11 @@ yields the documented defaults: N = 32, L = 32, delta = 0.1, a q* = 0
 power-law datum.
 
 `parse_config` is the one validator of config values: the modules below
-it take their parameters as given and do not check them again. What only
-the built datum shows (a checkpoint that cannot be read or is not finite,
-a datum with ||grad u0|| = 0) is checked where the datum is built,
+it take their parameters as given and do not check them again. The grid
+is checked once, by `TorusGrid` (N even and >= 16, L > 0), whose error
+the validator reports as a config error. What only the built datum shows
+(a checkpoint that cannot be read or is not finite, a datum with
+||grad u0|| = 0) is checked where the datum is built,
 `experiments.build_datum`.
 
 `profile_r` is the q* of the datum: the exponent a power-law datum is
@@ -160,10 +162,10 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
-    if cfg.points_per_dim % 2 != 0 or cfg.points_per_dim < 16:
-        raise ConfigError(
-            f"points_per_dim must be an even integer >= 16, got {cfg.points_per_dim}"
-        )
+    try:
+        grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     need = _RSS_BYTES_PER_POINT * cfg.points_per_dim**4 + _RSS_BASE_BYTES
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -173,8 +175,6 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             f"{_RSS_BASE_BYTES // 2**20} MiB), more than the "
             f"{have / 2**30:.3g} GiB of physical memory"
         )
-    if not cfg.side_length > 0:
-        raise ConfigError(f"side_length must be positive, got {cfg.side_length}")
     if not cfg.dt > 0:
         raise ConfigError(f"dt must be positive, got {cfg.dt}")
     if cfg.t_end < 0:
@@ -216,7 +216,6 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             f"profile_r = {cfg.profile_r} violates the decay-character hypothesis "
             "q* > -2"
         )
-    grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     if not 0 < cfg.cutoff_rho <= grid.axis_nyquist:
         raise ConfigError(
             f"cutoff_rho must lie in (0, {grid.axis_nyquist:.4g}] (axis Nyquist), "

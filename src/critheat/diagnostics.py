@@ -7,18 +7,17 @@ Each solver snapshot yields one record, each field from one source:
     sum (bit for bit `sobolev_norm_sq(u_hat, 1.0)`), never low + high, so
     the exact partition stays a check; `low_sq` and `high_sq` are its sums
     inside and outside the ball B(t);
-  * `grad_h1_sq`: the Hdot^2 dissipation cached in `SolverState.rates()`;
-  * `l4_fourth`: `spectral.l4_fourth` in `SolverState.norms()`, and `energy`
-    = (1/2) h1_sq - (1/4) l4_fourth. A band-limited state reads it from
-    the dealiased field its rates hold, which is then bit for bit the full
-    inverse transform; any other state inverse-transforms its field once;
+  * `grad_h1_sq`: the Hdot^2 dissipation of `SolverState.rates()`;
+  * `l4_fourth`: `spectral.l4_fourth` of the undealiased field, in
+    `SolverState.observables()`, and `energy` = (1/2) h1_sq - (1/4)
+    l4_fourth;
   * `l6_accum`: the space-time L^6 integral the solver accumulates;
-  * `pairing`: the Hdot^1 pairing with the dealiased cubic,
-    `SolverState.pairing()`, cached with the state. A nonlinear state reads
-    it from its rates. A linear state's rates carry no cubic, so it cubes
-    the dealiased field it holds, releases that field, and transforms the
-    cube forward once, with no inverse transform;
-    `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
+  * `pairing`: the Hdot^1 pairing with the dealiased cubic, in
+    `SolverState.observables()`; `pairing_ratio` = |pairing| /
+    (grad_h1_sq h1_sq).
+
+The two solver caches are computed once per state, each with its own
+transforms (see `evolution`), so a record may read them in either order.
 
 The splitting ball is
 
@@ -48,7 +47,8 @@ from typing import Sequence
 import numpy as np
 
 # nonlinear_term and transform_inverse are bound here, though no record
-# calls them, for the counts of tests/test_diagnostics.py and bench/
+# calls them, so that the counts of tests/test_diagnostics.py and of the
+# benchmark's tracer (whose own test asserts both bindings) can wrap them
 from .evolution import SolverState, nonlinear_term  # noqa: F401
 from .spectral import (  # noqa: F401
     SpectralField,
@@ -128,28 +128,26 @@ def splitting_split(
 def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord:
     """Assemble all monitored quantities from one solver snapshot.
 
-    Everything but the Hdot^1 density comes from the state's caches, so a
-    second record of the same state (another schedule) transforms nothing.
-    The norms are read before the pairing, which releases a linear
-    state's held field.
+    Everything but the Hdot^1 density comes from the state's two caches,
+    `rates()` and `observables()`, so a second record of the same state
+    (another schedule) transforms nothing.
     """
     h1_sq, low_sq, high_sq = splitting_split(state.u_hat, schedule, state.t)
     grad_h1_sq = state.rates().dissipation
-    l4_fourth = state.norms().l4_fourth
-    energy = 0.5 * h1_sq - 0.25 * l4_fourth
-    pairing = state.pairing()
+    obs = state.observables()
+    energy = 0.5 * h1_sq - 0.25 * obs.l4_fourth
     denom = grad_h1_sq * h1_sq
-    pairing_ratio = abs(pairing) / denom if denom > 0 else 0.0
+    pairing_ratio = abs(obs.pairing) / denom if denom > 0 else 0.0
     return DiagnosticsRecord(
         t=state.t,
         h1_sq=h1_sq,
         grad_h1_sq=grad_h1_sq,
         energy=energy,
-        l4_fourth=l4_fourth,
+        l4_fourth=obs.l4_fourth,
         l6_accum=state.l6_integral,
         low_sq=low_sq,
         high_sq=high_sq,
-        pairing=pairing,
+        pairing=obs.pairing,
         pairing_ratio=pairing_ratio,
     )
 

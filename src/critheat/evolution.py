@@ -8,8 +8,8 @@ e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
 `spectral.heat_multiplier`. Each step computes its factors, with no
 cache, since `advance` changes dt with every snapshot interval. The
 cubic term is evaluated pseudospectrally with the 2/3 rule on both input
-and output; `nonlinear_term`, the rates and `SolverState.pairing` share
-one cube of the dealiased field. The rule
+and output; `nonlinear_term`, the rates and `SolverState.observables`
+share one cube of the dealiased field. The rule
 is applied inside the transforms (`dealiased=True`, see `spectral`): the
 inverse transforms only the kept band of the state, the forward transform
 returns only the kept band of the cube, and neither runs the FFT lines
@@ -45,8 +45,8 @@ dealiased cubic, and the space-time L^6 mass. The energy identity reads
 the first two.
 
 Apart from the three RK4 stage evaluations of a step, each solver state
-computes its transforms at most once, on first use, and caches them
-(`diagnostics` lists which record field reads which cache):
+computes its transforms at most once, on first use, and caches them in
+two results (`diagnostics` lists which record field reads which):
 
   * `SolverState.rates()`: one dealiased inverse transform of the field,
     its cube, and, for a nonlinear state, one dealiased forward transform
@@ -54,13 +54,13 @@ computes its transforms at most once, on first use, and caches them
     L^6 mass as cube * cube, and the Hdot^1 pairing) and the dealiased
     cubic, which is the first RK4 stage of the next step. A linear state
     skips the forward transform.
-  * `SolverState.norms()`: sup |u| for the stability bound and h^4 sum u^4,
-    from the undealiased field: one full inverse transform, or none for a
-    band-limited state (below).
-  * `SolverState.pairing()`: the Hdot^1 pairing with the dealiased cubic,
-    for the records. A nonlinear state reads it from its rates. A linear
-    state, whose rates carry no cubic, cubes its held field, releases the
-    field and transforms the cube forward: no inverse transform.
+  * `SolverState.observables()`: the per-snapshot observables, sup |u|
+    for the stability bound and h^4 sum u^4 of the undealiased field, and
+    the Hdot^1 pairing with the dealiased cubic. The two norms take one
+    full inverse transform, or none for a band-limited state (below). A
+    nonlinear state's pairing is its rates' pairing. A linear state, whose
+    rates carry no cubic, cubes its dealiased field and transforms the
+    cube forward: no inverse transform.
 
 A state is band-limited when every mode outside the 2/3 band is exactly
 zero. `initial_state` checks the datum once, and a step passes the flag
@@ -74,13 +74,13 @@ physical space leaves roundoff outside the band) and a power law cut
 off past the band are not, and their norms take the full inverse.
 
 A linear or band-limited state holds its dealiased field, read-only,
-from its rates until a step leaves it or, for a linear state, until its
-pairing cubes it (a record reads the norms first). `step` reads the old
-state's rates first and then releases the field, which no later step or
-record reads. A holding state frees its cube before the rates' Sobolev
-densities run, so the field takes the cube's place. Any other state
-frees the field once it is cubed, and the cube when its rates are done.
-A released field is transformed again if a record still asks for it.
+from its rates until its observables or a step, whichever comes first:
+either one takes the field and releases it, and nothing reads it after.
+A holding state frees its cube before the rates' Sobolev densities run,
+so the field takes the cube's place. Any other state frees the field
+once it is cubed, and the cube when its rates are done. A linear state
+whose field a step has released transforms it again if its observables
+are asked for later.
 
 Powers of the field are products (v * v * v), never the generic `pow`;
 the cube is built in place (v * v, then *= v) and u^6 is its in-place
@@ -141,10 +141,6 @@ class BlowUpSuspected(RuntimeError):
         self.last_state = last_state
 
 
-def log_spaced_snapshots(t_min: float, t_end: float, count: int) -> tuple[float, ...]:
-    return tuple(np.geomspace(t_min, t_end, count))
-
-
 @dataclass(frozen=True)
 class Rates:
     """Step-endpoint integrands and the dealiased cubic (None for a linear state)."""
@@ -156,11 +152,12 @@ class Rates:
 
 
 @dataclass(frozen=True)
-class Norms:
-    """sup |u| and h^4 sum u^4 of the undealiased field."""
+class Observables:
+    """sup |u| and h^4 sum u^4 of the undealiased field; the Hdot^1 pairing with the cubic."""
 
     sup: float
     l4_fourth: float
+    pairing: float
 
 
 @dataclass
@@ -174,16 +171,14 @@ class SolverState:
     nonlinear: bool = True
     band_limited: bool = False
     _rates: Rates | None = dataclass_field(default=None, repr=False)
-    _norms: Norms | None = dataclass_field(default=None, repr=False)
-    _pairing: float | None = dataclass_field(default=None, repr=False)
+    _observables: Observables | None = dataclass_field(default=None, repr=False)
     _field: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     def rates(self) -> Rates:
         """The state's step-endpoint rates, computed on first use.
 
         A linear or band-limited state keeps the dealiased field transformed
-        here, read-only, until a step leaves the state or, for a linear
-        state, until its pairing cubes it.
+        here, read-only, until its observables or a step take it.
         """
         if self._rates is None:
             grid = self.u_hat.grid
@@ -213,39 +208,38 @@ class SolverState:
                 self._rates = Rates(diss, pair, l6, nl.coefficients)
         return self._rates
 
-    def norms(self) -> Norms:
-        """sup |u| and h^4 sum u^4 of the undealiased field, computed on first use."""
-        if self._norms is None:
-            u = self._physical(dealiased=False)
-            self._norms = Norms(
-                float(max(u.max(), -u.min())), l4_fourth(PhysicalField(self.u_hat.grid, u))
-            )
-        return self._norms
+    def observables(self) -> Observables:
+        """The state's per-snapshot observables, computed on first use.
 
-    def pairing(self) -> float:
-        """The Hdot^1 pairing of u_hat with its dealiased cubic, computed on first use.
-
-        A nonlinear state reads it from its rates. A linear state's rates
-        carry no cubic: it cubes the dealiased field it holds, releases the
-        field, and transforms the cube forward, with no inverse transform.
+        They take the held field, if there is one, and release it. A
+        band-limited state reads sup |u| and h^4 sum u^4 from that field,
+        any other state from one full inverse transform. A nonlinear state's
+        pairing is its rates' pairing; a linear state cubes its dealiased
+        field (the held one, or a fresh dealiased inverse once a step has
+        left the state) and transforms the cube forward.
         """
-        if self._pairing is None:
-            if self.nonlinear:
-                self._pairing = self.rates().pairing
+        if self._observables is None:
+            grid = self.u_hat.grid
+            if self.band_limited or not self.nonlinear:
+                self.rates()  # the field to hold, unless a step has released it
+            field, self._field = self._field, None
+            if self.band_limited and field is not None:
+                u = field
             else:
-                cube = _cube(self._physical(dealiased=True))
-                self._field = None  # released once cubed; a record reads the norms first
-                nl = transform_forward(PhysicalField(self.u_hat.grid, cube), dealiased=True)
-                self._pairing = sobolev_inner(self.u_hat, nl, 1.0)
-        return self._pairing
-
-    def _physical(self, dealiased: bool) -> np.ndarray:
-        """The field in physical space: the held field where it is the same bit for bit."""
-        if dealiased or self.band_limited:
-            self.rates()
-            if self._field is not None:
-                return self._field
-        return transform_inverse(self.u_hat, dealiased=dealiased).values
+                u = transform_inverse(self.u_hat).values
+            sup, l4 = float(max(u.max(), -u.min())), l4_fourth(PhysicalField(grid, u))
+            del u
+            if self.nonlinear:
+                pairing = self.rates().pairing
+            else:
+                if field is None:
+                    field = transform_inverse(self.u_hat, dealiased=True).values
+                cube = _cube(field)
+                del field
+                nl = transform_forward(PhysicalField(grid, cube), dealiased=True)
+                pairing = sobolev_inner(self.u_hat, nl, 1.0)
+            self._observables = Observables(sup, l4, pairing)
+        return self._observables
 
 
 def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
@@ -342,7 +336,7 @@ def step(
 
 def stability_bound(state: SolverState) -> float:
     """Largest admissible dt, 0.5 * 1.5 / max(||u||_inf^2, dxi^2)."""
-    sup_sq = state.norms().sup ** 2
+    sup_sq = state.observables().sup ** 2
     return 0.5 * 1.5 / max(sup_sq, state.u_hat.grid.frequency_spacing**2)
 
 

@@ -106,7 +106,7 @@ class TorusGrid:
     def __post_init__(self) -> None:
         n, length = self.points_per_dim, self.side_length
         if n % 2 != 0 or n < 16:
-            raise ValueError(f"points_per_dim must be even and >= 16, got {n}")
+            raise ValueError(f"points_per_dim must be an even integer >= 16, got {n}")
         if not length > 0:
             raise ValueError(f"side_length must be positive, got {length}")
 

@@ -182,8 +182,8 @@ class TestRecordCaches:
         )
 
     def test_second_linear_record_transforms_nothing(self, datum, monkeypatch):
-        # a linear state caches its pairing: the first record cubes the held
-        # field and releases it, the second transforms nothing
+        # a linear state caches its observables: the first record cubes the
+        # held field and releases it, the second transforms nothing
         (state,) = ev.advance(ev.initial_state(datum, nonlinear=False), (0.01,), 0.005)
         first = dg.record(state, dg.SplittingSchedule(dg.POWER))
         assert state._field is None
@@ -210,8 +210,8 @@ class TestRecordCaches:
         n = end.step_count
         assert n == 4
         assert record_cubics == []
-        # one full-field inverse per state whose norms are read: the bound at
-        # the start, and both records and the next bound at the end
+        # one full-field inverse per state whose observables are read: the
+        # bound at the start, and both records and the next bound at the end
         full = [f for f, dealiased in inverse if not dealiased]
         assert [f is start.u_hat for f in full] == [True, False]
         assert [f is end.u_hat for f in full] == [False, True]

@@ -1,5 +1,7 @@
 """Heat propagator, cubic term, IF-RK4 stepping, Duhamel checks, checkpoints."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -248,10 +250,25 @@ class TestHeldField:
         u0 = power_law if datum == "power_law" else random_spec
         (state,) = ev.advance(ev.initial_state(u0, nonlinear=nonlinear), (0.1,), 0.05)
         assert state.band_limited == (datum == "power_law")
-        got = state.norms()
+        got = state.observables()
         # a nonlinear state that is not band-limited holds no field
-        full = ev.SolverState(t=state.t, u_hat=state.u_hat).norms()
+        full = ev.SolverState(t=state.t, u_hat=state.u_hat).observables()
         assert got == full
+
+    @pytest.mark.parametrize("datum", ["power_law", "random"])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_observables_after_a_step_left_the_state(
+        self, power_law, random_spec, datum, nonlinear
+    ):
+        # the step released the field, so the norms take a full inverse and
+        # a linear pairing a fresh dealiased inverse
+        u0 = power_law if datum == "power_law" else random_spec
+        left = ev.initial_state(u0, nonlinear)
+        ev.step(left, 0.05)
+        assert left._field is None and left._observables is None
+        fresh = ev.initial_state(u0, nonlinear).observables()
+        got = left.observables()
+        assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(fresh)]
 
     @pytest.mark.parametrize("datum, nonlinear, holds", [
         ("power_law", True, True),
@@ -271,6 +288,8 @@ class TestHeldField:
         new = ev.step(state, 0.05)
         assert state._field is None  # released once the step leaves the state
         assert (new._field is not None) == holds
+        new.observables()
+        assert new._field is None  # released once the observables take it
 
 
 class TestManufacturedOrder:
