@@ -23,7 +23,11 @@ Likewise `delta` sizes a bump or power-law datum and `cutoff_rho` cuts
 off a power-law one; setting either for a datum that does not read it is
 an error, so the config echo in summary.json names only keys that shaped
 the datum. decay-character is the exception: it builds its own power-law
-datum from `profile_r` and `cutoff_rho`, whatever `datum` says.
+datum from `profile_r` and `cutoff_rho`, whatever `datum` says. The
+splitting keys follow the same rule: nonlinear-decay checks both
+schedules and takes no `schedule`, and the log-cubed g(t) has no
+exponent and takes no `schedule_alpha`. The fit window is checked as
+resolved, so either fit key alone can invert it.
 
 A bump datum must lie in the small-data regime, ||grad u0|| <= ||grad W||
 and E(u0) <= E(W), or the run is a config error. A file datum is not
@@ -233,17 +237,28 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         raise ConfigError(
             f"schedule must be power or log_cubed, got {cfg.schedule!r}"
         )
+    if experiment == "nonlinear-decay" and cfg.schedule != HarnessConfig.schedule:
+        raise ConfigError(
+            f"schedule = {cfg.schedule}: nonlinear-decay checks both the power and the "
+            "log_cubed schedule and takes no schedule"
+        )
     if cfg.schedule_alpha < 0:
         raise ConfigError(
             f"schedule_alpha must be positive (or 0 for automatic), got {cfg.schedule_alpha}"
+        )
+    if cfg.schedule == "log_cubed" and cfg.schedule_alpha != HarnessConfig.schedule_alpha:
+        raise ConfigError(
+            f"schedule_alpha = {cfg.schedule_alpha} is the exponent of the power schedule; "
+            "schedule = log_cubed takes no schedule_alpha"
         )
     if not cfg.c_tilde > 0:
         raise ConfigError(f"c_tilde must be positive, got {cfg.c_tilde}")
     if cfg.fit_t_min < 0 or cfg.fit_t_max < 0:
         raise ConfigError("fit_t_min / fit_t_max must be positive (or 0 for defaults)")
-    if cfg.fit_t_min > 0 and cfg.fit_t_max > 0 and cfg.fit_t_min >= cfg.fit_t_max:
+    fit_t_min, fit_t_max = cfg.resolved_fit_window()
+    if fit_t_min >= fit_t_max:
         raise ConfigError(
-            f"fit_t_min = {cfg.fit_t_min} must be below fit_t_max = {cfg.fit_t_max}"
+            f"fit_t_min = {fit_t_min:.6g} must be below fit_t_max = {fit_t_max:.6g} (resolved)"
         )
     if not cfg.bound_tol > 0:
         raise ConfigError(f"bound_tol must be positive, got {cfg.bound_tol}")

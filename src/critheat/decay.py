@@ -284,13 +284,15 @@ def synthesize_datum(
 
     The half-Laplacian profile then scales as |xi| |u0_hat| ~ |xi|^r near 0,
     i.e. the datum has prescribed q* = r. Coefficients are real, radial and
-    zero-mean: the half spectrum of a real, even field.
+    zero-mean: the half spectrum of a real, even field. The power is taken
+    only where chi > 0, so a large r cannot overflow where chi zeroes it.
     """
     mag = grid.xi_mag
-    with np.errstate(divide="ignore"):
-        radial = np.where(mag > 0, mag, 1.0) ** (r - 1.0)
-    coeffs = amplitude * radial * smooth_cutoff(mag / cutoff_rho) * (mag > 0)
-    return SpectralField(grid, coeffs.astype(complex))
+    chi = smooth_cutoff(mag / cutoff_rho)
+    support = (chi > 0) & (mag > 0)
+    coeffs = np.zeros(grid.spectral_shape, dtype=complex)
+    coeffs[support] = amplitude * mag[support] ** (r - 1.0) * chi[support]
+    return SpectralField(grid, coeffs)
 
 
 def estimate_decay_character_grid(field: SpectralField, rho_max: float) -> DecayCharacterEstimate:

@@ -12,12 +12,12 @@ Each solver snapshot yields one record, each field from one source:
     `SolverState.observables()`, and `energy` = (1/2) h1_sq - (1/4)
     l4_fourth;
   * `l6_accum`: the space-time L^6 integral the solver accumulates;
-  * `pairing`: the Hdot^1 pairing with the dealiased cubic, in
-    `SolverState.observables()`; `pairing_ratio` = |pairing| /
-    (grad_h1_sq h1_sq).
+  * `pairing`: the Hdot^1 pairing with the dealiased cubic of
+    `SolverState.rates()`, the integrand the energy identity integrates,
+    0 for a linear state; `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
 
-The two solver caches are computed once per state, each with its own
-transforms (see `evolution`), so a record may read them in either order.
+The two solver caches are computed once per state, on first use (see
+`evolution`), so a record may read them in either order.
 
 The splitting ball is
 
@@ -128,27 +128,26 @@ def splitting_split(
 def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord:
     """Assemble all monitored quantities from one solver snapshot.
 
-    Everything but the Hdot^1 density comes from the state's two caches,
-    `rates()` and `observables()`, so a second record of the same state
-    (another schedule) transforms nothing.
+    Everything but the Hdot^1 density comes from the state's two caches:
+    the dissipation and the pairing from `rates()`, where a linear state's
+    pairing is 0, and h^4 sum u^4 from `observables()`. So a second record
+    of the same state (another schedule) transforms nothing.
     """
     h1_sq, low_sq, high_sq = splitting_split(state.u_hat, schedule, state.t)
-    grad_h1_sq = state.rates().dissipation
-    obs = state.observables()
-    energy = 0.5 * h1_sq - 0.25 * obs.l4_fourth
-    denom = grad_h1_sq * h1_sq
-    pairing_ratio = abs(obs.pairing) / denom if denom > 0 else 0.0
+    rates = state.rates()
+    l4 = state.observables().l4_fourth
+    denom = rates.dissipation * h1_sq
     return DiagnosticsRecord(
         t=state.t,
         h1_sq=h1_sq,
-        grad_h1_sq=grad_h1_sq,
-        energy=energy,
-        l4_fourth=obs.l4_fourth,
+        grad_h1_sq=rates.dissipation,
+        energy=0.5 * h1_sq - 0.25 * l4,
+        l4_fourth=l4,
         l6_accum=state.l6_integral,
         low_sq=low_sq,
         high_sq=high_sq,
-        pairing=obs.pairing,
-        pairing_ratio=pairing_ratio,
+        pairing=rates.pairing,
+        pairing_ratio=abs(rates.pairing) / denom if denom > 0 else 0.0,
     )
 
 

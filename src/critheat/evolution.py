@@ -8,14 +8,14 @@ e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
 `spectral.heat_multiplier`. Each step computes its factors, with no
 cache, since `advance` changes dt with every snapshot interval. The
 cubic term is evaluated pseudospectrally with the 2/3 rule on both input
-and output; `nonlinear_term`, the rates and `SolverState.observables`
-share one cube of the dealiased field. The rule
+and output, by `nonlinear_term` in the RK4 stages and by a state's rates
+for its own cubic. The rule
 is applied inside the transforms (`dealiased=True`, see `spectral`): the
 inverse transforms only the kept band of the state, the forward transform
 returns only the kept band of the cube, and neither runs the FFT lines
 the rule zeroes. The transforms reject non-finite input and are the only
-finiteness guard: an overflowing step raises `BlowUpSuspected` with the
-last valid state.
+finiteness guard: a power or sum that overflows is left as inf, and an
+overflowing step raises `BlowUpSuspected` with the last valid state.
 
 The state u_hat is the half spectrum of a real field (see `spectral`):
 every array here is an (N, N, N, N/2 + 1) half-lattice array, the
@@ -30,8 +30,8 @@ step. `advance` is the one owner of the state it steps: it yields the
 state at each snapshot time, and a caller that drops the yielded state
 before asking for the next one (as `experiments.run_simulation` does)
 pins no state the loop has stepped away from. While a step's new state
-computes its rates, only the old and new states are alive (the old one
-without its held field, below), and the step holds:
+computes its rates, only the old and new states are alive, and the step
+holds:
 
   * linear: nothing more. Its one factor, e^{-dt |xi|^2}, is built as the
     in-place square of e^{-dt |xi|^2 / 2} (bit for bit e1 * e1) and is
@@ -50,37 +50,24 @@ two results (`diagnostics` lists which record field reads which):
 
   * `SolverState.rates()`: one dealiased inverse transform of the field,
     its cube, and, for a nonlinear state, one dealiased forward transform
-    of the cube. This gives the step-endpoint integrands (Hdot^2 dissipation,
-    L^6 mass as cube * cube, and the Hdot^1 pairing) and the dealiased
-    cubic, which is the first RK4 stage of the next step. A linear state
-    skips the forward transform.
-  * `SolverState.observables()`: the per-snapshot observables, sup |u|
-    for the stability bound and h^4 sum u^4 of the undealiased field, and
-    the Hdot^1 pairing with the dealiased cubic. The two norms take one
-    full inverse transform, or none for a band-limited state (below). A
-    nonlinear state's pairing is its rates' pairing. A linear state, whose
-    rates carry no cubic, cubes its dealiased field and transforms the
-    cube forward: no inverse transform.
+    of the cube. This gives the step-endpoint integrands (Hdot^2
+    dissipation, L^6 mass as cube * cube, and the Hdot^1 pairing with the
+    dealiased cubic, which is 0 for a linear state, whose equation has no
+    cubic) and the dealiased cubic, the first RK4 stage of the next step;
+  * `SolverState.observables()`: sup |u| for the stability bound and
+    h^4 sum u^4, both of the undealiased field.
 
 A state is band-limited when every mode outside the 2/3 band is exactly
 zero. `initial_state` checks the datum once, and a step passes the flag
 on: the heat factor and the IF-RK4 update leave an out-of-band mode at
 e2 * 0 = 0, since every RK4 stage is a dealiased cubic. A forcing clears
-the flag. The dealiased inverse of a band-limited field is bit for bit
-its full inverse (see `spectral`), so its norms read the field its rates
-transformed. A spectral power-law datum whose cutoff lies inside the
-band is band-limited. A bump, a file datum (whose round trip through
-physical space leaves roundoff outside the band) and a power law cut
-off past the band are not, and their norms take the full inverse.
-
-A linear or band-limited state holds its dealiased field, read-only,
-from its rates until its observables or a step, whichever comes first:
-either one takes the field and releases it, and nothing reads it after.
-A holding state frees its cube before the rates' Sobolev densities run,
-so the field takes the cube's place. Any other state frees the field
-once it is cubed, and the cube when its rates are done. A linear state
-whose field a step has released transforms it again if its observables
-are asked for later.
+the flag. A spectral power-law datum whose cutoff lies inside the band is
+band-limited; a bump, a file datum (whose round trip through physical
+space leaves roundoff outside the band) and a power law cut off past the
+band are not. A band-limited state computes its observables inside its
+rates, from the dealiased field, which is bit for bit its full field (see
+`spectral`); any other state computes them on first use from one full
+inverse transform.
 
 Powers of the field are products (v * v * v), never the generic `pow`;
 the cube is built in place (v * v, then *= v) and u^6 is its in-place
@@ -153,11 +140,17 @@ class Rates:
 
 @dataclass(frozen=True)
 class Observables:
-    """sup |u| and h^4 sum u^4 of the undealiased field; the Hdot^1 pairing with the cubic."""
+    """sup |u| and h^4 sum u^4 of the undealiased field."""
 
     sup: float
     l4_fourth: float
-    pairing: float
+
+    @classmethod
+    def of(cls, u: PhysicalField) -> Observables:
+        """Both norms of u; an overflowing u^4 is left as inf, as in `_cube`."""
+        with np.errstate(over="ignore"):
+            l4 = l4_fourth(u)
+        return cls(float(max(u.values.max(), -u.values.min())), l4)
 
 
 @dataclass
@@ -172,22 +165,20 @@ class SolverState:
     band_limited: bool = False
     _rates: Rates | None = dataclass_field(default=None, repr=False)
     _observables: Observables | None = dataclass_field(default=None, repr=False)
-    _field: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     def rates(self) -> Rates:
         """The state's step-endpoint rates, computed on first use.
 
-        A linear or band-limited state keeps the dealiased field transformed
-        here, read-only, until its observables or a step take it.
+        A band-limited state computes its observables here as well, from
+        the dealiased field, which is bit for bit its full field.
         """
         if self._rates is None:
             grid = self.u_hat.grid
-            v = transform_inverse(self.u_hat, dealiased=True).values
-            cube = _cube(v)
-            if not self.nonlinear or self.band_limited:
-                v.flags.writeable = False
-                self._field = v
-            del v
+            field = transform_inverse(self.u_hat, dealiased=True)
+            if self.band_limited:
+                self._observables = Observables.of(field)
+            cube = _cube(field.values)
+            del field
             nl = None
             if self.nonlinear:
                 # first the transform, whose finiteness check names a blow-up
@@ -195,11 +186,7 @@ class SolverState:
                 nl = transform_forward(PhysicalField(grid, cube), dealiased=True)
             with np.errstate(over="ignore"):
                 cube *= cube  # u^6, bit for bit cube * cube
-            l6 = float(grid.spacing**4 * np.sum(cube))
-            if self._field is not None:
-                # the held field takes the cube's place in the densities;
-                # freeing the cube early elsewhere only costs page faults
-                del cube
+                l6 = float(grid.spacing**4 * np.sum(cube))
             diss = sobolev_norm_sq(self.u_hat, 2.0)
             if nl is None:
                 self._rates = Rates(diss, 0.0, l6, None)
@@ -209,36 +196,16 @@ class SolverState:
         return self._rates
 
     def observables(self) -> Observables:
-        """The state's per-snapshot observables, computed on first use.
+        """The state's observables, computed on first use.
 
-        They take the held field, if there is one, and release it. A
-        band-limited state reads sup |u| and h^4 sum u^4 from that field,
-        any other state from one full inverse transform. A nonlinear state's
-        pairing is its rates' pairing; a linear state cubes its dealiased
-        field (the held one, or a fresh dealiased inverse once a step has
-        left the state) and transforms the cube forward.
+        A band-limited state takes them from its rates, any other state
+        from one full inverse transform.
         """
         if self._observables is None:
-            grid = self.u_hat.grid
-            if self.band_limited or not self.nonlinear:
-                self.rates()  # the field to hold, unless a step has released it
-            field, self._field = self._field, None
-            if self.band_limited and field is not None:
-                u = field
+            if self.band_limited:
+                self.rates()
             else:
-                u = transform_inverse(self.u_hat).values
-            sup, l4 = float(max(u.max(), -u.min())), l4_fourth(PhysicalField(grid, u))
-            del u
-            if self.nonlinear:
-                pairing = self.rates().pairing
-            else:
-                if field is None:
-                    field = transform_inverse(self.u_hat, dealiased=True).values
-                cube = _cube(field)
-                del field
-                nl = transform_forward(PhysicalField(grid, cube), dealiased=True)
-                pairing = sobolev_inner(self.u_hat, nl, 1.0)
-            self._observables = Observables(sup, l4, pairing)
+                self._observables = Observables.of(transform_inverse(self.u_hat))
         return self._observables
 
 
@@ -291,7 +258,6 @@ def step(
 
     try:
         old = state.rates()
-        state._field = None  # the step leaves the state, and nothing reads it again
         if state.nonlinear:
             e1 = heat_multiplier(grid, 0.5 * dt)
             e2 = e1 * e1

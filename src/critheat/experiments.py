@@ -58,8 +58,9 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
     A bump datum must satisfy both small-data conditions, ||grad u0|| <=
     ||grad W|| and E(u0) <= E(W); delta <= 1/sqrt(2) guarantees them, and
     a larger delta that breaks one is a config error. So is a file datum
-    that cannot be read, is not finite or is too large to record, and any
-    datum with ||grad u0|| = 0, which has no decay to measure.
+    that cannot be read, is not finite or is too large to record, a
+    power-law datum whose profile_r overflows it, and any datum with
+    ||grad u0|| = 0, which has no decay to measure.
     """
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     if cfg.datum != "file" and cfg.delta == 0:
@@ -74,8 +75,14 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
             )
         return transform_forward(datum.field)
     if cfg.datum == "power_law":
-        raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
-        h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
+        with np.errstate(over="ignore"):
+            raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
+            h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
+        if not np.isfinite(h1):
+            raise ConfigError(
+                f"profile_r = {cfg.profile_r} overflows the unscaled power_law datum "
+                f"|xi|^(profile_r - 1) below cutoff_rho = {cfg.cutoff_rho}"
+            )
         if h1 == 0:
             raise ConfigError(
                 f"cutoff_rho = {cfg.cutoff_rho} gives a zero power_law datum: no lattice "

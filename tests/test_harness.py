@@ -3,8 +3,11 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +229,16 @@ class TestFloatKeys:
 
 
 class TestBuildDatum:
+    @pytest.mark.filterwarnings("error")
+    def test_large_profile_r_gives_a_finite_datum(self, tmp_path):
+        # the power is taken below the cutoff alone, where 1.4^699 is finite
+        path = tmp_path / "c.cfg"
+        path.write_text("points_per_dim = 16\nprofile_r = 700\n")
+        u0 = build_datum(parse_config(path, "linear-decay"))
+        assert np.all(np.isfinite(u0.coefficients))
+        h1 = np.sqrt(sobolev_norm_sq(u0, 1.0))
+        assert h1 == pytest.approx(0.1 * np.sqrt(32 * np.pi**2 / 3), rel=1e-10)
+
     def test_power_law_scaled_to_delta(self):
         cfg = HarnessConfig()
         u0 = build_datum(cfg)
@@ -264,10 +277,9 @@ class TestRunSimulation:
     def test_linear_run_holds_each_array_once(self, tmp_path):
         # the state shares the datum built inline, which is freed after the
         # first step; a linear step holds one heat factor and two states, not
-        # the snapshot state as well; a record frees the held field once it
-        # is cubed: 5.47 half spectra; a pinned snapshot state and a held
-        # field through the pairing's forward transform would add 0.9, a
-        # copied datum and a second factor 2.0
+        # the snapshot state as well; a linear record transforms nothing
+        # forward: 5.40 half spectra; a pinned snapshot state or a copied
+        # datum would add 1 more, a second factor 0.5
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 16\nsnapshot_count = 6\n")
         cfg = parse_config(path, "linear-decay")
@@ -307,7 +319,7 @@ class TestRunSimulation:
 
 
 class TestBandLimitedDatum:
-    """Which data start band-limited, and that reading their held field changes no byte."""
+    """Which data start band-limited, and that their rates' norms change no byte."""
 
     @pytest.mark.parametrize("config, limited", [
         # the power-law cutoff 1.4 against the band edge floor(N/3) 2 pi / L
@@ -342,7 +354,7 @@ class TestBandLimitedDatum:
         cfg.write_text("points_per_dim = 16\nside_length = 16\nt_end = 0.2\nsnapshot_count = 8\n")
         assert ev.initial_state(build_datum(parse_config(cfg, experiment))).band_limited
         outputs = {}
-        for name in ("held", "full"):
+        for name in ("rates", "full"):
             if name == "full":
                 # every state then takes its norms from a full inverse transform
                 monkeypatch.setattr(ev, "is_band_limited", lambda field: False)
@@ -350,7 +362,7 @@ class TestBandLimitedDatum:
             out = tmp_path / name
             run_experiment(ExperimentSpec(experiment, str(cfg), out))
             outputs[name] = [(out / f).read_bytes() for f in ("series.csv", "summary.json")]
-        assert outputs["held"] == outputs["full"]
+        assert outputs["rates"] == outputs["full"]
 
 
 class TestRunExperiment:
@@ -415,8 +427,20 @@ class TestRunExperiment:
                 "datum = file\ndatum_file = u0.chk\ndelta = 0.7\n",
                 "delta = 0.7 shapes a bump or power_law datum; datum = file takes no delta",
             ),
+            (
+                "nonlinear-decay",
+                "schedule = log_cubed\n",
+                "schedule = log_cubed: nonlinear-decay checks both the power and the "
+                "log_cubed schedule and takes no schedule",
+            ),
+            (
+                "lyapunov",
+                "schedule = log_cubed\nschedule_alpha = 2\n",
+                "schedule_alpha = 2.0 is the exponent of the power schedule; "
+                "schedule = log_cubed takes no schedule_alpha",
+            ),
         ],
-        ids=["bump-cutoff_rho", "file-delta"],
+        ids=["bump-cutoff_rho", "file-delta", "nonlinear-decay-schedule", "log_cubed-alpha"],
     )
     def test_key_the_datum_ignores_exits_2(self, tmp_path, capsys, experiment, keys, reason):
         cfg = tmp_path / "c.cfg"
@@ -424,6 +448,40 @@ class TestRunExperiment:
         assert run_experiment(ExperimentSpec(experiment, str(cfg), tmp_path / "out")) == 2
         assert capsys.readouterr().out == f"config error: {reason}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "keys, reason",
+        [
+            # fit_t_max resolves to T_box / 3 = 2.162
+            ("fit_t_min = 5\n", "fit_t_min = 5 must be below fit_t_max = 2.16152 (resolved)"),
+            # fit_t_min resolves to T_box / 100 = 0.0648
+            (
+                "fit_t_max = 0.05\n",
+                "fit_t_min = 0.0648456 must be below fit_t_max = 0.05 (resolved)",
+            ),
+        ],
+        ids=["fit_t_min", "fit_t_max"],
+    )
+    def test_inverted_fit_window_exits_2(self, tmp_path, capsys, keys, reason):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nt_end = 0.2\nsnapshot_count = 8\n" + keys)
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("linear-decay", str(cfg), out_dir)) == 2
+        assert capsys.readouterr().out == f"config error: {reason}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_profile_r_exits_2(self, tmp_path, capsys):
+        # 1.4^4999 overflows below the cutoff, so no scale can mend the datum
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nprofile_r = 5000\n")
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("linear-decay", str(cfg), out_dir)) == 2
+        assert capsys.readouterr().out == (
+            "config error: profile_r = 5000.0 overflows the unscaled power_law datum "
+            "|xi|^(profile_r - 1) below cutoff_rho = 1.4\n"
+        )
+        assert not out_dir.exists()
 
     def test_inadmissible_bump_exits_2(self, tmp_path, capsys):
         # at delta = 0.9 the bump's energy exceeds E(W): outside the small-data regime
@@ -712,6 +770,17 @@ class TestCli:
         text = " ".join(capsys.readouterr().out.split())
         assert "exit codes: 0 every verdict passed; 1 a check failed" in text
         assert "2 a config or usage error. A traceback is a bug." in text
+
+    def test_python_m_critheat_is_the_cli(self):
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-m", "critheat", "--help"], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0
+        text = " ".join(out.stdout.split())
+        assert "exit codes: 0 every verdict passed; 1 a check failed" in text
 
     def test_main_nonlinear_decay_checks_the_splitting(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -5,8 +5,8 @@ says; every other module transforms through it. scipy.optimize, which
 loads scipy.linalg and OpenBLAS, is imported only where the decay
 character is fitted, so importing the experiments (what the CLI and every
 run do) leaves it unloaded. A private attribute (`x._name`) is used
-outside `self` only in the module that declares it, so a lifetime rule
-such as the solver state's held field stays one module's business.
+outside `self` only in the module that declares it, so a cache such as
+the solver state's rates stays one module's business.
 """
 
 import ast
@@ -71,7 +71,7 @@ def test_private_attributes_stay_in_their_module():
         for path in sorted((SRC / "critheat").glob("*.py"))
     }
     uses = {(module, name) for module, tree in trees.items() for name in _private_uses(tree)}
-    assert uses  # the walk finds the uses there are, e.g. evolution's state._field
+    assert uses  # the walk finds the uses there are, e.g. spectral's grid._sobolev_weights
     outside = {
         (module, name) for module, name in uses if name not in _declared_private(trees[module])
     }
