@@ -26,8 +26,10 @@ the datum. decay-character is the exception: it builds its own power-law
 datum from `profile_r` and `cutoff_rho`, whatever `datum` says. The
 splitting keys follow the same rule: nonlinear-decay checks both
 schedules and takes no `schedule`, and the log-cubed g(t) has no
-exponent and takes no `schedule_alpha`. The fit window is checked as
-resolved, so either fit key alone can invert it.
+exponent and takes no `schedule_alpha`. The power schedule's resolved
+alpha must keep g(t) = (1 + t)^alpha and g'(t) finite up to t_end; the
+error names `schedule_alpha` if it is set, else `profile_r`. The fit
+window is checked as resolved, so either fit key alone can invert it.
 
 A bump datum must lie in the small-data regime, ||grad u0|| <= ||grad W||
 and E(u0) <= E(W), or the run is a config error. A file datum is not
@@ -49,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import POWER, SplittingSchedule
 from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
@@ -253,6 +256,20 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         )
     if not cfg.c_tilde > 0:
         raise ConfigError(f"c_tilde must be positive, got {cfg.c_tilde}")
+    if cfg.schedule == POWER and experiment not in ("decay-character", "bubble-constants"):
+        # records read g and g' up to t_end, past float range the ball radius
+        # is NaN; the two experiments named run no splitting schedule
+        alpha = cfg.resolved_schedule_alpha()
+        sched = SplittingSchedule(POWER, alpha, cfg.c_tilde)
+        t_end = np.float64(cfg.resolved_t_end())
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(sched.g(t_end)) and np.isfinite(sched.g_prime(t_end))
+        if not finite:
+            key = "schedule_alpha" if cfg.schedule_alpha > 0 else "profile_r"
+            raise ConfigError(
+                f"{key} = {getattr(cfg, key)} gives the power schedule alpha = {alpha:.6g}, "
+                f"and g(t) = (1 + t)^alpha overflows by t_end = {t_end:.6g} (resolved)"
+            )
     if cfg.fit_t_min < 0 or cfg.fit_t_max < 0:
         raise ConfigError("fit_t_min / fit_t_max must be positive (or 0 for defaults)")
     fit_t_min, fit_t_max = cfg.resolved_fit_window()

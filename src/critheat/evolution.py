@@ -8,14 +8,28 @@ e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
 `spectral.heat_multiplier`. Each step computes its factors, with no
 cache, since `advance` changes dt with every snapshot interval. The
 cubic term is evaluated pseudospectrally with the 2/3 rule on both input
-and output, by `nonlinear_term` in the RK4 stages and by a state's rates
-for its own cubic. The rule
-is applied inside the transforms (`dealiased=True`, see `spectral`): the
-inverse transforms only the kept band of the state, the forward transform
-returns only the kept band of the cube, and neither runs the FFT lines
-the rule zeroes. The transforms reject non-finite input and are the only
-finiteness guard: a power or sum that overflows is left as inf, and an
-overflowing step raises `BlowUpSuspected` with the last valid state.
+and output: by `nonlinear_term` in the RK4 stages, on the compact band
+(below), and by a state's rates for its own cubic. The rule is applied
+inside the transforms (`dealiased=True` and the band transforms, see
+`spectral`): the inverse transforms only the kept band of the state, the
+forward transform returns only the kept band of the cube, and neither
+runs the FFT lines the rule zeroes. The transforms reject non-finite
+input and are the only finiteness guard: a power or sum that overflows is
+left as inf, and an overflowing step raises `BlowUpSuspected` with the
+last valid state.
+
+A nonlinear step runs its RK4 stages on the compact 2/3 band
+(`spectral.gather_band`), about a fifth of a half spectrum at N = 16
+and 32.
+Every stage is a dealiased cubic, exactly zero outside the band, so the
+step gathers u, e1 and the old state's cubic (stage a) to the band,
+computes the stages b, c and d and their inputs there, builds the new
+coefficients as e2 * u on the half lattice and scatters the band's update
+into them. In the band each element is the full-lattice expression, bit
+for bit; outside it the update is e2 * u where the full-lattice formula
+gave e2 * u + (dt / 6) * 0, which can differ only in the sign of an exact
+zero. A forcing adds its band to the stages, and its out-of-band part
+enters through one half-lattice term.
 
 The state u_hat is the half spectrum of a real field (see `spectral`):
 every array here is an (N, N, N, N/2 + 1) half-lattice array, the
@@ -36,24 +50,31 @@ holds:
   * linear: nothing more. Its one factor, e^{-dt |xi|^2}, is built as the
     in-place square of e^{-dt |xi|^2 / 2} (bit for bit e1 * e1) and is
     released once it has made the new state;
-  * nonlinear: the factors e1 = e^{-dt |xi|^2 / 2} and e2 = e1 * e1 and
-    the RK4 stages b, c and d (stage a is the old state's cached cubic).
+  * nonlinear: the factors e1 = e^{-dt |xi|^2 / 2} and e2 = e1 * e1 on
+    the half lattice (half a half spectrum each). The stages and their
+    inputs are compact bands, released once the update is scattered. e2
+    is built after the stages, and both factors are kept until the step
+    returns: released earlier, they leave the top of the heap free for
+    glibc to return, and later steps fault it in again (several times the
+    minor page faults of a run at N = 16).
 
 Along the run three time integrals are accumulated by the trapezoid rule
 on steps: the Hdot^2 dissipation integral, the Hdot^1 pairing with the
 dealiased cubic, and the space-time L^6 mass. The energy identity reads
 the first two.
 
-Apart from the three RK4 stage evaluations of a step, each solver state
-computes its transforms at most once, on first use, and caches them in
-two results (`diagnostics` lists which record field reads which):
+Apart from the three RK4 stage evaluations of a step (`nonlinear_term`,
+one `spectral.band_inverse` and one `band_forward` each), each solver
+state computes its transforms at most once, on first use, and caches them
+in two results (`diagnostics` lists which record field reads which):
 
   * `SolverState.rates()`: one dealiased inverse transform of the field,
     its cube, and, for a nonlinear state, one dealiased forward transform
     of the cube. This gives the step-endpoint integrands (Hdot^2
     dissipation, L^6 mass as cube * cube, and the Hdot^1 pairing with the
     dealiased cubic, which is 0 for a linear state, whose equation has no
-    cubic) and the dealiased cubic, the first RK4 stage of the next step;
+    cubic) and the dealiased cubic as a full half spectrum, whose band is
+    the first RK4 stage of the next step;
   * `SolverState.observables()`: sup |u| for the stability bound and
     h^4 sum u^4, both of the undealiased field.
 
@@ -102,11 +123,15 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    band_forward,
+    band_inverse,
+    gather_band,
     heat_multiplier,
     is_band_limited,
     l4_fourth,
     sobolev_inner,
     sobolev_norm_sq,
+    scatter_band,
     transform_forward,
     transform_inverse,
 )
@@ -222,10 +247,10 @@ def _cube(v: np.ndarray) -> np.ndarray:
     return cube
 
 
-def nonlinear_term(u_hat: SpectralField) -> SpectralField:
-    """The dealiased forward transform of u^3, u the dealiased inverse transform of u_hat."""
-    cube = _cube(transform_inverse(u_hat, dealiased=True).values)
-    return transform_forward(PhysicalField(u_hat.grid, cube), dealiased=True)
+def nonlinear_term(band: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The dealiased cubic on the compact 2/3 band: the band of u^3, u the inverse of `band`."""
+    cube = _cube(band_inverse(band, grid).values)
+    return band_forward(PhysicalField(grid, cube))
 
 
 def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
@@ -259,20 +284,35 @@ def step(
     try:
         old = state.rates()
         if state.nonlinear:
+            # the stages are dealiased cubics: they run on the compact band
             e1 = heat_multiplier(grid, 0.5 * dt)
-            e2 = e1 * e1
-
-            def rhs(coeffs: np.ndarray, t: float) -> np.ndarray:
-                out = nonlinear_term(SpectralField(grid, coeffs)).coefficients
-                return out if forcing is None else out + forcing(t)
-
-            a = old.nl_hat
+            e1_band = gather_band(e1)
+            e2_band = e1_band * e1_band  # bit for bit the band of e1 * e1
+            u_band = gather_band(u)
+            a = gather_band(old.nl_hat)
+            f_start = f_mid = f_end = None
             if forcing is not None:
-                a = a + forcing(state.t)
-            b = rhs(e1 * (u + 0.5 * dt * a), state.t + 0.5 * dt)
-            c = rhs(e1 * u + 0.5 * dt * b, state.t + 0.5 * dt)
-            d = rhs(e2 * u + dt * e1 * c, state.t + dt)
-            new_coeffs = e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
+                f_start, f_mid, f_end = (forcing(state.t + s * dt) for s in (0.0, 0.5, 1.0))
+                a += gather_band(f_start)
+
+            def rhs(band: np.ndarray, f: np.ndarray | None) -> np.ndarray:
+                out = nonlinear_term(band, grid)
+                return out if f is None else out + gather_band(f)
+
+            b = rhs(e1_band * (u_band + 0.5 * dt * a), f_mid)
+            c = rhs(e1_band * u_band + 0.5 * dt * b, f_mid)
+            d = rhs(e2_band * u_band + dt * e1_band * c, f_end)
+            # out of the band every stage is zero, so the update there is
+            # e2 * u plus the forcing's part; in the band it is scattered in
+            e2 = e1 * e1
+            new_coeffs = e2 * u
+            if forcing is not None:
+                new_coeffs += (dt / 6.0) * (e2 * f_start + 2.0 * e1 * (f_mid + f_mid) + f_end)
+            update = e2_band * u_band + (dt / 6.0) * (e2_band * a + 2.0 * e1_band * (b + c) + d)
+            scatter_band(update, new_coeffs)
+            # the bands are not held while the new state's rates run; the
+            # factors are (see the module docstring)
+            del e1_band, e2_band, u_band, a, b, c, d, update
         else:
             factor = heat_multiplier(grid, 0.5 * dt)
             factor *= factor  # e^{-dt |xi|^2}, bit for bit e1 * e1
@@ -287,7 +327,7 @@ def step(
             pairing_integral=state.pairing_integral,
             l6_integral=state.l6_integral,
             nonlinear=state.nonlinear,
-            # out-of-band modes stay e2 * 0 + 0 = 0; a forcing may fill them
+            # out-of-band modes stay e2 * 0 = 0; a forcing may fill them
             band_limited=state.band_limited and forcing is None,
         )
         new = new_state.rates()

@@ -52,6 +52,23 @@ class ExperimentSpec:
             )
 
 
+def _unscaled_power_law(cfg: HarnessConfig, grid: TorusGrid) -> tuple[SpectralField, float]:
+    """The amplitude-1 power-law datum and its Hdot^1 norm.
+
+    A profile_r that overflows the datum is a config error; `build_datum`
+    and `decay-character` both build their datum here.
+    """
+    with np.errstate(over="ignore"):
+        raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
+        h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
+    if not np.isfinite(h1):
+        raise ConfigError(
+            f"profile_r = {cfg.profile_r} overflows the unscaled power_law datum "
+            f"|xi|^(profile_r - 1) below cutoff_rho = {cfg.cutoff_rho}"
+        )
+    return raw, h1
+
+
 def build_datum(cfg: HarnessConfig) -> SpectralField:
     """Initial spectral datum per the config; its nominal q* is `cfg.nominal_q_star()`.
 
@@ -75,14 +92,7 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
             )
         return transform_forward(datum.field)
     if cfg.datum == "power_law":
-        with np.errstate(over="ignore"):
-            raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
-            h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
-        if not np.isfinite(h1):
-            raise ConfigError(
-                f"profile_r = {cfg.profile_r} overflows the unscaled power_law datum "
-                f"|xi|^(profile_r - 1) below cutoff_rho = {cfg.cutoff_rho}"
-            )
+        raw, h1 = _unscaled_power_law(cfg, grid)
         if h1 == 0:
             raise ConfigError(
                 f"cutoff_rho = {cfg.cutoff_rho} gives a zero power_law datum: no lattice "
@@ -246,7 +256,7 @@ def _decay_character(cfg: HarnessConfig) -> tuple[dict, list]:
     verdicts["gaussian_flat"] = abs(gauss.r_star) <= 0.05
 
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-    datum = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, 1.0)
+    datum, _ = _unscaled_power_law(cfg, grid)
     grid_est = dc.estimate_decay_character_grid(datum, rho_max=cfg.cutoff_rho / 2.0)
     verdicts["grid_shell_fit"] = abs(grid_est.r_star - cfg.profile_r) <= 0.1
 

@@ -36,7 +36,7 @@ s < 0 the norm is that of the field with its mean removed.
 
 The 2/3 rule keeps the modes with every |k_i| <= N/3: the index ranges
 [0, m] and [N - m, N) on each full axis and [0, m] on the half axis,
-m = floor(N/3) (`_kept_band`, the band's one definition). The transforms
+m = floor(N/3) (`_kept_band`, the rule's one definition). The transforms
 take `dealiased=True` for a field the rule masks: the inverse of the kept
 band of a half spectrum, and the forward transform with the discarded
 modes set to zero. Both return, bit for bit, what the full
@@ -57,6 +57,20 @@ repeating pocketfft's own order and scaling:
 Each line that runs is the same 1D transform as in the full pass. The
 dealiased inverse checks the whole half spectrum for finiteness, as the
 mask did when it turned a non-finite dropped mode into NaN.
+
+The compact band holds only the kept modes, in an (2m + 1, 2m + 1,
+2m + 1, m + 1) array (`_band_index`): each full axis holds the indices
+0, ..., m and then N - m, ..., N - 1, the half axis 0, ..., m. That is
+22 % of a half spectrum at N = 16 and 18 % at N = 32. `gather_band` copies
+a half-lattice array's band out (times a scale, if given), and
+`scatter_band` writes a band into its place in a half-lattice array. The
+band transforms run the same passes as the dealiased ones:
+`band_inverse` scatters the band into the zeroed work array, and
+`band_forward` gathers h^4 times the kept modes straight into a band,
+with no zeroed half spectrum. So `band_inverse(gather_band(c))` is, bit
+for bit, the dealiased inverse of c, and `band_forward(v)` the band of
+the dealiased forward transform of v; each checks its own input for
+finiteness.
 
 A field is band-limited when every mode outside the kept band is exactly
 zero (`is_band_limited`). The mask then changes nothing, so its dealiased
@@ -211,6 +225,33 @@ def _kept_band(n: int) -> tuple[tuple[slice, slice], slice]:
     return (slice(0, m + 1), slice(n - m, n)), slice(0, m + 1)
 
 
+def _band_index(n: int) -> tuple[tuple[np.ndarray, ...], slice]:
+    """The compact band's layout: open-mesh indices of the full axes, and the half axis.
+
+    A band array has shape (2m + 1, 2m + 1, 2m + 1, m + 1), m = floor(N/3):
+    each full axis holds the indices 0, ..., m and then N - m, ..., N - 1,
+    the half axis 0, ..., m.
+    """
+    (low, high), half = _kept_band(n)
+    full = np.r_[low, high]
+    return np.ix_(full, full, full), half
+
+
+def gather_band(a: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """The compact band of a half-lattice array, times `scale` if given."""
+    mesh, half = _band_index(a.shape[0])
+    band = a[..., half][mesh]
+    if scale is not None:
+        band *= scale
+    return band
+
+
+def scatter_band(band: np.ndarray, out: np.ndarray) -> None:
+    """Write a compact band into its place in the half-lattice array `out`."""
+    mesh, half = _band_index(out.shape[0])
+    out[..., half][mesh] = band
+
+
 def is_band_limited(field: SpectralField) -> bool:
     """Whether every mode of the half spectrum outside the 2/3 band is exactly zero."""
     (low, high), half = _kept_band(field.grid.points_per_dim)
@@ -230,32 +271,66 @@ def _fft_pass(block: np.ndarray, axis: int, inverse: bool) -> None:
         block[...] = out
 
 
-def transform_forward(field: PhysicalField, dealiased: bool = False) -> SpectralField:
-    """Forward transform to the half spectrum, v_hat = h^4 RFFT(v).
-
-    With `dealiased`, the modes outside the 2/3 band are zero and the FFT
-    passes skip the lines that only reach them.
-    """
-    if not np.all(np.isfinite(field.values)):
-        raise NonFiniteField("non-finite values in physical field")
-    grid = field.grid
-    h4 = grid.spacing**4
-    if not dealiased:
-        coeffs = _fft.rfftn(field.values, workers=_fft_workers)
-        coeffs *= h4
-        return SpectralField(grid, coeffs)
-    full, half = _kept_band(grid.points_per_dim)
-    spectrum = _fft.rfft(field.values, axis=3, workers=_fft_workers)
+def _forward_passes(values: np.ndarray) -> np.ndarray:
+    """The unscaled rfftn of `values`, correct on the kept band only (see the module docstring)."""
+    full, half = _kept_band(values.shape[0])
+    spectrum = _fft.rfft(values, axis=3, workers=_fft_workers)
     band = spectrum[..., half]
     _fft_pass(band, 0, inverse=False)
     for i in full:
         _fft_pass(band[i], 1, inverse=False)
     for i, j in product(full, repeat=2):
         _fft_pass(band[i, j], 2, inverse=False)
+    return spectrum
+
+
+def _inverse_passes(work: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The physical values of `work`, a half spectrum that is zero outside the kept band.
+
+    The passes overwrite `work` (see the module docstring).
+    """
+    n = grid.points_per_dim
+    full, half = _kept_band(n)
+    kept = work[..., half]
+    for j, k in product(full, repeat=2):
+        _fft_pass(kept[:, j, k], 0, inverse=True)
+    for k in full:
+        _fft_pass(kept[:, :, k], 1, inverse=True)
+    _fft_pass(kept, 2, inverse=True)
+    vals = _fft.irfft(work, n=n, axis=3, norm="forward", workers=_fft_workers)
+    vals *= 1.0 / n**4
+    vals /= grid.spacing**4
+    return vals
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteField(f"non-finite {what}")
+
+
+def transform_forward(field: PhysicalField, dealiased: bool = False) -> SpectralField:
+    """Forward transform to the half spectrum, v_hat = h^4 RFFT(v).
+
+    With `dealiased`, the modes outside the 2/3 band are zero and the FFT
+    passes skip the lines that only reach them.
+    """
+    _require_finite(field.values, "values in physical field")
+    grid = field.grid
+    h4 = grid.spacing**4
+    if not dealiased:
+        coeffs = _fft.rfftn(field.values, workers=_fft_workers)
+        coeffs *= h4
+        return SpectralField(grid, coeffs)
+    spectrum = _forward_passes(field.values)
     coeffs = np.zeros(grid.spectral_shape, dtype=complex)
-    for i, j, k in product(full, repeat=3):
-        np.multiply(spectrum[i, j, k, half], h4, out=coeffs[i, j, k, half])
+    scatter_band(gather_band(spectrum, h4), coeffs)
     return SpectralField(grid, coeffs)
+
+
+def band_forward(field: PhysicalField) -> np.ndarray:
+    """The compact band of the dealiased forward transform, with no zeroed half spectrum."""
+    _require_finite(field.values, "values in physical field")
+    return gather_band(_forward_passes(field.values), field.grid.spacing**4)
 
 
 def transform_inverse(field: SpectralField, dealiased: bool = False) -> PhysicalField:
@@ -264,27 +339,23 @@ def transform_inverse(field: SpectralField, dealiased: bool = False) -> Physical
     With `dealiased`, only the modes inside the 2/3 band are transformed,
     and the FFT passes skip the lines that hold none of them.
     """
-    if not np.all(np.isfinite(field.coefficients)):
-        raise NonFiniteField("non-finite coefficients in spectral field")
+    _require_finite(field.coefficients, "coefficients in spectral field")
     grid = field.grid
-    n = grid.points_per_dim
-    if not dealiased:
-        vals = _fft.irfftn(field.coefficients, s=grid.shape, workers=_fft_workers)
-    else:
-        full, half = _kept_band(n)
+    if dealiased:
         work = np.zeros(grid.spectral_shape, dtype=complex)
-        for i, j, k in product(full, repeat=3):
-            work[i, j, k, half] = field.coefficients[i, j, k, half]
-        band = work[..., half]
-        for j, k in product(full, repeat=2):
-            _fft_pass(band[:, j, k], 0, inverse=True)
-        for k in full:
-            _fft_pass(band[:, :, k], 1, inverse=True)
-        _fft_pass(band, 2, inverse=True)
-        vals = _fft.irfft(work, n=n, axis=3, norm="forward", workers=_fft_workers)
-        vals *= 1.0 / n**4
+        scatter_band(gather_band(field.coefficients), work)
+        return PhysicalField(grid, _inverse_passes(work, grid))
+    vals = _fft.irfftn(field.coefficients, s=grid.shape, workers=_fft_workers)
     vals /= grid.spacing**4
     return PhysicalField(grid, vals)
+
+
+def band_inverse(band: np.ndarray, grid: TorusGrid) -> PhysicalField:
+    """The physical field of a compact band, through a zeroed half-lattice work array."""
+    _require_finite(band, "coefficients in spectral band")
+    work = np.zeros(grid.spectral_shape, dtype=complex)
+    scatter_band(band, work)
+    return PhysicalField(grid, _inverse_passes(work, grid))
 
 
 def sobolev_multiplier(grid: TorusGrid, s: float) -> np.ndarray:

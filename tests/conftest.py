@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critheat.spectral import PhysicalField, TorusGrid
+from critheat import evolution as ev
+from critheat.spectral import PhysicalField, SpectralField, TorusGrid, gather_band, scatter_band
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,14 @@ def kept_band_mask(grid: TorusGrid) -> np.ndarray:
     full = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= n / 3.0
     half = np.abs(np.fft.rfftfreq(n, 1.0 / n)) <= n / 3.0
     return full[:, None, None, None] & full[None, :, None, None] & full[None, None, :, None] & half
+
+
+def full_cubic(u_hat: SpectralField) -> SpectralField:
+    """`evolution.nonlinear_term` on a half spectrum: its band's cubic, scattered into zeros."""
+    grid = u_hat.grid
+    out = np.zeros(grid.spectral_shape, dtype=complex)
+    scatter_band(ev.nonlinear_term(gather_band(u_hat.coefficients), grid), out)
+    return SpectralField(grid, out)
 
 
 def cosine_field(grid: TorusGrid, amplitude: float = 1.0, mode: int = 1) -> PhysicalField:

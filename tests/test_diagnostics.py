@@ -17,7 +17,7 @@ from critheat.spectral import (
     transform_inverse,
 )
 
-from conftest import cosine_field
+from conftest import cosine_field, full_cubic
 
 
 SCHEDULE = dg.SplittingSchedule()
@@ -108,7 +108,7 @@ class TestRecord:
         # independent route: physical-space lattice sum of (Lambda u)(Lambda u^3)
         u_hat = state.u_hat
         lam = sobolev_multiplier(grid, 1.0)
-        cubic = ev.nonlinear_term(u_hat)
+        cubic = full_cubic(u_hat)
         lam_u = transform_inverse(SpectralField(grid, u_hat.coefficients * lam))
         lam_cubic = transform_inverse(SpectralField(grid, cubic.coefficients * lam))
         lattice = grid.spacing**4 * np.sum(lam_u.values * lam_cubic.values)
@@ -137,7 +137,7 @@ class TestRecordCaches:
         start = ev.initial_state(datum)
         (stepped,) = ev.advance(ev.initial_state(datum), (0.01,), 0.005)
         for state in (start, stepped):
-            direct = sobolev_inner(state.u_hat, ev.nonlinear_term(state.u_hat), 1.0)
+            direct = sobolev_inner(state.u_hat, full_cubic(state.u_hat), 1.0)
             assert dg.record(state, SCHEDULE).pairing == direct
 
     def test_linear_state_computes_its_cubic(self, datum):
@@ -199,8 +199,11 @@ class TestRecordCaches:
 
     def test_transforms_per_state(self, datum, monkeypatch):
         inverse, forward, record_cubics = [], [], []
+        stage_inverse, stage_forward = [], []
         monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, inverse))
         monkeypatch.setattr(ev, "transform_forward", _counted(ev.transform_forward, forward))
+        monkeypatch.setattr(ev, "band_inverse", _counted(ev.band_inverse, stage_inverse))
+        monkeypatch.setattr(ev, "band_forward", _counted(ev.band_forward, stage_forward))
         monkeypatch.setattr(dg, "transform_inverse", _counted(dg.transform_inverse, inverse))
         monkeypatch.setattr(dg, "nonlinear_term", _counted(dg.nonlinear_term, record_cubics))
         start = ev.initial_state(datum)
@@ -217,9 +220,11 @@ class TestRecordCaches:
         assert [f is start.u_hat for f in full] == [True, False]
         assert [f is end.u_hat for f in full] == [False, True]
         # each of the n + 1 states: one dealiased inverse and one forward
-        # transform of its cube; each step: three RK4 stage cubics
-        assert len(inverse) == (n + 1) + 3 * n + len(full)
-        assert len(forward) == (n + 1) + 3 * n
+        # transform of its cube; each step: three RK4 stage cubics, which
+        # transform the compact band
+        assert len(inverse) - len(full) + len(stage_inverse) == (n + 1) + 3 * n
+        assert len(forward) + len(stage_forward) == (n + 1) + 3 * n
+        assert len(stage_inverse) == len(stage_forward) == 3 * n
         assert all(dealiased for _, dealiased in forward)
 
     def test_band_limited_linear_run_transforms_once_per_state(self, monkeypatch):

@@ -13,12 +13,13 @@ from critheat.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    sobolev_inner,
     sobolev_norm_sq,
     transform_forward,
     transform_inverse,
 )
 
-from conftest import cosine_field, kept_band_mask, traced_peak
+from conftest import cosine_field, full_cubic, kept_band_mask, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +57,11 @@ class TestHeatPropagate:
 class TestNonlinearTerm:
     def test_zero_field(self, grid):
         zero = SpectralField(grid, np.zeros(grid.spectral_shape, dtype=complex))
-        assert np.all(ev.nonlinear_term(zero).coefficients == 0)
+        assert np.all(full_cubic(zero).coefficients == 0)
 
     def test_constant_field_cubes(self, grid):
         field = PhysicalField(grid, np.full(grid.shape, 1.7))
-        out = ev.nonlinear_term(transform_forward(field))
+        out = full_cubic(transform_forward(field))
         mean = out.coefficients[0, 0, 0, 0] / (grid.spacing**4 * 16**4)
         assert mean == pytest.approx(1.7**3, rel=1e-12)
         rest = out.coefficients.copy()
@@ -70,7 +71,7 @@ class TestNonlinearTerm:
     def test_cosine_cube_harmonics(self, grid):
         # cos^3 = (3 cos + cos 3.)/4; both harmonics inside the kept band at N=16
         a = 0.9
-        out = ev.nonlinear_term(transform_forward(cosine_field(grid, a)))
+        out = full_cubic(transform_forward(cosine_field(grid, a)))
         per_mode = out.coefficients / (grid.spacing**4 * 16**4)
         assert per_mode[1, 0, 0, 0].real == pytest.approx(3 * a**3 / 8.0, rel=1e-12)
         assert per_mode[3, 0, 0, 0].real == pytest.approx(a**3 / 8.0, rel=1e-12)
@@ -78,7 +79,7 @@ class TestNonlinearTerm:
     def test_output_hermitian(self, random_spec):
         # the output is the half spectrum of a real field: a round trip
         # through physical space returns it
-        out = ev.nonlinear_term(random_spec).coefficients
+        out = full_cubic(random_spec).coefficients
         back = transform_forward(transform_inverse(SpectralField(random_spec.grid, out)))
         assert np.max(np.abs(back.coefficients - out)) <= 1e-12 * np.max(np.abs(out))
 
@@ -90,7 +91,7 @@ class TestNonlinearTerm:
         else:
             u_hat = random_spec
         cached = ev.initial_state(u_hat).rates().nl_hat
-        assert np.array_equal(cached, ev.nonlinear_term(u_hat).coefficients)
+        assert np.array_equal(cached, full_cubic(u_hat).coefficients)
 
 
 def padded_cubic(u_hat: SpectralField) -> np.ndarray:
@@ -127,7 +128,7 @@ class TestPaddedProduct:
     @staticmethod
     def defect(u_hat: SpectralField) -> float:
         want = padded_cubic(u_hat)
-        got = ev.nonlinear_term(u_hat).coefficients
+        got = full_cubic(u_hat).coefficients
         return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
     def test_power_law_datum_is_alias_free(self):
@@ -214,6 +215,71 @@ class TestStep:
         assert ratio == pytest.approx(8.0, rel=0.15)
 
 
+def masked_cubic(coeffs: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The dealiased cubic from the full transforms and the 2/3 mask, and the cube it transforms."""
+    mask = kept_band_mask(grid)
+    v = transform_inverse(SpectralField(grid, coeffs * mask)).values
+    cube = v * v
+    cube *= v
+    return transform_forward(PhysicalField(grid, cube)).coefficients * mask, cube
+
+
+class TestCompactStepOracle:
+    """`ev.step` against a full-lattice IF-RK4 built from the masked full transforms.
+
+    The oracle keeps the whole update on the half lattice, with every stage
+    a cubic of the masked field, so it never gathers or scatters a band.
+    The step must reproduce it bit for bit: coefficients and rates.
+    """
+
+    @staticmethod
+    def oracle(u: np.ndarray, grid: TorusGrid, dt: float, steps: int):
+        e1 = np.exp(-(0.5 * dt) * grid.xi_mag**2)
+        e2 = e1 * e1
+        a, _ = masked_cubic(u, grid)
+        out = []
+        for _ in range(steps):
+            b, _ = masked_cubic(e1 * (u + 0.5 * dt * a), grid)
+            c, _ = masked_cubic(e1 * u + 0.5 * dt * b, grid)
+            d, _ = masked_cubic(e2 * u + dt * e1 * c, grid)
+            u = e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
+            a, cube = masked_cubic(u, grid)
+            spec = SpectralField(grid, u)
+            rates = (
+                sobolev_norm_sq(spec, 2.0),
+                sobolev_inner(spec, SpectralField(grid, a), 1.0),
+                float(grid.spacing**4 * np.sum(cube * cube)),
+            )
+            out.append((u, rates))
+        return out
+
+    @pytest.mark.parametrize("datum", ["power_law", "random", "random_n18"])
+    def test_three_steps_match_the_oracle(self, random_spec, datum):
+        if datum == "power_law":
+            # band-limited, scaled so that the cubic is felt: sup |u| = 0.99
+            grid = TorusGrid(16, 16.0)
+            u0 = SpectralField(grid, 200.0 * dc.synthesize_datum(grid, 0.0, 1.4, 1.0).coefficients)
+            dt = 0.05
+        elif datum == "random":
+            u0, dt = random_spec, 0.01
+        else:
+            grid = TorusGrid(18, 2 * np.pi)
+            rng = np.random.default_rng(18)
+            u0 = transform_forward(PhysicalField(grid, 0.5 * rng.standard_normal(grid.shape)))
+            dt = 0.01
+        grid = u0.grid
+        state = ev.initial_state(u0)
+        assert state.band_limited == (datum == "power_law")
+        for want, want_rates in self.oracle(u0.coefficients, grid, dt, 3):
+            state = ev.step(state, dt)
+            assert np.array_equal(state.u_hat.coefficients, want)
+            got = state.rates()
+            assert [x.hex() for x in (got.dissipation, got.pairing, got.l6)] == [
+                x.hex() for x in want_rates
+            ]
+        assert state.pairing_integral != 0.0
+
+
 class TestLatticeArraysHeldOnce:
     def test_initial_state_shares_the_datum_read_only(self, random_spec):
         state = ev.initial_state(random_spec)
@@ -230,6 +296,15 @@ class TestLatticeArraysHeldOnce:
         state.rates()
         ev.step(state, 0.5)  # first calls, outside the trace
         assert traced_peak(lambda: ev.step(state, 0.5), random_spec.grid) <= 3.0
+
+    def test_nonlinear_step_holds_its_stages_on_the_band(self, random_spec):
+        # the RK4 stages are compact bands (0.22 each at N = 16), released
+        # before the new state's rates run; with full-lattice stages the
+        # step peaked at 7.97
+        state = ev.initial_state(random_spec)
+        state.rates()
+        ev.step(state, 0.01)  # first calls, outside the trace
+        assert traced_peak(lambda: ev.step(state, 0.01), random_spec.grid) <= 6.5
 
 
 class TestHeldField:
@@ -312,7 +387,7 @@ class TestManufacturedOrder:
 
         def forcing(t):
             linear_part = (phi_dot(t) + xi1**2 * phi(t)) * mode
-            cubic = ev.nonlinear_term(SpectralField(grid, exact_hat(t))).coefficients
+            cubic = full_cubic(SpectralField(grid, exact_hat(t))).coefficients
             return linear_part - cubic
 
         t_end = 0.5

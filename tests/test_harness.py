@@ -231,9 +231,10 @@ class TestFloatKeys:
 class TestBuildDatum:
     @pytest.mark.filterwarnings("error")
     def test_large_profile_r_gives_a_finite_datum(self, tmp_path):
-        # the power is taken below the cutoff alone, where 1.4^699 is finite
+        # the power is taken below the cutoff alone, where 1.4^699 is finite;
+        # the power schedule's alpha = 703 would overflow, the log-cubed one has none
         path = tmp_path / "c.cfg"
-        path.write_text("points_per_dim = 16\nprofile_r = 700\n")
+        path.write_text("points_per_dim = 16\nprofile_r = 700\nschedule = log_cubed\n")
         u0 = build_datum(parse_config(path, "linear-decay"))
         assert np.all(np.isfinite(u0.coefficients))
         h1 = np.sqrt(sobolev_norm_sq(u0, 1.0))
@@ -472,9 +473,10 @@ class TestRunExperiment:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_profile_r_exits_2(self, tmp_path, capsys):
-        # 1.4^4999 overflows below the cutoff, so no scale can mend the datum
+        # 1.4^4999 overflows below the cutoff, so no scale can mend the datum;
+        # the log-cubed schedule has no alpha, which the power one would overflow
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("points_per_dim = 16\nprofile_r = 5000\n")
+        cfg.write_text("points_per_dim = 16\nprofile_r = 5000\nschedule = log_cubed\n")
         out_dir = tmp_path / "out"
         assert run_experiment(ExperimentSpec("linear-decay", str(cfg), out_dir)) == 2
         assert capsys.readouterr().out == (
@@ -482,6 +484,48 @@ class TestRunExperiment:
             "|xi|^(profile_r - 1) below cutoff_rho = 1.4\n"
         )
         assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_profile_r_exits_2_on_decay_character(self, tmp_path, capsys):
+        # decay-character builds its own power-law datum, through the same check
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nprofile_r = 5000\n")
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("decay-character", str(cfg), out_dir)) == 2
+        assert capsys.readouterr().out == (
+            "config error: profile_r = 5000.0 overflows the unscaled power_law datum "
+            "|xi|^(profile_r - 1) below cutoff_rho = 1.4\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "experiment, keys, named",
+        [
+            ("linear-decay", "profile_r = 700\n", "profile_r = 700.0 gives the power schedule"
+             " alpha = 703"),
+            ("lyapunov", "schedule_alpha = 500\n", "schedule_alpha = 500.0 gives the power"
+             " schedule alpha = 500"),
+        ],
+    )
+    def test_overflowing_power_schedule_exits_2(self, tmp_path, capsys, experiment, keys, named):
+        # (1 + t)^alpha at t_end = 5 is past float range: every ball radius would be NaN
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nt_end = 5\nsnapshot_count = 8\n" + keys)
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec(experiment, str(cfg), out_dir)) == 2
+        assert capsys.readouterr().out == (
+            f"config error: {named}, and g(t) = (1 + t)^alpha overflows by t_end = 5 (resolved)\n"
+        )
+        assert not out_dir.exists()
+
+    def test_power_schedule_overflow_needs_a_schedule(self, tmp_path):
+        # decay-character runs no splitting schedule, so its alpha is never formed
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nt_end = 5\nprofile_r = 700\n")
+        assert parse_config(cfg, "decay-character").profile_r == 700.0
+        cfg.write_text("points_per_dim = 16\nt_end = 5\nprofile_r = 200\n")
+        assert parse_config(cfg, "linear-decay").resolved_schedule_alpha() == 203.0
 
     def test_inadmissible_bump_exits_2(self, tmp_path, capsys):
         # at delta = 0.9 the bump's energy exceeds E(W): outside the small-data regime
