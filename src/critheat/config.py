@@ -9,7 +9,9 @@ power-law datum.
 `parse_config` is the one validator of config values: the modules below
 it take their parameters as given and do not check them again. The grid
 is checked once, by `TorusGrid` (N even and >= 16, L > 0), whose error
-the validator reports as a config error. What only the built datum shows
+the validator reports as a config error; the validator also rejects a
+side_length for which T_box, the cell volume h^4 or the largest weight of
+the Hdot^2 density is not a finite float. What only the built datum shows
 (a checkpoint that cannot be read or is not finite, a datum with
 ||grad u0|| = 0) is checked where the datum is built,
 `experiments.build_datum`.
@@ -59,7 +61,8 @@ from .spectral import TorusGrid
 # N = 16, 200.8 at N = 32 when fitted, 66.0 and 187.0-190.8 now. The other
 # solver experiments peak lower: nonlinear-decay at 64.4-64.5 and
 # 168.6-171.3 MiB, lyapunov 64.9-65.0 and 177.0-177.1, linear-decay
-# 62.1-62.7 and 109.2
+# 60.9-61.0 and 97.0 (61.1-61.5 and 109.2-109.3 while a linear step held
+# its old state through the new state's rates)
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
 
@@ -173,6 +176,18 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    with np.errstate(over="ignore"):
+        dxi = np.float64(grid.frequency_spacing)
+        t_box = np.float64(cfg.side_length / (2.0 * np.pi)) ** 2 / 4.0
+        # the Hdot^2 density's largest weight, at |xi| = N dxi
+        weight = (2 * np.pi) ** -4 * dxi**4 * (cfg.points_per_dim * dxi) ** 4
+        cell = np.float64(grid.spacing) ** 4
+    if not (np.isfinite(t_box) and np.isfinite(weight) and np.isfinite(cell)):
+        raise ConfigError(
+            f"side_length = {cfg.side_length} overflows T_box = (L / 2 pi)^2 / 4, the cell "
+            "volume h^4 = (L / N)^4 or the Hdot^2 weight (2 pi)^-4 dxi^4 |xi|^4 at the "
+            "largest |xi| = N 2 pi / L"
+        )
     need = _RSS_BYTES_PER_POINT * cfg.points_per_dim**4 + _RSS_BASE_BYTES
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

@@ -43,20 +43,27 @@ reference to the datum frees it with the initial state, after the first
 step. `advance` is the one owner of the state it steps: it yields the
 state at each snapshot time, and a caller that drops the yielded state
 before asking for the next one (as `experiments.run_simulation` does)
-pins no state the loop has stepped away from. While a step's new state
-computes its rates, only the old and new states are alive, and the step
-holds:
+pins no state the loop has stepped away from. `advance` also hands each
+state over to `step`, so that the step holds its only reference. While a
+step's new state computes its rates, the step holds:
 
-  * linear: nothing more. Its one factor, e^{-dt |xi|^2}, is built as the
-    in-place square of e^{-dt |xi|^2 / 2} (bit for bit e1 * e1) and is
-    released once it has made the new state;
-  * nonlinear: the factors e1 = e^{-dt |xi|^2 / 2} and e2 = e1 * e1 on
-    the half lattice (half a half spectrum each). The stages and their
-    inputs are compact bands, released once the update is scattered. e2
-    is built after the stages, and both factors are kept until the step
-    returns: released earlier, they leave the top of the heap free for
-    glibc to return, and later steps fault it in again (several times the
-    minor page faults of a run at N = 16).
+  * linear: only the new state. It reads the old state's rates, builds
+    its one factor, e^{-dt |xi|^2}, as the in-place square of
+    e^{-dt |xi|^2 / 2} (bit for bit e1 * e1), makes the new coefficients
+    and releases the factor, the old coefficients and its reference to
+    the old state; the heat flow cannot blow up, so the new rates run
+    outside the blow-up guard. A caller that keeps its own reference to
+    the old state (a test, or `experiments._energy_identity`'s `start`)
+    keeps it alive, unchanged;
+  * nonlinear: the old and new states, since a blow-up in the new rates
+    raises `BlowUpSuspected` with the old one, and the factors
+    e1 = e^{-dt |xi|^2 / 2} and e2 = e1 * e1 on the half lattice (half a
+    half spectrum each). The stages and their inputs are compact bands,
+    released once the update is scattered. e2 is built after the stages,
+    and both factors are kept until the step returns: released earlier,
+    they leave the top of the heap free for glibc to return, and later
+    steps fault it in again (several times the minor page faults of a run
+    at N = 16).
 
 Along the run three time integrals are accumulated by the trapezoid rule
 on steps: the Hdot^2 dissipation integral, the Hdot^1 pairing with the
@@ -194,11 +201,17 @@ class SolverState:
     def rates(self) -> Rates:
         """The state's step-endpoint rates, computed on first use.
 
-        A band-limited state computes its observables here as well, from
-        the dealiased field, which is bit for bit its full field.
+        A linear state takes its Hdot^2 density before its dealiased
+        inverse: it has no cube to transform and the heat flow cannot blow
+        up, so the density's temporaries come and go before the field and
+        its cube are allocated. A nonlinear state transforms its cube first
+        (see below). A band-limited state computes its observables here as
+        well, from the dealiased field, which is bit for bit its full field.
         """
         if self._rates is None:
             grid = self.u_hat.grid
+            if not self.nonlinear:
+                diss = sobolev_norm_sq(self.u_hat, 2.0)
             field = transform_inverse(self.u_hat, dealiased=True)
             if self.band_limited:
                 self._observables = Observables.of(field)
@@ -212,10 +225,10 @@ class SolverState:
             with np.errstate(over="ignore"):
                 cube *= cube  # u^6, bit for bit cube * cube
                 l6 = float(grid.spacing**4 * np.sum(cube))
-            diss = sobolev_norm_sq(self.u_hat, 2.0)
             if nl is None:
                 self._rates = Rates(diss, 0.0, l6, None)
             else:
+                diss = sobolev_norm_sq(self.u_hat, 2.0)
                 pair = sobolev_inner(self.u_hat, nl, 1.0)
                 self._rates = Rates(diss, pair, l6, nl.coefficients)
         return self._rates
@@ -275,6 +288,11 @@ def step(
     The optional forcing is a verification hook: a callable t -> spectral
     coefficients added to the nonlinear right-hand side (manufactured
     solutions); a linear state, stepped by the heat factor alone, takes none.
+
+    The old state is read, never written. A linear step drops its own
+    references to it before the new state's rates run, so it is freed
+    there when the caller handed it over (as `advance` does); a caller that
+    keeps a reference sees it unchanged.
     """
     if forcing is not None and not state.nonlinear:
         raise ValueError("a forcing needs a nonlinear state; a linear step is exact")
@@ -330,9 +348,14 @@ def step(
             # out-of-band modes stay e2 * 0 = 0; a forcing may fill them
             band_limited=state.band_limited and forcing is None,
         )
-        new = new_state.rates()
+        if state.nonlinear:
+            new_state.rates()
     except NonFiniteField as exc:
         raise BlowUpSuspected(state) from exc
+    # the heat flow cannot blow up: a linear state's rates run with the old
+    # state released, unless the caller holds it (see the module docstring)
+    del state, u
+    new = new_state.rates()
     half_dt = 0.5 * dt
     new_state.dissipation_integral += half_dt * (old.dissipation + new.dissipation)
     new_state.pairing_integral += half_dt * (old.pairing + new.pairing)
@@ -356,9 +379,10 @@ def advance(
     snapshot time already reached yields the state unstepped. Each yielded
     time is snapped to its target to avoid float drift.
 
-    The generator is the one owner of the state it steps: a caller that
-    drops a yielded state before asking for the next one leaves only the
-    step's old and new states alive.
+    The generator is the one owner of the state it steps, and hands it
+    over to `step`: a caller that drops a yielded state before asking for
+    the next one leaves only the step's old and new states alive, and only
+    the new one while a linear step's new rates run.
     """
     for t_target in times:
         while t_target - state.t > 1e-12 * max(1.0, t_target):
@@ -367,7 +391,10 @@ def advance(
             n_sub = max(1, math.ceil(remaining / dt_eff - 1e-12))
             dt = remaining / n_sub
             for _ in range(min(n_sub, _RECHECK_EVERY)):
-                state = step(state, dt)
+                # hand the state over, so that the step holds its only reference
+                held = [state]
+                del state
+                state = step(held.pop(), dt)
         state.t = t_target
         yield state
 

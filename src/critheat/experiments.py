@@ -424,7 +424,9 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     and that part of the trapezoid error would never refine. The snapshot
     run at dt supplies series.csv only. If the stability bound forces extra
     substeps, the levels no longer nest and `steps_nested` fails. The
-    snapshot run and every level start from one datum, built once.
+    snapshot run and every level start from one datum, built once. A level
+    whose residual is 0 gives no ratio: the ratio is null, the summary
+    names the level, and `refinement_factor` fails.
     """
     sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
     u0_hat = build_datum(cfg)
@@ -439,22 +441,29 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
         residuals.append(dg.energy_identity_residual(start, end))
         steps.append(end.step_count)
         del start, end  # release this level's states before the next level runs
-    ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
+    ratios = [a / b if b > 0 else None for a, b in zip(residuals, residuals[1:])]
     verdicts = {
         "baseline_residual": residuals[0] <= 1e-6,
-        "refinement_factor": all(r >= 4.0 for r in ratios),
+        "refinement_factor": all(r is not None and r >= 4.0 for r in ratios),
         "steps_nested": steps == planned,
     }
     summary = _base_summary("energy-identity", cfg)
     summary.update(
         {
             "step_counts": steps,
-            "dt_levels": [t_end / n for n in steps],
+            # a level that took no step (t_end within advance's tolerance of 0) has no dt
+            "dt_levels": [t_end / n if n else None for n in steps],
             "residuals": residuals,
             "refinement_ratios": ratios,
             "verdicts": verdicts,
         }
     )
+    zero = [k for k, r in enumerate(residuals[1:], 1) if r == 0]
+    if zero:
+        summary["refinement_reason"] = (
+            f"the residual of level {', '.join(map(str, zero))} is 0, so the ratio "
+            "of the level before to it is undefined (null); refinement cannot be measured"
+        )
     return summary, records
 
 

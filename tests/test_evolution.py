@@ -1,6 +1,7 @@
 """Heat propagator, cubic term, IF-RK4 stepping, Duhamel checks, checkpoints."""
 
 import warnings
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -305,6 +306,40 @@ class TestLatticeArraysHeldOnce:
         state.rates()
         ev.step(state, 0.01)  # first calls, outside the trace
         assert traced_peak(lambda: ev.step(state, 0.01), random_spec.grid) <= 6.5
+
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_step_leaves_a_state_its_caller_holds_as_it_was(self, random_spec, nonlinear):
+        # a step drops only its own references to the old state
+        state = ev.initial_state(random_spec, nonlinear=nonlinear)
+        before = state.u_hat.coefficients.copy()
+        rates = state.rates()
+        assert ev.step(state, 0.01) is not state
+        assert np.array_equal(state.u_hat.coefficients, before)
+        assert state.rates() is rates
+        assert (state.t, state.step_count) == (0.0, 0)
+
+    def test_advance_releases_a_linear_substep_state(self, random_spec, monkeypatch):
+        # `advance` hands each state to `step`, which drops it before the new
+        # state's rates run: at every dealiased inverse one state is alive
+        made, alive = [], []
+        rates, inverse = ev.SolverState.rates, ev.transform_inverse
+
+        def traced_rates(self):
+            if self._rates is None:
+                made.append(weakref.ref(self))
+            return rates(self)
+
+        def traced_inverse(field, dealiased=False):
+            if dealiased:
+                alive.append(sum(ref() is not None for ref in made))
+            return inverse(field, dealiased=dealiased)
+
+        monkeypatch.setattr(ev.SolverState, "rates", traced_rates)
+        monkeypatch.setattr(ev, "transform_inverse", traced_inverse)
+        (end,) = ev.advance(ev.initial_state(random_spec, nonlinear=False), (0.5,), 0.1)
+        assert end.step_count >= 5
+        assert alive == [1] * (end.step_count + 1)
 
 
 class TestHeldField:

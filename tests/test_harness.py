@@ -277,10 +277,11 @@ class TestBuildDatum:
 class TestRunSimulation:
     def test_linear_run_holds_each_array_once(self, tmp_path):
         # the state shares the datum built inline, which is freed after the
-        # first step; a linear step holds one heat factor and two states, not
-        # the snapshot state as well; a linear record transforms nothing
-        # forward: 5.40 half spectra; a pinned snapshot state or a copied
-        # datum would add 1 more, a second factor 0.5
+        # first step; a linear step releases its old state before the new
+        # state's rates run, and those rates take the Hdot^2 density before
+        # the dealiased inverse; a linear record transforms nothing forward:
+        # 4.40 half spectra; the old state held through the rates, or a
+        # pinned snapshot state, or a copied datum would add 1 more
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 16\nsnapshot_count = 6\n")
         cfg = parse_config(path, "linear-decay")
@@ -290,7 +291,7 @@ class TestRunSimulation:
             experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched})
 
         run()  # first calls, outside the trace
-        assert traced_peak(run, TorusGrid(16, cfg.side_length)) <= 5.6
+        assert traced_peak(run, TorusGrid(16, cfg.side_length)) <= 4.6
 
     def test_snapshot_state_is_freed_while_stepping(self, tmp_path, monkeypatch):
         # an interval of several substeps: from its second substep on, only
@@ -519,6 +520,28 @@ class TestRunExperiment:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "side_length = 1e300\n",  # T_box
+            "side_length = 1e80\ncutoff_rho = 4e-79\nt_end = 1\n",  # h^4
+            "side_length = 1e-100\nt_end = 0.01\n",  # dxi^4
+        ],
+    )
+    def test_overflowing_side_length_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\n" + config)
+        out_dir = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("linear-decay", str(cfg), out_dir)) == 2
+        length = float(config.split("\n")[0].split(" = ")[1])
+        assert capsys.readouterr().out == (
+            f"config error: side_length = {length} overflows T_box = (L / 2 pi)^2 / 4, the "
+            "cell volume h^4 = (L / N)^4 or the Hdot^2 weight (2 pi)^-4 dxi^4 |xi|^4 at the "
+            "largest |xi| = N 2 pi / L\n"
+        )
+        assert not out_dir.exists()
+
     def test_power_schedule_overflow_needs_a_schedule(self, tmp_path):
         # decay-character runs no splitting schedule, so its alpha is never formed
         cfg = tmp_path / "c.cfg"
@@ -720,6 +743,46 @@ class TestRunExperiment:
         assert summary["step_counts"] == [n0, 2 * n0]
         assert summary["dt_levels"] == [0.05 / n0, 0.05 / (2 * n0)]
         assert len(summary["residuals"]) == 2
+
+    def test_linear_energy_identity_is_unchanged_by_held_states(self, tmp_path, monkeypatch):
+        # a step releases its old state unless its caller holds it; a caller
+        # that holds every state it steps changes no byte
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "t_end = 0.05\nsnapshot_count = 4\nrefinement_levels = 2\nnonlinearity = false\n"
+        )
+        assert run_experiment(ExperimentSpec("energy-identity", str(cfg), tmp_path / "a")) == 0
+        held, step = [], ev.step
+
+        def holding(state, dt):
+            held.append(state)
+            return step(state, dt)
+
+        monkeypatch.setattr(ev, "step", holding)
+        assert run_experiment(ExperimentSpec("energy-identity", str(cfg), tmp_path / "b")) == 0
+        assert len(held) > 3 * 13
+        for name in ("summary.json", "series.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_zero_energy_identity_residual_gives_no_ratio(self, tmp_path):
+        # t_end lies within advance's tolerance of 0, so no level steps and
+        # every residual is 0: the ratio is null, the verdict fails, and the
+        # JSON stays standard
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("t_end = 1e-300\ndt = 1e-300\nsnapshot_count = 4\nrefinement_levels = 2\n")
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("energy-identity", str(cfg), out)) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["residuals"] == [0.0, 0.0]
+        assert summary["refinement_ratios"] == [None]
+        assert summary["dt_levels"] == [None, None]
+        assert "the residual of level 1 is 0" in summary["refinement_reason"]
+        assert summary["verdicts"]["refinement_factor"] is False
+        assert summary["passed"] is False
 
     def test_energy_identity_builds_its_datum_once(self, tmp_path, monkeypatch):
         calls = {"build_datum": 0, "bubble_constants": 0}
