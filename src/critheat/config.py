@@ -11,10 +11,10 @@ it take their parameters as given and do not check them again. The grid
 is checked once, by `TorusGrid` (N even and >= 16, L > 0), whose error
 the validator reports as a config error; the validator also rejects a
 side_length for which T_box, the cell volume h^4 or the largest weight of
-the Hdot^2 density is not a finite float. What only the built datum shows
-(a checkpoint that cannot be read or is not finite, a datum with
-||grad u0|| = 0) is checked where the datum is built,
-`experiments.build_datum`.
+the Hdot^2 density is not a finite float, and a run that needs more than
+`_MAX_STEPS` steps. What only the built datum shows (a checkpoint that
+cannot be read or is not finite, a datum with ||grad u0|| = 0) is checked
+where the datum is built, `experiments.build_datum`.
 
 `profile_r` is the q* of the datum: the exponent a power-law datum is
 built with, and the stated q* of a `datum = file` checkpoint, which
@@ -54,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import POWER, SplittingSchedule
+from .evolution import stable_dt
 from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
@@ -61,10 +62,13 @@ from .spectral import TorusGrid
 # N = 16, 200.8 at N = 32 when fitted, 66.0 and 187.0-190.8 now. The other
 # solver experiments peak lower: nonlinear-decay at 64.4-64.5 and
 # 168.6-171.3 MiB, lyapunov 64.9-65.0 and 177.0-177.1, linear-decay
-# 60.9-61.0 and 97.0 (61.1-61.5 and 109.2-109.3 while a linear step held
-# its old state through the new state's rates)
+# 60.9-61.0 and 97.0
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
+
+# most steps a run may need: at about 8 ms per N = 16 step, three months
+_MAX_STEPS = 10**9
+_STEPLESS = ("decay-character", "bubble-constants")  # they advance no state
 
 
 class ConfigError(ValueError):
@@ -271,9 +275,9 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         )
     if not cfg.c_tilde > 0:
         raise ConfigError(f"c_tilde must be positive, got {cfg.c_tilde}")
-    if cfg.schedule == POWER and experiment not in ("decay-character", "bubble-constants"):
+    if cfg.schedule == POWER and experiment not in _STEPLESS:
         # records read g and g' up to t_end, past float range the ball radius
-        # is NaN; the two experiments named run no splitting schedule
+        # is NaN; the stepless experiments run no splitting schedule
         alpha = cfg.resolved_schedule_alpha()
         sched = SplittingSchedule(POWER, alpha, cfg.c_tilde)
         t_end = np.float64(cfg.resolved_t_end())
@@ -299,6 +303,18 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
     if cfg.refinement_levels < 2:
         raise ConfigError(
             f"refinement_levels must be >= 2, got {cfg.refinement_levels}"
+        )
+    # no step is longer than dt or the stability bound at sup |u| = 0, and
+    # on energy-identity's finest level than dt / 2^(refinement_levels - 1)
+    longest = min(cfg.dt, stable_dt(grid, 0.0))
+    keys = f"dt = {cfg.dt}, side_length = {cfg.side_length}"
+    if experiment == "energy-identity":
+        longest = min(longest, math.ldexp(cfg.dt, 1 - cfg.refinement_levels))
+        keys += f", refinement_levels = {cfg.refinement_levels}"
+    if experiment not in _STEPLESS and cfg.resolved_t_end() > _MAX_STEPS * longest:
+        raise ConfigError(
+            f"t_end = {cfg.resolved_t_end():.6g} (resolved) in steps of at most {longest:.3g} "
+            f"({keys}) needs more than {_MAX_STEPS:.0e} steps"
         )
     return cfg
 

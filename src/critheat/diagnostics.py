@@ -46,16 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-# nonlinear_term and transform_inverse are bound here, though no record
-# calls them, so that the counts of tests/test_diagnostics.py and of the
-# benchmark's tracer (whose own test asserts both bindings) can wrap them
-from .evolution import SolverState, nonlinear_term  # noqa: F401
-from .spectral import (  # noqa: F401
-    SpectralField,
-    sobolev_density,
-    sobolev_norm_sq,
-    transform_inverse,
-)
+from .evolution import SolverState
+from .spectral import SpectralField, sobolev_density, sobolev_norm_sq
 
 LOG_CUBED = "log_cubed"
 POWER = "power"

@@ -10,19 +10,21 @@ cache, since `advance` changes dt with every snapshot interval. The
 cubic term is evaluated pseudospectrally with the 2/3 rule on both input
 and output: by `nonlinear_term` in the RK4 stages, on the compact band
 (below), and by a state's rates for its own cubic. The rule is applied
-inside the transforms (`dealiased=True` and the band transforms, see
-`spectral`): the inverse transforms only the kept band of the state, the
+inside the transforms (see `spectral`): the one dealiased inverse,
+`spectral.band_inverse`, transforms only the kept band of the state, the
 forward transform returns only the kept band of the cube, and neither
-runs the FFT lines the rule zeroes. The transforms reject non-finite
-input and are the only finiteness guard: a power or sum that overflows is
-left as inf, and an overflowing step raises `BlowUpSuspected` with the
-last valid state.
+runs the FFT lines the rule zeroes. A spectrum is checked for
+finiteness once, where it enters: `initial_state` checks its datum's
+whole half spectrum. After that the transforms, which reject non-finite
+input, are the only guard; the dealiased inverse checks only the band,
+and out of it a step's new coefficients are e2 * u of a finite u. A
+power or sum that overflows is left as inf, and an overflowing step
+raises `BlowUpSuspected` with the last valid state.
 
 A nonlinear step runs its RK4 stages on the compact 2/3 band
-(`spectral.gather_band`), about a fifth of a half spectrum at N = 16
-and 32.
-Every stage is a dealiased cubic, exactly zero outside the band, so the
-step gathers u, e1 and the old state's cubic (stage a) to the band,
+(`spectral.gather_band`), about a fifth of a half spectrum at N = 16 and
+32. Every stage is a dealiased cubic, exactly zero outside the band, so
+the step gathers u, e1 and the old state's cubic (stage a) to the band,
 computes the stages b, c and d and their inputs there, builds the new
 coefficients as e2 * u on the half lattice and scatters the band's update
 into them. In the band each element is the full-lattice expression, bit
@@ -102,7 +104,8 @@ the cube is built in place (v * v, then *= v) and u^6 is its in-place
 square.
 
 The dt stability bound is 1.5 / max(||u||_inf^2, dxi^2) with a safety
-factor 0.5, re-evaluated every `_RECHECK_EVERY` = 100 steps while advancing.
+factor 0.5 (`stable_dt`), re-evaluated every `_RECHECK_EVERY` = 100 steps
+while advancing. At sup |u| = 0 it is 0.75 / dxi^2, the longest step.
 
 Checkpoint format (little-endian) of a file datum, which always starts at
 t = 0: the header's t and step count are recorded, not resumed.
@@ -212,7 +215,7 @@ class SolverState:
             grid = self.u_hat.grid
             if not self.nonlinear:
                 diss = sobolev_norm_sq(self.u_hat, 2.0)
-            field = transform_inverse(self.u_hat, dealiased=True)
+            field = band_inverse(gather_band(self.u_hat.coefficients), grid)
             if self.band_limited:
                 self._observables = Observables.of(field)
             cube = _cube(field.values)
@@ -267,7 +270,9 @@ def nonlinear_term(band: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
-    """The state at t = 0; it shares the datum's coefficients through a read-only view."""
+    """The state at t = 0, with its one finiteness check; it shares the datum read-only."""
+    if not np.all(np.isfinite(u0_hat.coefficients)):
+        raise NonFiniteField("non-finite coefficients in the initial datum")
     coeffs = u0_hat.coefficients.view()
     coeffs.flags.writeable = False
     return SolverState(
@@ -288,6 +293,7 @@ def step(
     The optional forcing is a verification hook: a callable t -> spectral
     coefficients added to the nonlinear right-hand side (manufactured
     solutions); a linear state, stepped by the heat factor alone, takes none.
+    Its out-of-band part is the caller's to keep finite: no transform reads it.
 
     The old state is read, never written. A linear step drops its own
     references to it before the new state's rates run, so it is freed
@@ -363,10 +369,14 @@ def step(
     return new_state
 
 
+def stable_dt(grid: TorusGrid, sup: float) -> float:
+    """Largest admissible dt of a field with sup |u| = sup, 0.5 * 1.5 / max(sup^2, dxi^2)."""
+    return 0.5 * 1.5 / max(sup**2, grid.frequency_spacing**2)
+
+
 def stability_bound(state: SolverState) -> float:
-    """Largest admissible dt, 0.5 * 1.5 / max(||u||_inf^2, dxi^2)."""
-    sup_sq = state.observables().sup ** 2
-    return 0.5 * 1.5 / max(sup_sq, state.u_hat.grid.frequency_spacing**2)
+    """Largest admissible dt of the state, `stable_dt` of its sup |u|."""
+    return stable_dt(state.u_hat.grid, state.observables().sup)
 
 
 def advance(

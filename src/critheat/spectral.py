@@ -36,41 +36,33 @@ s < 0 the norm is that of the field with its mean removed.
 
 The 2/3 rule keeps the modes with every |k_i| <= N/3: the index ranges
 [0, m] and [N - m, N) on each full axis and [0, m] on the half axis,
-m = floor(N/3) (`_kept_band`, the rule's one definition). The transforms
-take `dealiased=True` for a field the rule masks: the inverse of the kept
-band of a half spectrum, and the forward transform with the discarded
-modes set to zero. Both return, bit for bit, what the full
-`irfftn`/`rfftn` return on the masked input, while each 1D FFT pass runs
-only over the lines that hold a kept mode. Bit identity rests on
+m = floor(N/3) (`_kept_band`, the rule's one definition). The compact
+band (`_band_index`) holds only those modes, 22 % of a half spectrum at
+N = 16 and 18 % at N = 32; `gather_band` and `scatter_band` copy it out
+of and into a half-lattice array.
+
+The dealiased transforms run each 1D FFT pass only over the lines that
+hold a kept mode, and return, bit for bit, what the full `irfftn`/`rfftn`
+return on the masked input. `band_inverse(gather_band(c))` is the one
+dealiased inverse of a half spectrum c. `transform_forward(dealiased=True)`
+zeroes the discarded modes of a half spectrum, and `band_forward` gathers
+h^4 times the kept modes straight into a band. Bit identity rests on
 repeating pocketfft's own order and scaling:
 
-  * inverse: complex passes over axes 0, 1 and 2, in that order, then one
-    real pass over axis 3, all unscaled, then one multiplication by
-    1/N^4, the single factor `irfftn` applies after its last pass. A pass
-    runs only on the lines whose indices on the axes not yet transformed
-    are kept; every other line holds zeros and would stay zero;
+  * inverse: the band is scattered into a zeroed half-lattice array;
+    complex passes over axes 0, 1 and 2, in that order, then one real
+    pass over axis 3, all unscaled, then one multiplication by 1/N^4,
+    the single factor `irfftn` applies after its last pass. A pass runs
+    only on the lines whose indices on the axes not yet transformed are
+    kept; every other line holds zeros and would stay zero;
   * forward: one real pass over axis 3, then complex passes over axes 0,
     1 and 2, all unscaled, each only on the lines whose indices on the
     axes already transformed are kept; every other line ends in discarded
     modes.
 
-Each line that runs is the same 1D transform as in the full pass. The
-dealiased inverse checks the whole half spectrum for finiteness, as the
-mask did when it turned a non-finite dropped mode into NaN.
-
-The compact band holds only the kept modes, in an (2m + 1, 2m + 1,
-2m + 1, m + 1) array (`_band_index`): each full axis holds the indices
-0, ..., m and then N - m, ..., N - 1, the half axis 0, ..., m. That is
-22 % of a half spectrum at N = 16 and 18 % at N = 32. `gather_band` copies
-a half-lattice array's band out (times a scale, if given), and
-`scatter_band` writes a band into its place in a half-lattice array. The
-band transforms run the same passes as the dealiased ones:
-`band_inverse` scatters the band into the zeroed work array, and
-`band_forward` gathers h^4 times the kept modes straight into a band,
-with no zeroed half spectrum. So `band_inverse(gather_band(c))` is, bit
-for bit, the dealiased inverse of c, and `band_forward(v)` the band of
-the dealiased forward transform of v; each checks its own input for
-finiteness.
+Each line that runs is the same 1D transform as in the full pass. Each
+transform checks its input for finiteness; the band inverse checks only
+the band, and `evolution.initial_state` the modes it drops.
 
 A field is band-limited when every mode outside the kept band is exactly
 zero (`is_band_limited`). The mask then changes nothing, so its dealiased
@@ -284,25 +276,6 @@ def _forward_passes(values: np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def _inverse_passes(work: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The physical values of `work`, a half spectrum that is zero outside the kept band.
-
-    The passes overwrite `work` (see the module docstring).
-    """
-    n = grid.points_per_dim
-    full, half = _kept_band(n)
-    kept = work[..., half]
-    for j, k in product(full, repeat=2):
-        _fft_pass(kept[:, j, k], 0, inverse=True)
-    for k in full:
-        _fft_pass(kept[:, :, k], 1, inverse=True)
-    _fft_pass(kept, 2, inverse=True)
-    vals = _fft.irfft(work, n=n, axis=3, norm="forward", workers=_fft_workers)
-    vals *= 1.0 / n**4
-    vals /= grid.spacing**4
-    return vals
-
-
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise NonFiniteField(f"non-finite {what}")
@@ -333,29 +306,33 @@ def band_forward(field: PhysicalField) -> np.ndarray:
     return gather_band(_forward_passes(field.values), field.grid.spacing**4)
 
 
-def transform_inverse(field: SpectralField, dealiased: bool = False) -> PhysicalField:
-    """Inverse transform of a half spectrum back to its real physical field.
-
-    With `dealiased`, only the modes inside the 2/3 band are transformed,
-    and the FFT passes skip the lines that hold none of them.
-    """
+def transform_inverse(field: SpectralField) -> PhysicalField:
+    """Inverse transform of a half spectrum back to its real physical field."""
     _require_finite(field.coefficients, "coefficients in spectral field")
     grid = field.grid
-    if dealiased:
-        work = np.zeros(grid.spectral_shape, dtype=complex)
-        scatter_band(gather_band(field.coefficients), work)
-        return PhysicalField(grid, _inverse_passes(work, grid))
     vals = _fft.irfftn(field.coefficients, s=grid.shape, workers=_fft_workers)
     vals /= grid.spacing**4
     return PhysicalField(grid, vals)
 
 
 def band_inverse(band: np.ndarray, grid: TorusGrid) -> PhysicalField:
-    """The physical field of a compact band, through a zeroed half-lattice work array."""
+    """The physical field of a compact band, the one dealiased inverse."""
     _require_finite(band, "coefficients in spectral band")
+    n = grid.points_per_dim
     work = np.zeros(grid.spectral_shape, dtype=complex)
     scatter_band(band, work)
-    return PhysicalField(grid, _inverse_passes(work, grid))
+    del band  # a band the caller handed over is freed before the passes
+    full, half = _kept_band(n)
+    kept = work[..., half]
+    for j, k in product(full, repeat=2):
+        _fft_pass(kept[:, j, k], 0, inverse=True)
+    for k in full:
+        _fft_pass(kept[:, :, k], 1, inverse=True)
+    _fft_pass(kept, 2, inverse=True)
+    vals = _fft.irfft(work, n=n, axis=3, norm="forward", workers=_fft_workers)
+    vals *= 1.0 / n**4
+    vals /= grid.spacing**4
+    return PhysicalField(grid, vals)
 
 
 def sobolev_multiplier(grid: TorusGrid, s: float) -> np.ndarray:

@@ -119,7 +119,7 @@ class TestRecord:
 
 
 def _counted(func, log):
-    """Wrap `func` to log each call's field and whether it asked for the dealiased transform."""
+    """Wrap `func` to log each call's first argument and whether it asked for `dealiased`."""
 
     def wrapper(field, *args, **kwargs):
         log.append((field, kwargs.get("dealiased", False)))
@@ -171,8 +171,9 @@ class TestRecordCaches:
         (state,) = ev.advance(ev.initial_state(datum), (0.01,), 0.005)
         first = dg.record(state, dg.SplittingSchedule(dg.POWER))
         calls = []
+        names = ("transform_inverse", "band_inverse", "transform_forward", "sobolev_norm_sq")
         for module in (ev, dg):
-            for name in ("transform_inverse", "transform_forward", "sobolev_norm_sq"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(
                         module, name, _counted(getattr(module, name), calls)
@@ -189,8 +190,9 @@ class TestRecordCaches:
         (state,) = ev.advance(ev.initial_state(datum, nonlinear=False), (0.01,), 0.005)
         first = dg.record(state, dg.SplittingSchedule(dg.POWER))
         calls = []
+        names = ("transform_inverse", "band_inverse", "transform_forward", "sobolev_inner")
         for module in (ev, dg):
-            for name in ("transform_inverse", "transform_forward", "sobolev_inner"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, _counted(getattr(module, name), calls))
         second = dg.record(state, dg.SplittingSchedule(dg.LOG_CUBED))
@@ -198,14 +200,13 @@ class TestRecordCaches:
         assert second.pairing.hex() == first.pairing.hex()
 
     def test_transforms_per_state(self, datum, monkeypatch):
-        inverse, forward, record_cubics = [], [], []
-        stage_inverse, stage_forward = [], []
-        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, inverse))
+        full, band, forward = [], [], []
+        stage_cubics, stage_forward = [], []
+        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, full))
+        monkeypatch.setattr(ev, "band_inverse", _counted(ev.band_inverse, band))
         monkeypatch.setattr(ev, "transform_forward", _counted(ev.transform_forward, forward))
-        monkeypatch.setattr(ev, "band_inverse", _counted(ev.band_inverse, stage_inverse))
         monkeypatch.setattr(ev, "band_forward", _counted(ev.band_forward, stage_forward))
-        monkeypatch.setattr(dg, "transform_inverse", _counted(dg.transform_inverse, inverse))
-        monkeypatch.setattr(dg, "nonlinear_term", _counted(dg.nonlinear_term, record_cubics))
+        monkeypatch.setattr(ev, "nonlinear_term", _counted(ev.nonlinear_term, stage_cubics))
         start = ev.initial_state(datum)
         (end,) = ev.advance(start, (0.02,), 0.005)
         dg.record(end, dg.SplittingSchedule(dg.POWER))
@@ -213,28 +214,29 @@ class TestRecordCaches:
         ev.stability_bound(end)
         n = end.step_count
         assert n == 4
-        assert record_cubics == []
+        # no record computes a cubic: each one is a step's RK4 stage
+        assert len(stage_cubics) == 3 * n
         # one full-field inverse per state whose observables are read: the
         # bound at the start, and both records and the next bound at the end
-        full = [f for f, dealiased in inverse if not dealiased]
-        assert [f is start.u_hat for f in full] == [True, False]
-        assert [f is end.u_hat for f in full] == [False, True]
+        assert [f is start.u_hat for f, _ in full] == [True, False]
+        assert [f is end.u_hat for f, _ in full] == [False, True]
         # each of the n + 1 states: one dealiased inverse and one forward
         # transform of its cube; each step: three RK4 stage cubics, which
         # transform the compact band
-        assert len(inverse) - len(full) + len(stage_inverse) == (n + 1) + 3 * n
+        assert len(band) == (n + 1) + 3 * n
         assert len(forward) + len(stage_forward) == (n + 1) + 3 * n
-        assert len(stage_inverse) == len(stage_forward) == 3 * n
+        assert len(stage_forward) == 3 * n
         assert all(dealiased for _, dealiased in forward)
 
     def test_band_limited_linear_run_transforms_once_per_state(self, monkeypatch):
         # cutoff 1.4 lies inside the 2/3 band at N = L = 16
         datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
-        inverse, forward, record_cubics = [], [], []
-        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, inverse))
+        full, band, forward, cubics = [], [], [], []
+        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, full))
+        monkeypatch.setattr(ev, "band_inverse", _counted(ev.band_inverse, band))
         monkeypatch.setattr(ev, "transform_forward", _counted(ev.transform_forward, forward))
-        monkeypatch.setattr(dg, "transform_inverse", _counted(dg.transform_inverse, inverse))
-        monkeypatch.setattr(dg, "nonlinear_term", _counted(dg.nonlinear_term, record_cubics))
+        monkeypatch.setattr(ev, "band_forward", _counted(ev.band_forward, forward))
+        monkeypatch.setattr(ev, "nonlinear_term", _counted(ev.nonlinear_term, cubics))
         state = ev.initial_state(datum, nonlinear=False)
         assert state.band_limited
         dg.record(state, SCHEDULE)
@@ -244,11 +246,11 @@ class TestRecordCaches:
         ev.stability_bound(state)
         n = state.step_count
         assert n == 4
-        assert record_cubics == []
+        assert cubics == []
         # each of the n + 1 states: one dealiased inverse, no full inverse
         # and, with no cubic, no forward transform
-        assert len(inverse) == n + 1
-        assert all(dealiased for _, dealiased in inverse)
+        assert len(band) == n + 1
+        assert full == []
         assert forward == []
 
 

@@ -323,20 +323,19 @@ class TestLatticeArraysHeldOnce:
         # `advance` hands each state to `step`, which drops it before the new
         # state's rates run: at every dealiased inverse one state is alive
         made, alive = [], []
-        rates, inverse = ev.SolverState.rates, ev.transform_inverse
+        rates, inverse = ev.SolverState.rates, ev.band_inverse
 
         def traced_rates(self):
             if self._rates is None:
                 made.append(weakref.ref(self))
             return rates(self)
 
-        def traced_inverse(field, dealiased=False):
-            if dealiased:
-                alive.append(sum(ref() is not None for ref in made))
-            return inverse(field, dealiased=dealiased)
+        def traced_inverse(band, grid):
+            alive.append(sum(ref() is not None for ref in made))
+            return inverse(band, grid)
 
         monkeypatch.setattr(ev.SolverState, "rates", traced_rates)
-        monkeypatch.setattr(ev, "transform_inverse", traced_inverse)
+        monkeypatch.setattr(ev, "band_inverse", traced_inverse)
         (end,) = ev.advance(ev.initial_state(random_spec, nonlinear=False), (0.5,), 0.1)
         assert end.step_count >= 5
         assert alive == [1] * (end.step_count + 1)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +20,7 @@ from critheat import evolution as ev
 from critheat import experiments
 from critheat.config import _PARSERS, ConfigError, HarnessConfig, _parse_float, parse_config
 from critheat.diagnostics import CSV_COLUMNS, SplittingSchedule
-from critheat.experiments import ExperimentSpec, build_datum, run_experiment
+from critheat.experiments import EXPERIMENT_NAMES, ExperimentSpec, build_datum, run_experiment
 from critheat.spectral import (
     PhysicalField,
     SpectralField,
@@ -98,6 +99,20 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 32\n")
         assert parse_config(path, "energy-identity").points_per_dim == 32
+
+    def test_every_experiment_default_is_within_the_step_bound(self):
+        for name in EXPERIMENT_NAMES:
+            parse_config(None, name)
+
+    def test_finest_refinement_level_is_bounded(self, tmp_path):
+        # 0.5 / 0.004 = 125 steps, so the finest level takes 2^22 125 = 5.2e8 or
+        # 2^23 125 = 1.05e9
+        path = tmp_path / "c.cfg"
+        path.write_text("refinement_levels = 23\n")
+        assert parse_config(path, "energy-identity").refinement_levels == 23
+        path.write_text("refinement_levels = 24\n")
+        with pytest.raises(ConfigError, match="refinement_levels = 24\\)"):
+            parse_config(path, "energy-identity")
 
     def test_threads_is_not_a_config_key(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -549,6 +564,30 @@ class TestRunExperiment:
         assert parse_config(cfg, "decay-character").profile_r == 700.0
         cfg.write_text("points_per_dim = 16\nt_end = 5\nprofile_r = 200\n")
         assert parse_config(cfg, "linear-decay").resolved_schedule_alpha() == 203.0
+
+    @pytest.mark.parametrize(
+        "experiment, config, named",
+        [
+            # dt <= 0.75 / dxi^2 = 1.9e-77: about 5e74 steps
+            ("lyapunov", "points_per_dim = 16\nside_length = 3.2e-38\nt_end = 0.01\n",
+             "t_end = 0.01 (resolved) in steps of at most 1.95e-77 (dt = 0.04, "
+             "side_length = 3.2e-38)"),
+            # dt / 2^999999 underflows to 0
+            ("energy-identity", "refinement_levels = 1000000\n",
+             "t_end = 0.5 (resolved) in steps of at most 0 (dt = 0.004, side_length = 32.0, "
+             "refinement_levels = 1000000)"),
+        ],
+    )
+    def test_run_past_the_step_bound_exits_2(self, tmp_path, capsys, experiment, config, named):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        out_dir = tmp_path / "out"
+        start = time.perf_counter()
+        assert run_experiment(ExperimentSpec(experiment, str(cfg), out_dir)) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert out == f"config error: {named} needs more than 1e+09 steps\n"
+        assert not out_dir.exists()
 
     def test_inadmissible_bump_exits_2(self, tmp_path, capsys):
         # at delta = 0.9 the bump's energy exceeds E(W): outside the small-data regime

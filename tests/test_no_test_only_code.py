@@ -14,6 +14,11 @@ attribute set in `__init__` and public method must be read as an
 attribute (`x.name`) somewhere in `src/`, on any object. A class whose
 fields are enumerated with `fields(...)` is exempt, since that reads
 them all.
+
+A module binds a name from another critheat module only to use it: each
+name it imports from one is referenced in its own code. A binding kept
+only so that a test can wrap it there fails this. `__init__.py` is exempt,
+since its imports are the package's public API.
 """
 
 import ast
@@ -98,6 +103,24 @@ def unused_names() -> list[str]:
         live -= dead
 
 
+def unreferenced_imports() -> list[str]:
+    """Names a module imports from another critheat module and never refers to."""
+    out = []
+    for mod in _modules():
+        if mod.name == "__init__":
+            continue
+        referenced = {
+            sub.id
+            for node in mod.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom))
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name)
+        }
+        bound = set(mod.aliases) | set(mod.imported)
+        out += [f"{mod.name}.{name}" for name in sorted(bound - referenced)]
+    return out
+
+
 def _members(cls: ast.ClassDef) -> list[str]:
     """Annotated fields, attributes set in `__init__` and methods of a class."""
     names = []
@@ -172,3 +195,7 @@ def test_member_allow_list_names_exist():
         for name in _members(cls)
     }
     assert set(MEMBERS_ALLOWED) <= members
+
+
+def test_every_critheat_import_is_referenced():
+    assert unreferenced_imports() == []

@@ -1,13 +1,19 @@
 """Transforms, multipliers, the dealiased transforms, and norms on the 4D torus."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from critheat import evolution as ev
+from critheat import spectral
 from critheat.spectral import (
     NonFiniteField,
     PhysicalField,
     SpectralField,
     TorusGrid,
+    band_inverse,
+    gather_band,
     heat_multiplier,
     is_band_limited,
     l4_fourth,
@@ -144,7 +150,8 @@ class TestDealias:
     """The pruned transforms against the full transforms of the masked field.
 
     The mask comes from numpy's frequency lists (`kept_band_mask`), not from
-    the band the transforms prune to.
+    the band the transforms prune to. The one dealiased inverse is
+    `band_inverse` of the gathered band.
     """
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -157,7 +164,7 @@ class TestDealias:
         try:
             spec = transform_forward(field)
             forward = transform_forward(field, dealiased=True).coefficients
-            inverse = transform_inverse(spec, dealiased=True).values
+            inverse = band_inverse(gather_band(spec.coefficients), grid).values
             masked_inverse = transform_inverse(SpectralField(grid, spec.coefficients * mask)).values
         finally:
             set_fft_workers(1)
@@ -172,7 +179,7 @@ class TestDealias:
         scale = np.max(np.abs(spec.coefficients))
         assert out.coefficients[1, 0, 0, 0] == spec.coefficients[1, 0, 0, 0]
         assert np.max(np.abs(out.coefficients - spec.coefficients)) <= 1e-12 * scale
-        back = transform_inverse(spec, dealiased=True).values
+        back = band_inverse(gather_band(spec.coefficients), small_grid).values
         assert np.max(np.abs(back - field.values)) <= 1e-12
 
     def test_mode_seven_zeroed_at_n16(self, small_grid):
@@ -180,25 +187,48 @@ class TestDealias:
         coeffs = np.zeros(small_grid.spectral_shape, dtype=complex)
         coeffs[7, 0, 0, 0] = 1.0
         coeffs[-7, 0, 0, 0] = 1.0
-        out = transform_inverse(SpectralField(small_grid, coeffs), dealiased=True)
+        out = band_inverse(gather_band(coeffs), small_grid)
         assert np.all(out.values == 0)
 
     def test_idempotent(self, small_grid, random_field):
         # a dealiased forward of a dealiased inverse reproduces a dealiased spectrum
         mask = kept_band_mask(small_grid)
         masked = transform_forward(random_field).coefficients * mask
-        spec = SpectralField(small_grid, masked)
-        back = transform_forward(transform_inverse(spec, dealiased=True), dealiased=True)
+        back = transform_forward(band_inverse(gather_band(masked), small_grid), dealiased=True)
         assert np.max(np.abs(back.coefficients - masked)) <= 1e-12 * np.max(np.abs(masked))
         assert np.all(back.coefficients[~mask] == 0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_dropped_mode_rejected(self, small_grid, random_field, bad):
+        # the band inverse checks only its band; a dropped mode is checked
+        # where the spectrum enters a state
         coeffs = transform_forward(random_field).coefficients
         coeffs[7, 0, 0, 0] = bad
+        band_inverse(gather_band(coeffs), small_grid)
         with pytest.raises(NonFiniteField):
-            transform_inverse(SpectralField(small_grid, coeffs), dealiased=True)
+            ev.initial_state(SpectralField(small_grid, coeffs))
+        coeffs[7, 0, 0, 0] = 0.0
+        coeffs[1, 0, 0, 0] = bad
+        with pytest.raises(NonFiniteField):
+            band_inverse(gather_band(coeffs), small_grid)
 
+    def test_band_inverse_drops_its_band(self, small_grid, random_field, monkeypatch):
+        # a band handed over is freed before the passes run
+        band = gather_band(transform_forward(random_field).coefficients)
+        want = band_inverse(band.copy(), small_grid).values
+        ref = weakref.ref(band)
+        dead, fft_pass = [], spectral._fft_pass
+
+        def traced(block, axis, inverse):
+            dead.append(ref() is None)
+            fft_pass(block, axis, inverse)
+
+        monkeypatch.setattr(spectral, "_fft_pass", traced)
+        held = [band]
+        del band
+        got = band_inverse(held.pop(), small_grid).values
+        assert dead and all(dead)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [16, 18, 24])
     def test_band_limited_is_the_kept_band_mask(self, n, rng):
