@@ -10,8 +10,9 @@ s = rho^2 / 8 to Beta integrals:
     C_Sobolev = ||grad W||_{L^2}^{-1/2} = (3 / (32 pi^2))^{1/4}.
 
 This module evaluates them by radial quadrature (composite Gauss-Legendre
-in log rho, truncated at r_max = 1e6 with a recorded truncation estimate)
-so the hard-coded Beta values stay independent test oracles.
+of order 16 in log rho on [1e-6, r_max], r_max = 1e6 by default, with a
+recorded truncation estimate) so the hard-coded Beta values stay
+independent test oracles.
 
 W is never placed on the torus as solver initial data: it is not in
 L^2(R^4) (truncated mass grows logarithmically), so torus truncation of
@@ -50,33 +51,30 @@ def bubble_radial_derivative(rho: np.ndarray) -> np.ndarray:
     return -(rho / 4.0) / (1.0 + rho**2 / 8.0) ** 2
 
 
+_R_MIN = 1e-6  # lower end of every radial quadrature
+_HEAD_VOLUME = np.pi**2 * _R_MIN**4 / 2.0  # exact volume of the ball below it
+_GAUSS_ORDER = 16  # Gauss-Legendre nodes per panel
+
+
 @dataclass(frozen=True)
 class RadialQuadrature:
     """Nodes and positive weights for int_0^infty f(rho) 2 pi^2 rho^3 drho.
 
-    Composite Gauss-Legendre panels in log rho on [r_min, r_max]; the
-    weights absorb the 4D volume element. `head_volume` is the exact
-    volume of the untreated ball below r_min (multiply by sup|f| for a
-    head bound); tails must decay fast enough for r_max to be negligible.
+    Composite Gauss-Legendre panels in log rho on [_R_MIN, r_max]; the
+    weights absorb the 4D volume element. The untreated ball below _R_MIN
+    has the exact volume `_HEAD_VOLUME` (multiply by sup|f| for a head
+    bound); tails must decay fast enough for r_max to be negligible.
     """
 
-    r_min: float
     nodes: np.ndarray
     weights: np.ndarray
-    head_volume: float
 
     @classmethod
-    def build(
-        cls,
-        r_min: float = 1e-6,
-        r_max: float = 1e6,
-        panels_per_decade: int = 4,
-        gauss_order: int = 16,
-    ) -> "RadialQuadrature":
-        u_lo, u_hi = np.log(r_min), np.log(r_max)
+    def build(cls, r_max: float = 1e6, panels_per_decade: int = 4) -> "RadialQuadrature":
+        u_lo, u_hi = np.log(_R_MIN), np.log(r_max)
         n_panels = int(np.ceil(panels_per_decade * (u_hi - u_lo) / np.log(10.0)))
         edges = np.linspace(u_lo, u_hi, n_panels + 1)
-        gx, gw = leggauss(gauss_order)
+        gx, gw = leggauss(_GAUSS_ORDER)
         nodes, weights = [], []
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -85,17 +83,14 @@ class RadialQuadrature:
             nodes.append(rho)
             # d rho = rho d u, volume element 2 pi^2 rho^3
             weights.append(half * gw * 2.0 * np.pi**2 * rho**4)
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights)
-        head_volume = np.pi**2 * r_min**4 / 2.0
-        return cls(r_min, nodes, weights, head_volume)
+        return cls(np.concatenate(nodes), np.concatenate(weights))
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.sum(self.weights * f(self.nodes)))
 
     def truncation_estimate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """Head bound plus a tail estimate from the observed end slope."""
-        head = abs(float(f(np.array([self.r_min]))[0])) * self.head_volume
+        head = abs(float(f(np.array([_R_MIN]))[0])) * _HEAD_VOLUME
         r1, r2 = self.nodes[-2], self.nodes[-1]
         g1 = abs(float(f(np.array([r1]))[0])) * 2.0 * np.pi**2 * r1**3
         g2 = abs(float(f(np.array([r2]))[0])) * 2.0 * np.pi**2 * r2**3
@@ -176,9 +171,9 @@ def truncated_l2_growth(r_values: Sequence[float]) -> list[float]:
     """
     out = []
     for r in r_values:
-        quad = RadialQuadrature.build(r_min=1e-6, r_max=r, panels_per_decade=8)
-        # head below r_min: W ~ 1 there, add the exact small-ball volume
-        out.append(quad.integrate(lambda rho: bubble_radial(rho) ** 2) + quad.head_volume)
+        quad = RadialQuadrature.build(r_max=r, panels_per_decade=8)
+        # head below _R_MIN: W ~ 1 there, add the exact small-ball volume
+        out.append(quad.integrate(lambda rho: bubble_radial(rho) ** 2) + _HEAD_VOLUME)
     return out
 
 
@@ -187,7 +182,6 @@ class SubcriticalDatum:
     """A localized bump scaled into the small-data regime, with its checks."""
 
     field: PhysicalField
-    delta: float
     grad_l2: float
     energy: float
     grad_condition: bool    # ||grad u0|| <= ||grad W||
@@ -222,7 +216,6 @@ def subcritical_datum(grid: TorusGrid, delta: float) -> SubcriticalDatum:
     energy = 0.5 * grad_l2**2 - 0.25 * l4_fourth(field)
     return SubcriticalDatum(
         field=field,
-        delta=delta,
         grad_l2=grad_l2,
         energy=energy,
         grad_condition=bool(grad_l2 <= grad_w * (1 + 1e-12)),

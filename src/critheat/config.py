@@ -12,9 +12,10 @@ is checked once, by `TorusGrid` (N even and >= 16, L > 0), whose error
 the validator reports as a config error; the validator also rejects a
 side_length for which T_box, the cell volume h^4 or the largest weight of
 the Hdot^2 density is not a finite float, and a run that needs more than
-`_MAX_STEPS` steps. What only the built datum shows (a checkpoint that
-cannot be read or is not finite, a datum with ||grad u0|| = 0) is checked
-where the datum is built, `experiments.build_datum`.
+`_MAX_STEPS` steps or more memory than the machine has. What only the
+built datum shows (a checkpoint that cannot be read or is not finite, a
+datum with ||grad u0|| = 0) is checked where the datum is built,
+`experiments.build_datum`.
 
 `profile_r` is the q* of the datum: the exponent a power-law datum is
 built with, and the stated q* of a `datum = file` checkpoint, which
@@ -39,6 +40,15 @@ checked against that regime: it is the way to take a run out of it, for
 example to a datum that blows up, which the run then reports as a
 failed check.
 
+The snapshots are `snapshot_count` log-spaced times from snapshot_t_min
+to t_end (`HarnessConfig.snapshot_times`). Each snapshot interval takes at
+least one step, so snapshot_count counts towards `_MAX_STEPS`, and each
+snapshot's records (about 1 KB per splitting schedule) count towards the
+memory estimate. `evolution.advance` treats a time within
+1e-12 max(1, t) of the current one as reached (`evolution.reached`), so
+the first snapshot and every gap between two must lie beyond that
+tolerance, or the run would record snapshots it never stepped to.
+
 The FFT worker count is not a config key: it is a machine setting that
 changes no output, so it is set by `critheat --threads` alone and stays
 out of the config echo in summary.json.
@@ -54,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import POWER, SplittingSchedule
-from .evolution import stable_dt
+from .evolution import reached, stable_dt
 from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
@@ -65,6 +75,10 @@ from .spectral import TorusGrid
 # 60.9-61.0 and 97.0
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
+# a snapshot's records, per splitting schedule: held records, the snapshot
+# time and the series.csv write, 1107 bytes with one schedule and 757 each
+# with two (tracemalloc peaks over 10^5 snapshots)
+_RECORD_BYTES = 1200
 
 # most steps a run may need: at about 8 ms per N = 16 step, three months
 _MAX_STEPS = 10**9
@@ -100,7 +114,8 @@ class HarnessConfig:
 
     @property
     def t_box(self) -> float:
-        return (self.side_length / (2.0 * np.pi)) ** 2 / 4.0
+        """(L / 2 pi)^2 / 4, a float64 that overflows to inf (with a warning)."""
+        return np.float64(self.side_length / (2.0 * np.pi)) ** 2 / 4.0
 
     def resolved_t_end(self) -> float:
         return self.t_end if self.t_end > 0 else self.t_box
@@ -110,6 +125,12 @@ class HarnessConfig:
             self.snapshot_t_min
             if self.snapshot_t_min > 0
             else self.resolved_t_end() / 500.0
+        )
+
+    def snapshot_times(self) -> np.ndarray:
+        """The `snapshot_count` log-spaced snapshot times, up to t_end (resolved)."""
+        return np.geomspace(
+            self.resolved_snapshot_t_min(), self.resolved_t_end(), self.snapshot_count
         )
 
     def resolved_fit_window(self) -> tuple[float, float]:
@@ -126,6 +147,10 @@ class HarnessConfig:
         if self.schedule_alpha > 0:
             return self.schedule_alpha
         return max(2.0 + self.nominal_q_star(), 1.0) + 1.0
+
+    def splitting_schedule(self) -> SplittingSchedule:
+        """The configured splitting schedule, with its resolved alpha."""
+        return SplittingSchedule(self.schedule, self.resolved_schedule_alpha(), self.c_tilde)
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -182,7 +207,7 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         raise ConfigError(str(exc)) from exc
     with np.errstate(over="ignore"):
         dxi = np.float64(grid.frequency_spacing)
-        t_box = np.float64(cfg.side_length / (2.0 * np.pi)) ** 2 / 4.0
+        t_box = cfg.t_box
         # the Hdot^2 density's largest weight, at |xi| = N dxi
         weight = (2 * np.pi) ** -4 * dxi**4 * (cfg.points_per_dim * dxi) ** 4
         cell = np.float64(grid.spacing) ** 4
@@ -205,8 +230,21 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         raise ConfigError(f"dt must be positive, got {cfg.dt}")
     if cfg.t_end < 0:
         raise ConfigError(f"t_end must be positive (or 0 for T_box), got {cfg.t_end}")
-    if cfg.snapshot_count < 2:
-        raise ConfigError(f"snapshot_count must be >= 2, got {cfg.snapshot_count}")
+    if not 2 <= cfg.snapshot_count <= _MAX_STEPS:
+        raise ConfigError(
+            f"snapshot_count must lie in [2, {_MAX_STEPS:.0e}] (each snapshot interval takes "
+            f"a step), got {cfg.snapshot_count}"
+        )
+    # nonlinear-decay records every snapshot under two splitting schedules
+    schedules = 0 if experiment in _STEPLESS else 2 if experiment == "nonlinear-decay" else 1
+    records = _RECORD_BYTES * schedules * cfg.snapshot_count
+    if need + records > have:
+        raise ConfigError(
+            f"snapshot_count = {cfg.snapshot_count} adds an estimated {records / 2**30:.3g} GiB "
+            f"of records ({_RECORD_BYTES} bytes per snapshot and splitting schedule) to the "
+            f"{need / 2**30:.3g} GiB working set, more than the {have / 2**30:.3g} GiB of "
+            "physical memory"
+        )
     if cfg.snapshot_t_min < 0:
         raise ConfigError(
             f"snapshot_t_min must be positive (or 0 for t_end / 500), got {cfg.snapshot_t_min}"
@@ -278,15 +316,14 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
     if cfg.schedule == POWER and experiment not in _STEPLESS:
         # records read g and g' up to t_end, past float range the ball radius
         # is NaN; the stepless experiments run no splitting schedule
-        alpha = cfg.resolved_schedule_alpha()
-        sched = SplittingSchedule(POWER, alpha, cfg.c_tilde)
+        sched = cfg.splitting_schedule()
         t_end = np.float64(cfg.resolved_t_end())
         with np.errstate(over="ignore"):
             finite = np.isfinite(sched.g(t_end)) and np.isfinite(sched.g_prime(t_end))
         if not finite:
             key = "schedule_alpha" if cfg.schedule_alpha > 0 else "profile_r"
             raise ConfigError(
-                f"{key} = {getattr(cfg, key)} gives the power schedule alpha = {alpha:.6g}, "
+                f"{key} = {getattr(cfg, key)} gives the power schedule alpha = {sched.alpha:.6g}, "
                 f"and g(t) = (1 + t)^alpha overflows by t_end = {t_end:.6g} (resolved)"
             )
     if cfg.fit_t_min < 0 or cfg.fit_t_max < 0:
@@ -304,29 +341,45 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         raise ConfigError(
             f"refinement_levels must be >= 2, got {cfg.refinement_levels}"
         )
+    if experiment in _STEPLESS:
+        return cfg
     # no step is longer than dt or the stability bound at sup |u| = 0, and
-    # on energy-identity's finest level than dt / 2^(refinement_levels - 1)
+    # on energy-identity's finest level than dt / 2^(refinement_levels - 1);
+    # each snapshot interval takes at least one step
     longest = min(cfg.dt, stable_dt(grid, 0.0))
     keys = f"dt = {cfg.dt}, side_length = {cfg.side_length}"
     if experiment == "energy-identity":
         longest = min(longest, math.ldexp(cfg.dt, 1 - cfg.refinement_levels))
         keys += f", refinement_levels = {cfg.refinement_levels}"
-    if experiment not in _STEPLESS and cfg.resolved_t_end() > _MAX_STEPS * longest:
+    t_end = cfg.resolved_t_end()
+    if t_end > (_MAX_STEPS - cfg.snapshot_count) * longest:
+        if t_end <= _MAX_STEPS * longest:
+            keys += f", snapshot_count = {cfg.snapshot_count} intervals of a step or more"
         raise ConfigError(
-            f"t_end = {cfg.resolved_t_end():.6g} (resolved) in steps of at most {longest:.3g} "
-            f"({keys}) needs more than {_MAX_STEPS:.0e} steps"
+            f"t_end = {t_end:.6g} (resolved) in steps of at most {longest:.3g} ({keys}) "
+            f"needs more than {_MAX_STEPS:.0e} steps"
+        )
+    # built only here, after the memory estimate has bounded their count
+    times = cfg.snapshot_times()
+    before = np.concatenate(([0.0], times[:-1]))
+    stuck = np.flatnonzero(reached(before, times))
+    if stuck.size:
+        i = stuck[0]
+        raise ConfigError(
+            f"t_end = {t_end:.6g} and snapshot_t_min = {times[0]:.6g} (resolved) with "
+            f"snapshot_count = {cfg.snapshot_count}: snapshot {i + 1} at t = {times[i]:.6g} "
+            f"lies within 1e-12 max(1, t) of t = {before[i]:.6g} before it, so no step "
+            "would reach it"
         )
     return cfg
 
 
+# a key's parser is that of its HarnessConfig annotation
 _PARSERS = {
-    "points_per_dim": _parse_int,
-    "snapshot_count": _parse_int,
-    "refinement_levels": _parse_int,
-    "nonlinearity": _parse_bool,
-    "datum": lambda k, v: v,
-    "schedule": lambda k, v: v,
-    "datum_file": lambda k, v: v,
+    "int": _parse_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "str": lambda key, raw: raw,
 }
 
 
@@ -348,7 +401,7 @@ def parse_config(path: str | Path | None, experiment: str = "") -> HarnessConfig
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
-    valid = {f.name for f in fields(HarnessConfig)}
+    valid = {f.name: f.type for f in fields(HarnessConfig)}
     overrides: dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
@@ -359,7 +412,6 @@ def parse_config(path: str | Path | None, experiment: str = "") -> HarnessConfig
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in valid:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        parser = _PARSERS.get(key, _parse_float)
-        overrides[key] = parser(key, raw)
+        overrides[key] = _PARSERS[valid[key]](key, raw)
     cfg = replace(cfg, **overrides)  # type: ignore[arg-type]
     return _validate(cfg, experiment)

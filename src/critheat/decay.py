@@ -1,32 +1,35 @@
-"""Decay indicator, decay character, and the radial linear-flow oracle.
+"""Decay indicator, decay character, and the radial linear-flow oracle on R^4.
 
-The decay character r* of an L^2 datum measures the power-law order of
-its Fourier transform at the origin, |v0_hat(xi)| ~ |xi|^{r*} as xi -> 0.
-It is defined through the decay indicator
+The decay character r* of an L^2(R^4) datum measures the power-law order
+of its Fourier transform at the origin, |v0_hat(xi)| ~ |xi|^{r*} as
+xi -> 0. It is defined through the decay indicator
 
-    P_r = lim_{rho -> 0} rho^{-2r-n} S(rho),
+    P_r = lim_{rho -> 0} rho^{-2r-4} S(rho),
     S(rho) = integral over the ball B(rho) of |v0_hat|^2,
 
-with r* the unique r in (-n/2, inf) making the limit finite and positive.
-For radial data S reduces to a 1D shell integral,
+with r* the unique r in (-2, inf) making the limit finite and positive.
+For radial data S reduces to a 1D shell integral over the unit sphere
+S^3, of area omega_3 = 2 pi^2,
 
-    S(rho) = omega_{n-1} int_0^rho a(sigma)^2 sigma^{n-1} dsigma,
+    S(rho) = omega_3 int_0^rho a(sigma)^2 sigma^3 dsigma,
 
 which this module evaluates by the trapezoid rule in log sigma on
 log-spaced nodes, plus an analytic head for the interval below the first
 node (local power-law continuation). The limit rho -> 0 is replaced by a
-windowed log-log slope over the smallest sampled decades; r* = (slope - n)/2.
+windowed log-log slope over the smallest sampled decades; r* = (slope - 4)/2.
 When the slope drifts monotonically as the window shrinks there is no
-stable limit, and the degenerate values r* = -n/2 (P_r infinite for every
-r) or r* = +inf (P_r zero for every r) are reported.
+stable limit, and the degenerate values r* = -2 (P_r infinite for every
+r) or r* = +inf (P_r zero for every r) are reported. Profiles are sampled
+at 64 nodes per decade: a power law on [1e-8, 1], stopping at its cutoff
+1, and the Gaussian on the 8 decades from 1e-6.
 
 The linear oracle evolves a radial profile under a scalar dissipative
 symbol -c |xi|^{2 alpha} and returns squared L^2 norms
 
-    ||v(t)||^2 = (2 pi)^{-n} omega_{n-1} int a(rho)^2 e^{-2 c t rho^{2 alpha}}
-                 rho^{n-1} drho,
+    ||v(t)||^2 = (2 pi)^{-4} omega_3 int a(rho)^2 e^{-2 c t rho^{2 alpha}}
+                 rho^3 drho,
 
-whose large-time log-log slope is -(1/alpha)(n/2 + r*).
+whose large-time log-log slope is -(1/alpha)(2 + r*).
 
 For lattice data the same construction runs over discrete frequency
 shells; the fit models the cumulative shell mass with the lattice's own
@@ -42,7 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .spectral import SpectralField, TorusGrid, sobolev_density
 
@@ -55,10 +57,14 @@ _DRIFT_TOL = 0.5
 # search bounds of the lattice shell fit for q*
 _Q_BOUNDS = (-1.99, 6.0)
 
+# the dimension, and the area omega_3 of the unit sphere S^3 in R^4
+_DIM = 4
+_OMEGA_3 = 2.0 * np.pi**2
 
-def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n (omega_3 = 2 pi^2)."""
-    return float(2.0 * np.pi ** (n / 2.0) / _gamma(n / 2.0))
+# radial sampling (see the module docstring)
+_NODES_PER_DECADE = 64
+_POWER_LAW_RHO_MIN, _POWER_LAW_CUTOFF = 1e-8, 1.0
+_GAUSSIAN_RHO_MIN, _GAUSSIAN_DECADES = 1e-6, 8.0
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,8 @@ class DissipationSymbol:
 
 @dataclass
 class RadialProfile:
-    """Radial Fourier amplitude rho -> |v_hat(rho)| on log-spaced nodes."""
+    """Radial Fourier amplitude rho -> |v_hat(rho)| of a datum on R^4, on log-spaced nodes."""
 
-    dimension: int
     nodes: np.ndarray
     amplitudes: np.ndarray
 
@@ -82,7 +87,7 @@ class RadialProfile:
 class DecayCharacterEstimate:
     """Fitted decay character with its window and fit residual.
 
-    `r_star` is finite for the regular case and -n/2 or +inf for the
+    `r_star` is finite for the regular case and -2 or +inf for the
     degenerate ones.
     """
 
@@ -91,69 +96,56 @@ class DecayCharacterEstimate:
     slope_residual: float
 
 
-def log_nodes(rho_min: float, decades: float, nodes_per_decade: int = 64) -> np.ndarray:
+def log_nodes(rho_min: float, decades: float) -> np.ndarray:
     """Log-spaced radial nodes spanning `decades` decades from rho_min."""
-    count = int(round(nodes_per_decade * decades)) + 1
+    count = int(round(_NODES_PER_DECADE * decades)) + 1
     return 10.0 ** np.linspace(np.log10(rho_min), np.log10(rho_min) + decades, count)
 
 
-def power_law_profile(
-    r: float,
-    dimension: int = 4,
-    rho_min: float = 1e-8,
-    cutoff: float = 1.0,
-    nodes_per_decade: int = 64,
-) -> RadialProfile:
-    """Profile a(rho) = rho^r supported on [rho_min, cutoff] (L^2 needs r > -n/2).
+def power_law_profile(r: float) -> RadialProfile:
+    """Profile a(rho) = rho^r supported on [1e-8, 1] (L^2 needs r > -2).
 
     The nodes stop exactly at the cutoff so quadrature never straddles the
     jump to zero.
     """
-    decades = np.log10(cutoff / rho_min)
-    nodes = log_nodes(rho_min, decades, nodes_per_decade)
-    return RadialProfile(dimension, nodes, nodes**r)
+    decades = np.log10(_POWER_LAW_CUTOFF / _POWER_LAW_RHO_MIN)
+    nodes = log_nodes(_POWER_LAW_RHO_MIN, decades)
+    return RadialProfile(nodes, nodes**r)
 
 
-def gaussian_profile(
-    dimension: int = 4,
-    rho_min: float = 1e-6,
-    decades: float = 8.0,
-    nodes_per_decade: int = 64,
-) -> RadialProfile:
-    """Fourier amplitude of exp(-|x|^2/2): a(rho) = (2 pi)^{n/2} exp(-rho^2/2)."""
-    nodes = log_nodes(rho_min, decades, nodes_per_decade)
-    amp0 = (2.0 * np.pi) ** (dimension / 2.0)
+def gaussian_profile() -> RadialProfile:
+    """Fourier amplitude of exp(-|x|^2/2): a(rho) = (2 pi)^2 exp(-rho^2/2)."""
+    nodes = log_nodes(_GAUSSIAN_RHO_MIN, _GAUSSIAN_DECADES)
+    amp0 = (2.0 * np.pi) ** (_DIM / 2.0)
     amps = amp0 * np.exp(-(nodes**2) / 2.0)
-    return RadialProfile(dimension, nodes, amps)
+    return RadialProfile(nodes, amps)
 
 
 def _head_mass(profile: RadialProfile) -> float:
     """Analytic shell mass below the first node via local power continuation."""
-    n = profile.dimension
     a0, a1 = profile.amplitudes[:2]
     if a0 <= 0 or a1 <= 0:
         return 0.0
     r0, r1 = profile.nodes[:2]
     local = np.log(a1 / a0) / np.log(r1 / r0)
-    if 2 * local + n <= 1e-9:
-        # head integral diverges; estimate_decay_character reports r* = -n/2
+    if 2 * local + _DIM <= 1e-9:
+        # head integral diverges; estimate_decay_character reports r* = -2
         return 0.0
-    return float(a0**2 * r0**n / (2 * local + n))
+    return float(a0**2 * r0**_DIM / (2 * local + _DIM))
 
 
 def _shell_mass_cumulative(profile: RadialProfile) -> np.ndarray:
-    """S(rho_j) at every node: head + trapezoid in log sigma of a^2 sigma^n."""
-    n = profile.dimension
+    """S(rho_j) at every node: head + trapezoid in log sigma of a^2 sigma^4."""
     u = np.log(profile.nodes)
-    integrand = profile.amplitudes**2 * profile.nodes**n
+    integrand = profile.amplitudes**2 * profile.nodes**_DIM
     partial = np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(u))]
     )
-    return sphere_area(n) * (partial + _head_mass(profile))
+    return _OMEGA_3 * (partial + _head_mass(profile))
 
 
 def shell_mass(profile: RadialProfile, rho: float) -> float:
-    """S(rho) = omega_{n-1} int_0^rho a(sigma)^2 sigma^{n-1} dsigma."""
+    """S(rho) = omega_3 int_0^rho a(sigma)^2 sigma^3 dsigma."""
     nodes = profile.nodes
     if not nodes[0] <= rho <= nodes[-1]:
         raise ValueError(
@@ -171,18 +163,16 @@ def shell_mass(profile: RadialProfile, rho: float) -> float:
     else:
         frac = (rho - nodes[j]) / (nodes[j + 1] - nodes[j])
         a_rho = a_j + frac * (a_j1 - a_j)
-    n = profile.dimension
     du = np.log(rho / nodes[j])
-    piece = 0.5 * (profile.amplitudes[j] ** 2 * nodes[j] ** n + a_rho**2 * rho**n) * du
-    return float(cum[j] + sphere_area(n) * piece)
+    piece = 0.5 * (profile.amplitudes[j] ** 2 * nodes[j] ** _DIM + a_rho**2 * rho**_DIM) * du
+    return float(cum[j] + _OMEGA_3 * piece)
 
 
 def decay_indicator(profile: RadialProfile, r: float, rho: float) -> float:
-    """Pre-limit indicator P_r(rho) = rho^{-2r-n} S(rho)."""
-    n = profile.dimension
-    if r <= -n / 2.0:
-        raise ValueError(f"r must exceed -n/2 = {-n / 2.0}, got {r}")
-    return float(rho ** (-2.0 * r - n) * shell_mass(profile, rho))
+    """Pre-limit indicator P_r(rho) = rho^{-2r-4} S(rho)."""
+    if r <= -_DIM / 2.0:
+        raise ValueError(f"r must exceed -n/2 = {-_DIM / 2.0}, got {r}")
+    return float(rho ** (-2.0 * r - _DIM) * shell_mass(profile, rho))
 
 
 def _window_slope(nodes, mass, rho_max) -> tuple[float, float] | None:
@@ -196,22 +186,21 @@ def _window_slope(nodes, mass, rho_max) -> tuple[float, float] | None:
 
 
 def estimate_decay_character(profile: RadialProfile) -> DecayCharacterEstimate:
-    """Estimate r* = (slope - n)/2 from the lowest sampled decades of S(rho).
+    """Estimate r* = (slope - 4)/2 from the lowest sampled decades of S(rho).
 
     Two degenerate paths short-circuit: a local power at the origin with
-    2m + n <= 0 means the shell integral diverges (P_r infinite for every
-    r, r* = -n/2); and widening the window by one decade twice probing the
+    2m + 4 <= 0 means the shell integral diverges (P_r infinite for every
+    r, r* = -2); and widening the window by one decade twice probing the
     slope, monotone drift beyond `_DRIFT_TOL` per decade means no stable
     limit (r* = +inf when the slope runs away upward).
     """
-    n = profile.dimension
     amps = profile.amplitudes
     if amps[0] > 0 and amps[2] > 0:
         local_m = np.log(amps[2] / amps[0]) / np.log(profile.nodes[2] / profile.nodes[0])
-        if 2 * local_m + n <= 0:
+        if 2 * local_m + _DIM <= 0:
             # the shell integral diverges at the origin: P_r infinite for all r
             window = (float(profile.nodes[0]), float(profile.nodes[0] * 10.0**_WINDOW_DECADES))
-            return DecayCharacterEstimate(-n / 2.0, window, 0.0)
+            return DecayCharacterEstimate(-_DIM / 2.0, window, 0.0)
     mass = _shell_mass_cumulative(profile)
     positive = profile.nodes[mass > 0]
     rho_lo = positive[0]
@@ -227,9 +216,9 @@ def estimate_decay_character(profile: RadialProfile) -> DecayCharacterEstimate:
         if d1 > _DRIFT_TOL and d2 > _DRIFT_TOL:
             return DecayCharacterEstimate(np.inf, window, resid)
         if d1 < -_DRIFT_TOL and d2 < -_DRIFT_TOL:
-            return DecayCharacterEstimate(-n / 2.0, window, resid)
-    r_star = (slope - n) / 2.0
-    return DecayCharacterEstimate(float(max(r_star, -n / 2.0)), window, resid)
+            return DecayCharacterEstimate(-_DIM / 2.0, window, resid)
+    r_star = (slope - _DIM) / 2.0
+    return DecayCharacterEstimate(float(max(r_star, -_DIM / 2.0)), window, resid)
 
 
 def classify_lp(p: float, n: int) -> float:
@@ -251,10 +240,9 @@ def radial_linear_evolution(
     profile: RadialProfile, sym: DissipationSymbol, times: Sequence[float]
 ) -> list[float]:
     """Squared L^2 norms of the linear flow at the given times (1D quadrature)."""
-    n = profile.dimension
     u = np.log(profile.nodes)
-    base = profile.amplitudes**2 * profile.nodes**n
-    const = (2.0 * np.pi) ** -n * sphere_area(n)
+    base = profile.amplitudes**2 * profile.nodes**_DIM
+    const = (2.0 * np.pi) ** -_DIM * _OMEGA_3
     out = []
     for t in times:
         integrand = base * np.exp(-2.0 * sym.c * t * profile.nodes ** (2 * sym.alpha))

@@ -108,7 +108,8 @@ factor 0.5 (`stable_dt`), re-evaluated every `_RECHECK_EVERY` = 100 steps
 while advancing. At sup |u| = 0 it is 0.75 / dxi^2, the longest step.
 
 Checkpoint format (little-endian) of a file datum, which always starts at
-t = 0: the header's t and step count are recorded, not resumed.
+t = 0: the header's t and step count are recorded, not resumed, and
+`load_checkpoint` returns the field only.
 
     bytes 0-7    magic b"CRITHEAT"
     bytes 8-15   N, points per dimension (uint64)
@@ -379,6 +380,14 @@ def stability_bound(state: SolverState) -> float:
     return stable_dt(state.u_hat.grid, state.observables().sup)
 
 
+def reached(t: float | np.ndarray, t_target: float | np.ndarray) -> bool | np.ndarray:
+    """Whether time t has reached t_target, to within 1e-12 max(1, t_target).
+
+    `advance` steps no further once it holds; elementwise on arrays.
+    """
+    return t_target - t <= 1e-12 * np.maximum(1.0, t_target)
+
+
 def advance(
     state: SolverState, times: Iterable[float], dt_max: float
 ) -> Iterator[SolverState]:
@@ -386,8 +395,8 @@ def advance(
 
     Each interval is taken in equal substeps of at most min(dt_max, bound);
     the stability bound is re-evaluated every `_RECHECK_EVERY` steps. A
-    snapshot time already reached yields the state unstepped. Each yielded
-    time is snapped to its target to avoid float drift.
+    snapshot time already `reached` yields the state unstepped. Each
+    yielded time is snapped to its target to avoid float drift.
 
     The generator is the one owner of the state it steps, and hands it
     over to `step`: a caller that drops a yielded state before asking for
@@ -395,7 +404,7 @@ def advance(
     the new one while a linear step's new rates run.
     """
     for t_target in times:
-        while t_target - state.t > 1e-12 * max(1.0, t_target):
+        while not reached(state.t, t_target):
             remaining = t_target - state.t
             dt_eff = min(dt_max, stability_bound(state))
             n_sub = max(1, math.ceil(remaining / dt_eff - 1e-12))
@@ -459,12 +468,12 @@ def save_checkpoint(path: str | Path, field: PhysicalField, t: float, step_count
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str | Path) -> tuple[PhysicalField, float, int]:
+def load_checkpoint(path: str | Path) -> PhysicalField:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise ValueError(f"truncated checkpoint header in {path}")
-        magic, n, length, t, steps = _HEADER.unpack(raw)
+        magic, n, length, _, _ = _HEADER.unpack(raw)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
         grid = TorusGrid(int(n), float(length))
@@ -474,4 +483,4 @@ def load_checkpoint(path: str | Path) -> tuple[PhysicalField, float, int]:
             f"checkpoint payload has {data.size} values, expected {n**4}"
         )
     values = np.ascontiguousarray(data.reshape(grid.shape)).astype(float)
-    return PhysicalField(grid, values), float(t), int(steps)
+    return PhysicalField(grid, values)

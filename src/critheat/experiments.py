@@ -103,7 +103,7 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
         scale = target / h1
         return SpectralField(grid, raw.coefficients * scale)
     try:
-        field, _, _ = ev.load_checkpoint(cfg.datum_file)
+        field = ev.load_checkpoint(cfg.datum_file)
         u0_hat = transform_forward(field)
         # the t = 0 record sums u^4 and cubes the field; both are finite if the sum is
         with np.errstate(over="ignore"):
@@ -130,9 +130,8 @@ def run_simulation(
 
     Returns, per schedule, one diagnostics record at t = 0 and one per snapshot.
     """
-    t_end = cfg.resolved_t_end()
-    times = np.geomspace(cfg.resolved_snapshot_t_min(), t_end, cfg.snapshot_count)
-    states = ev.advance(ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity), (0.0, *times), cfg.dt)
+    times = (0.0, *cfg.snapshot_times())
+    states = ev.advance(ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity), times, cfg.dt)
     del u0_hat  # the state shares it; a datum built inline is freed after the first step
     records = {key: [] for key in schedules}
     for state in states:
@@ -322,8 +321,8 @@ def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
         abs(v / (np.pi**2 / (1.0 + 2.0 * t) ** 2) - 1.0) for v, t in zip(gvals, t_check)
     )
 
-    sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
-    records = run_simulation(cfg, build_datum(cfg), {"primary": sched})["primary"]
+    schedules = {"primary": cfg.splitting_schedule()}
+    records = run_simulation(cfg, build_datum(cfg), schedules)["primary"]
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
     expected_exponent = 2.0 + q_star
@@ -363,7 +362,7 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     the key inequality must hold under each.
     """
     schedules = {
-        "power": dg.SplittingSchedule(dg.POWER, cfg.resolved_schedule_alpha(), cfg.c_tilde),
+        "power": cfg.splitting_schedule(),  # nonlinear-decay's schedule is power
         "log_cubed": dg.SplittingSchedule(dg.LOG_CUBED, c_tilde=cfg.c_tilde),
     }
     result = run_simulation(cfg, build_datum(cfg), schedules)
@@ -391,8 +390,8 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
 
 
 def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list]:
-    sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
-    records = run_simulation(cfg, build_datum(cfg), {"primary": sched})["primary"]
+    schedules = {"primary": cfg.splitting_schedule()}
+    records = run_simulation(cfg, build_datum(cfg), schedules)["primary"]
     report = dg.lyapunov_check(records, cfg.lyapunov_tol)
     pairing = dg.pairing_ratio_report(records)
     summary = _base_summary("lyapunov", cfg)
@@ -428,9 +427,8 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     whose residual is 0 gives no ratio: the ratio is null, the summary
     names the level, and `refinement_factor` fails.
     """
-    sched = dg.SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
     u0_hat = build_datum(cfg)
-    records = run_simulation(cfg, u0_hat, {"primary": sched})["primary"]
+    records = run_simulation(cfg, u0_hat, {"primary": cfg.splitting_schedule()})["primary"]
     t_end = cfg.resolved_t_end()
     n0 = max(1, math.ceil(t_end / cfg.dt - 1e-12))
     planned = [n0 * 2**k for k in range(cfg.refinement_levels)]
@@ -451,8 +449,7 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     summary.update(
         {
             "step_counts": steps,
-            # a level that took no step (t_end within advance's tolerance of 0) has no dt
-            "dt_levels": [t_end / n if n else None for n in steps],
+            "dt_levels": [t_end / n for n in steps],
             "residuals": residuals,
             "refinement_ratios": ratios,
             "verdicts": verdicts,

@@ -18,8 +18,8 @@ from critheat import bubble as bb
 from critheat import diagnostics as dg
 from critheat import evolution as ev
 from critheat import experiments
-from critheat.config import _PARSERS, ConfigError, HarnessConfig, _parse_float, parse_config
-from critheat.diagnostics import CSV_COLUMNS, SplittingSchedule
+from critheat.config import ConfigError, HarnessConfig, _parse_float, parse_config
+from critheat.diagnostics import CSV_COLUMNS
 from critheat.experiments import EXPERIMENT_NAMES, ExperimentSpec, build_datum, run_experiment
 from critheat.spectral import (
     PhysicalField,
@@ -113,6 +113,62 @@ class TestParseConfig:
         path.write_text("refinement_levels = 24\n")
         with pytest.raises(ConfigError, match="refinement_levels = 24\\)"):
             parse_config(path, "energy-identity")
+
+    def test_snapshot_count_beyond_the_step_bound_exits_2_at_once(self, tmp_path, capsys):
+        # each snapshot interval takes a step: 10^12 of them are rejected
+        # before any array of snapshot times is built
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nsnapshot_count = 1000000000000\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run_experiment(ExperimentSpec("linear-decay", str(cfg), out)) == 2
+        assert time.perf_counter() - start < 1.0
+        message = "snapshot_count must lie in [2, 1e+09] (each snapshot interval takes a step)"
+        assert message in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_snapshot_intervals_count_in_the_step_bound(self, tmp_path, monkeypatch):
+        # t_end / dt = 50 steps, plus at least one for each of 60 intervals
+        monkeypatch.setattr("critheat.config._MAX_STEPS", 100)
+        path = tmp_path / "c.cfg"
+        path.write_text("points_per_dim = 16\nt_end = 1\ndt = 0.02\nsnapshot_count = 40\n")
+        assert parse_config(path, "lyapunov").snapshot_count == 40
+        path.write_text("points_per_dim = 16\nt_end = 1\ndt = 0.02\nsnapshot_count = 60\n")
+        message = "snapshot_count = 60 intervals of a step or more) needs more than 1e+02 steps"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path, "lyapunov")
+
+    def test_snapshot_records_count_in_the_memory_estimate(self, tmp_path):
+        # 10^9 snapshots are within the step bound, but not their records
+        path = tmp_path / "c.cfg"
+        path.write_text("points_per_dim = 16\nsnapshot_count = 1000000000\n")
+        message = r"^snapshot_count = 1000000000 adds an estimated [0-9.e+]+ GiB of records "
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path, "nonlinear-decay")
+        # a stepless experiment records no snapshot
+        assert parse_config(path, "decay-character").snapshot_count == 10**9
+
+    @pytest.mark.parametrize(
+        "experiment, config",
+        [
+            ("nonlinear-decay", "points_per_dim = 16\nt_end = 1e-13\nsnapshot_count = 4\n"),
+            ("energy-identity", "t_end = 1e-300\ndt = 1e-300\nsnapshot_count = 4\n"),
+            ("lyapunov", "t_end = 1\nsnapshot_t_min = 0.9999999999999\nsnapshot_count = 2\n"),
+        ],
+    )
+    def test_snapshot_within_advance_tolerance_exits_2(
+        self, tmp_path, capsys, experiment, config
+    ):
+        # advance would take no step to such a snapshot and record the state
+        # it already holds
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentSpec(experiment, str(cfg), out)) == 2
+        text = capsys.readouterr().out
+        assert "t_end = " in text and "snapshot_t_min = " in text
+        assert "so no step would reach it" in text
+        assert not out.exists()
 
     def test_threads_is_not_a_config_key(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -228,7 +284,7 @@ NON_FINITE = ["nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity", "-INFINIT
 
 class TestFloatKeys:
     def test_float_keys_are_the_float_parsed_keys(self):
-        assert set(FLOAT_KEYS) == {f.name for f in fields(HarnessConfig)} - set(_PARSERS)
+        assert set(FLOAT_KEYS) == {f.name for f in fields(HarnessConfig) if f.type == "float"}
 
     @given(key=st.sampled_from(FLOAT_KEYS), raw=st.sampled_from(NON_FINITE))
     def test_non_finite_rejected_by_name(self, tmp_path_factory, key, raw):
@@ -300,7 +356,7 @@ class TestRunSimulation:
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 16\nsnapshot_count = 6\n")
         cfg = parse_config(path, "linear-decay")
-        sched = SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
+        sched = cfg.splitting_schedule()
 
         def run():
             experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched})
@@ -314,7 +370,7 @@ class TestRunSimulation:
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 16\nt_end = 0.2\nsnapshot_count = 4\ndt = 0.02\n")
         cfg = parse_config(path, "nonlinear-decay")
-        sched = SplittingSchedule(cfg.schedule, cfg.resolved_schedule_alpha(), cfg.c_tilde)
+        sched = cfg.splitting_schedule()
         snapshots, pinned, later_substeps = [], [], []
         record, step = dg.record, ev.step
 
@@ -803,12 +859,19 @@ class TestRunExperiment:
         for name in ("summary.json", "series.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_zero_energy_identity_residual_gives_no_ratio(self, tmp_path):
-        # t_end lies within advance's tolerance of 0, so no level steps and
-        # every residual is 0: the ratio is null, the verdict fails, and the
-        # JSON stays standard
+    def test_zero_energy_identity_residual_gives_no_ratio(self, tmp_path, monkeypatch):
+        # level 1's residual is 0: the ratio is null, the verdict fails, and
+        # the JSON stays standard
+        residual = dg.energy_identity_residual
+        levels = []
+
+        def zero_at_level_1(start, end):
+            levels.append(residual(start, end))
+            return 0.0 if len(levels) == 2 else levels[-1]
+
+        monkeypatch.setattr(dg, "energy_identity_residual", zero_at_level_1)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("t_end = 1e-300\ndt = 1e-300\nsnapshot_count = 4\nrefinement_levels = 2\n")
+        cfg.write_text("t_end = 0.05\nsnapshot_count = 4\nrefinement_levels = 2\n")
         out = tmp_path / "out"
         assert run_experiment(ExperimentSpec("energy-identity", str(cfg), out)) == 1
 
@@ -816,9 +879,9 @@ class TestRunExperiment:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
-        assert summary["residuals"] == [0.0, 0.0]
+        assert summary["residuals"] == [levels[0], 0.0] and levels[0] > 0
         assert summary["refinement_ratios"] == [None]
-        assert summary["dt_levels"] == [None, None]
+        assert summary["dt_levels"] == [0.05 / 13, 0.05 / 26]
         assert "the residual of level 1 is 0" in summary["refinement_reason"]
         assert summary["verdicts"]["refinement_factor"] is False
         assert summary["passed"] is False

@@ -19,6 +19,13 @@ A module binds a name from another critheat module only to use it: each
 name it imports from one is referenced in its own code. A binding kept
 only so that a test can wrap it there fails this. `__init__.py` is exempt,
 since its imports are the package's public API.
+
+A defaulted parameter of a top-level function or method needs two values
+in `src/`: the values its calls there give it, an omitted argument
+counting as the default, a literal as its value and any other expression
+as varying. A call is resolved by name as above, and through a class
+(`RadialQuadrature.build`); a parameter that takes one value is a
+constant, and one that no call reaches is test-only.
 """
 
 import ast
@@ -35,6 +42,13 @@ ALLOWED = {
 }
 
 MEMBERS_ALLOWED: dict[str, str] = {}
+
+DEFAULTS_ALLOWED = {
+    "cli.main.argv": "the console entry point calls main() with no argument; tests pass argv",
+    "evolution.step.forcing": "the manufactured-solution hook of criterion 10a; advance passes none",
+}
+
+_VARYING = object()
 
 
 def _is_public_def(node: ast.AST) -> bool:
@@ -171,6 +185,83 @@ def unread_members() -> list[str]:
     return sorted(unread)
 
 
+def _defaulted_functions() -> dict[str, tuple[list[str], dict[str, object], int]]:
+    """Qualified name -> (positional parameters, defaults by parameter, bound leading ones)."""
+    out = {}
+    for mod in _modules():
+        for node in mod.body:
+            defs = [(f"{mod.name}.{node.name}", node)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [
+                    (f"{mod.name}.{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                ]
+            for qualified, fn in defs:
+                args = fn.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaults = dict(zip(defaulted, args.defaults))
+                defaults.update(
+                    (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                )
+                bound = any(
+                    isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list
+                )
+                if defaults:
+                    out[qualified] = (positional, defaults, int(bound))
+    return out
+
+
+def _value(node: ast.AST) -> object:
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _VARYING
+
+
+def _qualified_callee(mod: _Module, func: ast.AST) -> str | None:
+    if isinstance(func, ast.Name):
+        if func.id in mod.imported:
+            return mod.imported[func.id]
+        return f"{mod.name}.{func.id}" if func.id in mod.top_level else None
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id in mod.aliases:
+            return f"{mod.aliases[func.value.id]}.{func.attr}"
+        owner = _qualified_callee(mod, func.value)
+        return None if owner is None else f"{owner}.{func.attr}"
+    return None
+
+
+def single_valued_defaults() -> list[str]:
+    """Defaulted parameters that every call in src/ gives one value, or no call reaches."""
+    functions = _defaulted_functions()
+    values: dict[str, list[object]] = {
+        f"{q}.{name}": [] for q, (_, defaults, _) in functions.items() for name in defaults
+    }
+    for mod in _modules():
+        for call in ast.walk(ast.Module(body=mod.body, type_ignores=[])):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = _qualified_callee(mod, call.func)
+            if callee not in functions:
+                continue
+            positional, defaults, bound = functions[callee]
+            given = dict(zip(positional[bound:], call.args))
+            given.update((kw.arg, kw.value) for kw in call.keywords)
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or None in given
+            for name, default in defaults.items():
+                node = given.get(name, default)
+                values[f"{callee}.{name}"].append(_VARYING if spread else _value(node))
+    return sorted(
+        name
+        for name, seen in values.items()
+        if name not in DEFAULTS_ALLOWED
+        and _VARYING not in seen
+        and len({repr(v) for v in seen}) < 2
+    )
+
+
 def test_every_public_name_has_a_caller_in_src():
     assert unused_names() == []
 
@@ -199,3 +290,16 @@ def test_member_allow_list_names_exist():
 
 def test_every_critheat_import_is_referenced():
     assert unreferenced_imports() == []
+
+
+def test_every_default_takes_two_values_in_src():
+    assert single_valued_defaults() == []
+
+
+def test_default_allow_list_names_exist():
+    params = {
+        f"{q}.{name}"
+        for q, (_, defaults, _) in _defaulted_functions().items()
+        for name in defaults
+    }
+    assert set(DEFAULTS_ALLOWED) <= params

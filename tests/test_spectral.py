@@ -230,19 +230,22 @@ class TestDealias:
         assert dead and all(dead)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [16, 18, 24])
+    @pytest.mark.parametrize("n", [16, 18, 24, 32])
     def test_band_limited_is_the_kept_band_mask(self, n, rng):
-        # out-of-band modes, each set alone to the smallest subnormal, unset it
+        # out-of-band modes, each set alone to a value: the smallest
+        # subnormals and NaN unset it, -0.0 and 0 - 0j are zeros and do not
         grid = TorusGrid(n, 7.0)
         mask = kept_band_mask(grid)
         spec = transform_forward(PhysicalField(grid, rng.standard_normal(grid.shape)))
         limited = spec.coefficients * mask
         assert is_band_limited(SpectralField(grid, limited))
         assert not is_band_limited(spec)
-        for index in rng.permutation(np.argwhere(~mask))[:3000]:
-            index = tuple(index)
-            limited[index] = 5e-324j
-            assert not is_band_limited(SpectralField(grid, limited)), index
+        values = [(5e-324j, False), (5e-324, False), (np.nan, False), (-0.0, True), (0 - 0j, True)]
+        outside = rng.permutation(np.argwhere(~mask))[: 500 if n == 32 else 3000]
+        for k, index in enumerate(map(tuple, outside)):
+            for value, zero in values if k < 500 else values[:1]:
+                limited[index] = value
+                assert is_band_limited(SpectralField(grid, limited)) == zero, (index, value)
             limited[index] = 0
 
 
