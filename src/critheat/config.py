@@ -6,33 +6,50 @@ message naming the key and the constraint. An empty (or absent) file
 yields the documented defaults: N = 32, L = 32, delta = 0.1, a q* = 0
 power-law datum.
 
+A config states the problem, in 11 keys:
+  * the grid: `points_per_dim` N and `side_length` L;
+  * the run: `dt`, `t_end` (0 for T_box = (L / 2 pi)^2 / 4),
+    `snapshot_count` and `nonlinearity`;
+  * the datum: `datum` (bump, power_law or file), `delta`, `profile_r`,
+    `cutoff_rho` and `datum_file`.
+
+How a run is judged is fixed, the same for every config:
+  * the snapshots are `snapshot_count` log-spaced times from t_end / 500
+    to t_end (`HarnessConfig.snapshot_times`);
+  * rate fits run over [T_box / 100, T_box / 3]
+    (`HarnessConfig.resolved_fit_window`);
+  * the splitting schedule is the power one, g(t) = (1 + t)^alpha with
+    alpha = max(2 + q*, 1) + 1 (`HarnessConfig.splitting_schedule`);
+    nonlinear-decay also checks the log-cubed one. The ball's constant C
+    is 1 (`diagnostics.SplittingSchedule`);
+  * the decay bound passes within `diagnostics.BOUND_TOL` = 0.1 and
+    the Lyapunov check within `diagnostics.LYAPUNOV_TOL` = 1e-10;
+  * energy-identity refines dt over `REFINEMENT_LEVELS` = 3 nested
+    levels and asks for every ratio >= 4.
+
 `parse_config` is the one validator of config values: the modules below
 it take their parameters as given and do not check them again. The grid
 is checked once, by `TorusGrid` (N even and >= 16, L > 0), whose error
 the validator reports as a config error; the validator also rejects a
-side_length for which T_box, the cell volume h^4 or the largest weight of
-the Hdot^2 density is not a finite float, and a run that needs more than
-`_MAX_STEPS` steps or more memory than the machine has. What only the
-built datum shows (a checkpoint that cannot be read or is not finite, a
-datum with ||grad u0|| = 0) is checked where the datum is built,
+run that needs more memory than the machine has (estimated in integers,
+before any float of N), a side_length for which T_box, the cell volume
+h^4 or the largest weight of the Hdot^2 density is not a finite float,
+and a run that needs more than `_MAX_STEPS` steps. What only the built
+datum shows (a checkpoint that cannot be read or is not finite, a datum
+with ||grad u0|| = 0) is checked where the datum is built,
 `experiments.build_datum`.
 
 `profile_r` is the q* of the datum: the exponent a power-law datum is
 built with, and the stated q* of a `datum = file` checkpoint, which
 cannot be read off the file (default 0). A bump datum has q* = 1, so
 setting `profile_r` with it is an error. The q* sets the decay bound
-min(2 + q*, 1) and the automatic power-schedule alpha, max(2 + q*, 1) + 1.
-Likewise `delta` sizes a bump or power-law datum and `cutoff_rho` cuts
-off a power-law one; setting either for a datum that does not read it is
-an error, so the config echo in summary.json names only keys that shaped
-the datum. decay-character is the exception: it builds its own power-law
-datum from `profile_r` and `cutoff_rho`, whatever `datum` says. The
-splitting keys follow the same rule: nonlinear-decay checks both
-schedules and takes no `schedule`, and the log-cubed g(t) has no
-exponent and takes no `schedule_alpha`. The power schedule's resolved
-alpha must keep g(t) = (1 + t)^alpha and g'(t) finite up to t_end; the
-error names `schedule_alpha` if it is set, else `profile_r`. The fit
-window is checked as resolved, so either fit key alone can invert it.
+min(2 + q*, 1) and the power-schedule alpha, which must keep g(t) and
+g'(t) finite up to t_end. Likewise `delta` sizes a bump or power-law
+datum and `cutoff_rho` cuts off a power-law one; setting either for a
+datum that does not read it is an error, so the config echo in
+summary.json names only keys that shaped the datum. decay-character is
+the exception: it builds its own power-law datum from `profile_r` and
+`cutoff_rho`, whatever `datum` says.
 
 A bump datum must lie in the small-data regime, ||grad u0|| <= ||grad W||
 and E(u0) <= E(W), or the run is a config error. A file datum is not
@@ -40,14 +57,13 @@ checked against that regime: it is the way to take a run out of it, for
 example to a datum that blows up, which the run then reports as a
 failed check.
 
-The snapshots are `snapshot_count` log-spaced times from snapshot_t_min
-to t_end (`HarnessConfig.snapshot_times`). Each snapshot interval takes at
-least one step, so snapshot_count counts towards `_MAX_STEPS`, and each
-snapshot's records (about 1 KB per splitting schedule) count towards the
-memory estimate. `evolution.advance` treats a time within
-1e-12 max(1, t) of the current one as reached (`evolution.reached`), so
-the first snapshot and every gap between two must lie beyond that
-tolerance, or the run would record snapshots it never stepped to.
+Each snapshot interval takes at least one step, so snapshot_count counts
+towards `_MAX_STEPS`, and each snapshot's records (about 1 KB per
+splitting schedule) count towards the memory estimate.
+`evolution.advance` treats a time within 1e-12 max(1, t) of the current
+one as reached (`evolution.reached`), so the first snapshot and every gap
+between two must lie beyond that tolerance, or the run would record
+snapshots it never stepped to; a tiny t_end fails this.
 
 The FFT worker count is not a config key: it is a machine setting that
 changes no output, so it is set by `critheat --threads` alone and stays
@@ -59,6 +75,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +99,8 @@ _RECORD_BYTES = 1200
 
 # most steps a run may need: at about 8 ms per N = 16 step, three months
 _MAX_STEPS = 10**9
+# energy-identity's nested dt halvings: dt, dt / 2, dt / 4
+REFINEMENT_LEVELS = 3
 _STEPLESS = ("decay-character", "bubble-constants")  # they advance no state
 
 
@@ -96,21 +115,12 @@ class HarnessConfig:
     dt: float = 0.04
     t_end: float = 0.0            # 0 -> T_box of the grid
     snapshot_count: int = 48
-    snapshot_t_min: float = 0.0   # 0 -> t_end / 500
     datum: str = "power_law"
     delta: float = 0.1
     profile_r: float = 0.0        # q* of a power_law or file datum
     cutoff_rho: float = 1.4
     datum_file: str = ""
     nonlinearity: bool = True
-    schedule: str = "power"
-    schedule_alpha: float = 0.0   # 0 -> max(2 + q*, 1) + 1
-    c_tilde: float = 1.0
-    fit_t_min: float = 0.0        # 0 -> T_box / 100
-    fit_t_max: float = 0.0        # 0 -> T_box / 3
-    bound_tol: float = 0.1
-    lyapunov_tol: float = 1e-10
-    refinement_levels: int = 3
 
     @property
     def t_box(self) -> float:
@@ -120,23 +130,15 @@ class HarnessConfig:
     def resolved_t_end(self) -> float:
         return self.t_end if self.t_end > 0 else self.t_box
 
-    def resolved_snapshot_t_min(self) -> float:
-        return (
-            self.snapshot_t_min
-            if self.snapshot_t_min > 0
-            else self.resolved_t_end() / 500.0
-        )
+    def first_snapshot(self) -> float:
+        return self.resolved_t_end() / 500.0
 
     def snapshot_times(self) -> np.ndarray:
-        """The `snapshot_count` log-spaced snapshot times, up to t_end (resolved)."""
-        return np.geomspace(
-            self.resolved_snapshot_t_min(), self.resolved_t_end(), self.snapshot_count
-        )
+        """The `snapshot_count` log-spaced snapshot times, t_end / 500 to t_end (resolved)."""
+        return np.geomspace(self.first_snapshot(), self.resolved_t_end(), self.snapshot_count)
 
     def resolved_fit_window(self) -> tuple[float, float]:
-        lo = self.fit_t_min if self.fit_t_min > 0 else self.t_box / 100.0
-        hi = self.fit_t_max if self.fit_t_max > 0 else self.t_box / 3.0
-        return lo, hi
+        return self.t_box / 100.0, self.t_box / 3.0
 
     def nominal_q_star(self) -> float:
         # mean-removed smooth bumps have a flat transform off the origin,
@@ -144,13 +146,11 @@ class HarnessConfig:
         return 1.0 if self.datum == "bump" else self.profile_r
 
     def resolved_schedule_alpha(self) -> float:
-        if self.schedule_alpha > 0:
-            return self.schedule_alpha
         return max(2.0 + self.nominal_q_star(), 1.0) + 1.0
 
     def splitting_schedule(self) -> SplittingSchedule:
-        """The configured splitting schedule, with its resolved alpha."""
-        return SplittingSchedule(self.schedule, self.resolved_schedule_alpha(), self.c_tilde)
+        """The power splitting schedule, with the alpha of the datum's q*."""
+        return SplittingSchedule(POWER, self.resolved_schedule_alpha())
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -205,6 +205,16 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # in integers, before any float of N: a float overflows past N ~ 1e77
+    need = _RSS_BYTES_PER_POINT * cfg.points_per_dim**4 + _RSS_BASE_BYTES
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"points_per_dim = {cfg.points_per_dim} needs an estimated "
+            f"{Decimal(need) / 2**30:.3g} GiB working set ({_RSS_BYTES_PER_POINT} bytes per "
+            f"N^4 point plus {_RSS_BASE_BYTES // 2**20} MiB), more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
     with np.errstate(over="ignore"):
         dxi = np.float64(grid.frequency_spacing)
         t_box = cfg.t_box
@@ -216,15 +226,6 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             f"side_length = {cfg.side_length} overflows T_box = (L / 2 pi)^2 / 4, the cell "
             "volume h^4 = (L / N)^4 or the Hdot^2 weight (2 pi)^-4 dxi^4 |xi|^4 at the "
             "largest |xi| = N 2 pi / L"
-        )
-    need = _RSS_BYTES_PER_POINT * cfg.points_per_dim**4 + _RSS_BASE_BYTES
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(
-            f"points_per_dim = {cfg.points_per_dim} needs an estimated {need / 2**30:.3g} GiB "
-            f"working set ({_RSS_BYTES_PER_POINT} bytes per N^4 point plus "
-            f"{_RSS_BASE_BYTES // 2**20} MiB), more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
         )
     if not cfg.dt > 0:
         raise ConfigError(f"dt must be positive, got {cfg.dt}")
@@ -244,15 +245,6 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             f"of records ({_RECORD_BYTES} bytes per snapshot and splitting schedule) to the "
             f"{need / 2**30:.3g} GiB working set, more than the {have / 2**30:.3g} GiB of "
             "physical memory"
-        )
-    if cfg.snapshot_t_min < 0:
-        raise ConfigError(
-            f"snapshot_t_min must be positive (or 0 for t_end / 500), got {cfg.snapshot_t_min}"
-        )
-    if cfg.snapshot_t_min >= cfg.resolved_t_end():
-        raise ConfigError(
-            f"snapshot_t_min = {cfg.snapshot_t_min} must be below t_end = "
-            f"{cfg.resolved_t_end():.6g} (resolved)"
         )
     if cfg.datum not in ("bump", "power_law", "file"):
         raise ConfigError(
@@ -293,65 +285,27 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
         )
     if cfg.datum == "file" and not cfg.datum_file:
         raise ConfigError("datum = file requires datum_file")
-    if cfg.schedule not in ("power", "log_cubed"):
-        raise ConfigError(
-            f"schedule must be power or log_cubed, got {cfg.schedule!r}"
-        )
-    if experiment == "nonlinear-decay" and cfg.schedule != HarnessConfig.schedule:
-        raise ConfigError(
-            f"schedule = {cfg.schedule}: nonlinear-decay checks both the power and the "
-            "log_cubed schedule and takes no schedule"
-        )
-    if cfg.schedule_alpha < 0:
-        raise ConfigError(
-            f"schedule_alpha must be positive (or 0 for automatic), got {cfg.schedule_alpha}"
-        )
-    if cfg.schedule == "log_cubed" and cfg.schedule_alpha != HarnessConfig.schedule_alpha:
-        raise ConfigError(
-            f"schedule_alpha = {cfg.schedule_alpha} is the exponent of the power schedule; "
-            "schedule = log_cubed takes no schedule_alpha"
-        )
-    if not cfg.c_tilde > 0:
-        raise ConfigError(f"c_tilde must be positive, got {cfg.c_tilde}")
-    if cfg.schedule == POWER and experiment not in _STEPLESS:
-        # records read g and g' up to t_end, past float range the ball radius
-        # is NaN; the stepless experiments run no splitting schedule
-        sched = cfg.splitting_schedule()
-        t_end = np.float64(cfg.resolved_t_end())
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(sched.g(t_end)) and np.isfinite(sched.g_prime(t_end))
-        if not finite:
-            key = "schedule_alpha" if cfg.schedule_alpha > 0 else "profile_r"
-            raise ConfigError(
-                f"{key} = {getattr(cfg, key)} gives the power schedule alpha = {sched.alpha:.6g}, "
-                f"and g(t) = (1 + t)^alpha overflows by t_end = {t_end:.6g} (resolved)"
-            )
-    if cfg.fit_t_min < 0 or cfg.fit_t_max < 0:
-        raise ConfigError("fit_t_min / fit_t_max must be positive (or 0 for defaults)")
-    fit_t_min, fit_t_max = cfg.resolved_fit_window()
-    if fit_t_min >= fit_t_max:
-        raise ConfigError(
-            f"fit_t_min = {fit_t_min:.6g} must be below fit_t_max = {fit_t_max:.6g} (resolved)"
-        )
-    if not cfg.bound_tol > 0:
-        raise ConfigError(f"bound_tol must be positive, got {cfg.bound_tol}")
-    if not cfg.lyapunov_tol > 0:
-        raise ConfigError(f"lyapunov_tol must be positive, got {cfg.lyapunov_tol}")
-    if cfg.refinement_levels < 2:
-        raise ConfigError(
-            f"refinement_levels must be >= 2, got {cfg.refinement_levels}"
-        )
     if experiment in _STEPLESS:
         return cfg
+    # records read g and g' up to t_end, past float range the ball radius is NaN
+    sched = cfg.splitting_schedule()
+    t_end = np.float64(cfg.resolved_t_end())
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(sched.g(t_end)) and np.isfinite(sched.g_prime(t_end))
+    if not finite:
+        raise ConfigError(
+            f"q* = {cfg.nominal_q_star():.6g} (profile_r, or 1 for a bump datum) gives the "
+            f"power schedule alpha = {sched.alpha:.6g}, and g(t) = (1 + t)^alpha overflows "
+            f"by t_end = {t_end:.6g} (resolved)"
+        )
     # no step is longer than dt or the stability bound at sup |u| = 0, and
-    # on energy-identity's finest level than dt / 2^(refinement_levels - 1);
+    # on energy-identity's finest level than dt / 2^(REFINEMENT_LEVELS - 1);
     # each snapshot interval takes at least one step
     longest = min(cfg.dt, stable_dt(grid, 0.0))
     keys = f"dt = {cfg.dt}, side_length = {cfg.side_length}"
     if experiment == "energy-identity":
-        longest = min(longest, math.ldexp(cfg.dt, 1 - cfg.refinement_levels))
-        keys += f", refinement_levels = {cfg.refinement_levels}"
-    t_end = cfg.resolved_t_end()
+        longest = min(longest, math.ldexp(cfg.dt, 1 - REFINEMENT_LEVELS))
+        keys += f", {REFINEMENT_LEVELS} refinement levels"
     if t_end > (_MAX_STEPS - cfg.snapshot_count) * longest:
         if t_end <= _MAX_STEPS * longest:
             keys += f", snapshot_count = {cfg.snapshot_count} intervals of a step or more"
@@ -359,17 +313,20 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             f"t_end = {t_end:.6g} (resolved) in steps of at most {longest:.3g} ({keys}) "
             f"needs more than {_MAX_STEPS:.0e} steps"
         )
-    # built only here, after the memory estimate has bounded their count
-    times = cfg.snapshot_times()
+    # built only here, after the memory estimate has bounded their count, and
+    # only from a first snapshot the run can step to: geomspace cannot start
+    # at 0, where t_end / 500 lands for a subnormal t_end such as 1e-321
+    times = np.array([cfg.first_snapshot()])
+    if not reached(0.0, times[0]):
+        times = cfg.snapshot_times()
     before = np.concatenate(([0.0], times[:-1]))
     stuck = np.flatnonzero(reached(before, times))
     if stuck.size:
         i = stuck[0]
         raise ConfigError(
-            f"t_end = {t_end:.6g} and snapshot_t_min = {times[0]:.6g} (resolved) with "
-            f"snapshot_count = {cfg.snapshot_count}: snapshot {i + 1} at t = {times[i]:.6g} "
-            f"lies within 1e-12 max(1, t) of t = {before[i]:.6g} before it, so no step "
-            "would reach it"
+            f"t_end = {t_end:.6g} (resolved) with snapshot_count = {cfg.snapshot_count} "
+            f"snapshots from t_end / 500: snapshot {i + 1} at t = {times[i]:.6g} lies within "
+            f"1e-12 max(1, t) of t = {before[i]:.6g} before it, so no step would reach it"
         )
     return cfg
 

@@ -25,18 +25,19 @@ The splitting ball is
 
 for either schedule g(t) = [ln(e+t)]^3 or g(t) = (1+t)^alpha. Both
 satisfy g(0) = 1. The constant C is not pinned by the analysis (it
-absorbs the smallness constant); it defaults to 1 and no exponent
-conclusion depends on it.
+absorbs the smallness constant); here C is 1, so r(t) = sqrt(g'/g), and
+no exponent conclusion depends on it.
 
 Monitors:
-  * Lyapunov: h1_sq nonincreasing across snapshots (small-data regime);
+  * Lyapunov: h1_sq nonincreasing across snapshots (small-data regime),
+    to a relative `LYAPUNOV_TOL`;
   * energy identity: h1(t2) + 2 int grad-Hdot^1 = h1(t1) + 2 int pairing;
   * key inequality: d/dt [g h1] - g' * (low-frequency Hdot^1 mass) <= 0,
     with centered differences on the snapshot grid and an allowance for
     their truncation error;
   * rate fits: least-squares slope of log h1_sq against log(1+t),
-    compared one-sidedly with min{2 + q*, 1}: observed decay may be
-    faster than the bound, never slower.
+    compared one-sidedly with min{2 + q*, 1}, less `BOUND_TOL`: observed
+    decay may be faster than the bound, never slower.
 """
 
 from __future__ import annotations
@@ -54,15 +55,18 @@ POWER = "power"
 
 # fewest records with positive h1_sq that a rate fit accepts
 _MIN_FIT_RECORDS = 5
+# how far a fitted decay exponent may fall short of the bound min{2 + q*, 1}
+BOUND_TOL = 0.1
+# how far h1_sq may rise, relative, between two snapshots: rounding only
+LYAPUNOV_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SplittingSchedule:
-    """Splitting ball schedule: r(t) = sqrt(g'(t) / (c_tilde g(t)))."""
+    """Splitting ball schedule: r(t) = sqrt(g'(t) / g(t)), the constant C being 1."""
 
     kind: str = POWER
     alpha: float = 2.5
-    c_tilde: float = 1.0
 
     def g(self, t: float) -> float:
         if self.kind == LOG_CUBED:
@@ -75,7 +79,7 @@ class SplittingSchedule:
         return float(self.alpha * (1.0 + t) ** (self.alpha - 1.0))
 
     def radius(self, t: float) -> float:
-        return float(np.sqrt(self.g_prime(t) / (self.c_tilde * self.g(t))))
+        return float(np.sqrt(self.g_prime(t) / self.g(t)))
 
 
 @dataclass(frozen=True)
@@ -146,18 +150,17 @@ def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord
 @dataclass(frozen=True)
 class LyapunovReport:
     passed: bool
-    tol: float
     violations: tuple[tuple[float, float, float], ...]  # (t1, t2, relative increase)
 
 
-def lyapunov_check(records: Sequence[DiagnosticsRecord], tol: float = 1e-10) -> LyapunovReport:
-    """Flag every adjacent snapshot pair where h1_sq increased beyond tol."""
+def lyapunov_check(records: Sequence[DiagnosticsRecord]) -> LyapunovReport:
+    """Flag every adjacent snapshot pair where h1_sq increased beyond `LYAPUNOV_TOL`."""
     violations = []
     for a, b in zip(records, records[1:]):
-        if b.h1_sq > a.h1_sq * (1.0 + tol):
+        if b.h1_sq > a.h1_sq * (1.0 + LYAPUNOV_TOL):
             rel = b.h1_sq / a.h1_sq - 1.0 if a.h1_sq > 0 else np.inf
             violations.append((a.t, b.t, rel))
-    return LyapunovReport(not violations, tol, tuple(violations))
+    return LyapunovReport(not violations, tuple(violations))
 
 
 def energy_identity_residual(first: SolverState, last: SolverState) -> float:
@@ -221,14 +224,14 @@ def fit_decay_rate(records: Sequence[DiagnosticsRecord], window: tuple[float, fl
     return RateFit(float(slope), (float(t0), float(t1)), resid)
 
 
-def bound_check(q_star: float, fit: RateFit, tol: float) -> bool:
+def bound_check(q_star: float, fit: RateFit) -> bool:
     """One-sided check of the decay bound (1+t)^{-min{2+q*, 1}}.
 
     Passes when the observed decay exponent (-fit.exponent) is at least
-    min{2+q*, 1} - tol; faster observed decay always passes.
+    min{2+q*, 1} - `BOUND_TOL`; faster observed decay always passes.
     """
     bound = min(2.0 + q_star, 1.0)
-    return bool(-fit.exponent >= bound - tol)
+    return bool(-fit.exponent >= bound - BOUND_TOL)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from . import bubble as bb
 from . import decay as dc
 from . import diagnostics as dg
 from . import evolution as ev
-from .config import ConfigError, HarnessConfig, parse_config
+from .config import REFINEMENT_LEVELS, ConfigError, HarnessConfig, parse_config
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -362,8 +362,8 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     the key inequality must hold under each.
     """
     schedules = {
-        "power": cfg.splitting_schedule(),  # nonlinear-decay's schedule is power
-        "log_cubed": dg.SplittingSchedule(dg.LOG_CUBED, c_tilde=cfg.c_tilde),
+        "power": cfg.splitting_schedule(),
+        "log_cubed": dg.SplittingSchedule(dg.LOG_CUBED),
     }
     result = run_simulation(cfg, build_datum(cfg), schedules)
     partition = max(_partition_defect(records) for records in result.values())
@@ -371,7 +371,7 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     records = result["power"]
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
-    bound_ok = fit is not None and dg.bound_check(q_star, fit, cfg.bound_tol)
+    bound_ok = fit is not None and dg.bound_check(q_star, fit)
     verdicts = {"bound_check": bound_ok, "partition_exact": partition <= 1e-13}
     verdicts.update({f"key_inequality_{name}": k.passed for name, k in key.items()})
     summary = _base_summary("nonlinear-decay", cfg)
@@ -379,7 +379,7 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
         {
             "q_star": q_star,
             "decay_bound": min(2.0 + q_star, 1.0),
-            "bound_tol": cfg.bound_tol,
+            "bound_tol": dg.BOUND_TOL,
             "fit": fit_entry,
             "partition_max_defect": partition,
             "key_inequality": {f"{name}_max_margin": k.max_margin for name, k in key.items()},
@@ -392,7 +392,7 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
 def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list]:
     schedules = {"primary": cfg.splitting_schedule()}
     records = run_simulation(cfg, build_datum(cfg), schedules)["primary"]
-    report = dg.lyapunov_check(records, cfg.lyapunov_tol)
+    report = dg.lyapunov_check(records)
     pairing = dg.pairing_ratio_report(records)
     summary = _base_summary("lyapunov", cfg)
     summary.update(
@@ -400,7 +400,7 @@ def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list]:
             "snapshots": len(records),
             "lyapunov": {
                 "passed": report.passed,
-                "tol": report.tol,
+                "tol": dg.LYAPUNOV_TOL,
                 "violations": [list(v) for v in report.violations],
             },
             "pairing": {
@@ -416,9 +416,9 @@ def _lyapunov(cfg: HarnessConfig) -> tuple[dict, list]:
 def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     """Hdot^1 energy-identity residual over [0, t_end] under nested dt halving.
 
-    Level k advances the whole interval in n0 * 2^k equal steps,
-    n0 = ceil(t_end / dt), so every level's steps are the previous level's
-    steps halved. Stepping between the log-spaced snapshots instead would
+    Level k < `REFINEMENT_LEVELS` advances the whole interval in n0 * 2^k
+    equal steps, n0 = ceil(t_end / dt), so every level's steps are the
+    previous level's steps halved. Stepping between the log-spaced snapshots instead would
     take each snapshot interval shorter than dt in one step at every level,
     and that part of the trapezoid error would never refine. The snapshot
     run at dt supplies series.csv only. If the stability bound forces extra
@@ -431,7 +431,7 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     records = run_simulation(cfg, u0_hat, {"primary": cfg.splitting_schedule()})["primary"]
     t_end = cfg.resolved_t_end()
     n0 = max(1, math.ceil(t_end / cfg.dt - 1e-12))
-    planned = [n0 * 2**k for k in range(cfg.refinement_levels)]
+    planned = [n0 * 2**k for k in range(REFINEMENT_LEVELS)]
     residuals, steps = [], []
     for n_steps in planned:
         start = ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity)

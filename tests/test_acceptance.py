@@ -185,7 +185,7 @@ def test_criterion_6_torus_linear_consistency():
 def test_criterion_7_lyapunov(lyapunov_summary):
     summary, records, passed, elapsed = lyapunov_summary
     enough = summary["snapshots"] >= 40
-    ok = passed and enough and elapsed < 600.0
+    ok = passed and enough and summary["lyapunov"]["tol"] == 1e-10 and elapsed < 600.0
     report(
         "criterion 7: h1_sq nonincreasing over >=40 snapshots (tol 1e-10)",
         ok,
@@ -202,6 +202,7 @@ def test_criterion_8_energy_identity():
     ratios = summary["refinement_ratios"]
     ok = (
         residuals[0] <= 1e-6
+        and len(ratios) == 2
         and all(r >= 4.0 for r in ratios)
         and timer.elapsed < 300.0
     )
@@ -224,7 +225,8 @@ def test_criterion_9_main_theorem_consistency(nonlinear_q0_summary, nonlinear_qm
         total += elapsed
         verdicts = summary["verdicts"]
         all_ok &= (
-            verdicts["bound_check"]
+            summary["bound_tol"] == 0.1
+            and verdicts["bound_check"]
             and summary["partition_max_defect"] <= 1e-13
             and verdicts["key_inequality_power"]
             and verdicts["key_inequality_log_cubed"]
@@ -238,7 +240,7 @@ def test_criterion_9_main_theorem_consistency(nonlinear_q0_summary, nonlinear_qm
         q = rng.uniform(-1.9, 1.0)
         observed = min(2.0 + q, 1.0) + rng.uniform(0.0, 5.0)
         fit = dg.RateFit(-observed, (0.1, 1.0), 0.0)
-        all_ok &= dg.bound_check(q, fit, 0.1)
+        all_ok &= dg.bound_check(q, fit)
     all_ok &= total < 900.0
     report(
         "criterion 9: decay bound min{2+q*,1} (tol 0.1), exact splitting, key inequality",

@@ -61,15 +61,16 @@ class TestSplittingSchedule:
             assert np.all(np.diff(gs) > 0)
 
     def test_log_cubed_radius_at_zero(self):
-        # r(0) = sqrt(3 / (c e ln e)) = sqrt(3/e) for c = 1
-        sched = dg.SplittingSchedule(dg.LOG_CUBED, c_tilde=1.0)
+        # r(0) = sqrt(3 / (e ln e)) = sqrt(3/e)
+        sched = dg.SplittingSchedule(dg.LOG_CUBED)
         assert sched.radius(0.0) == pytest.approx(np.sqrt(3.0 / np.e), rel=1e-12)
         assert sched.radius(0.0) == pytest.approx(1.0505, abs=2e-4)
 
     def test_power_radius_formula(self):
-        sched = dg.SplittingSchedule(dg.POWER, alpha=3.0, c_tilde=2.0)
-        for t in (0.0, 1.0, 9.0):
-            assert sched.radius(t) == pytest.approx(np.sqrt(3.0 / (2.0 * (1.0 + t))))
+        for alpha in (3.0, 0.5):
+            sched = dg.SplittingSchedule(dg.POWER, alpha=alpha)
+            for t in (0.0, 1.0, 9.0):
+                assert sched.radius(t) == pytest.approx(np.sqrt(alpha / (1.0 + t)))
 
 
 class TestRecord:
@@ -263,15 +264,16 @@ class TestSplittingSplit:
 
     def test_radius_above_corner_keeps_everything(self, grid, rng):
         spec = transform_forward(PhysicalField(grid, rng.standard_normal(grid.shape)))
-        # tiny c_tilde pushes r(0) above the Nyquist corner
-        sched = dg.SplittingSchedule(dg.POWER, alpha=2.5, c_tilde=1e-6)
+        # a large alpha pushes r(0) = sqrt(alpha) above the Nyquist corner 16
+        sched = dg.SplittingSchedule(dg.POWER, alpha=2.5e6)
         _, low, high = dg.splitting_split(spec, sched, 0.0)
         assert high == 0.0
         assert low > 0
 
     def test_vanishing_radius_keeps_nothing(self, grid, rng):
         spec = transform_forward(PhysicalField(grid, rng.standard_normal(grid.shape)))
-        sched = dg.SplittingSchedule(dg.POWER, alpha=2.5, c_tilde=1e12)
+        # r(0) = sqrt(alpha) = 1.6e-6, below the first shell |xi| = 1
+        sched = dg.SplittingSchedule(dg.POWER, alpha=2.5e-12)
         _, low, high = dg.splitting_split(spec, sched, 0.0)
         assert low == 0.0
         assert high > 0
@@ -291,9 +293,9 @@ class TestLyapunov:
         assert report.violations[0][:2] == (1.0, 2.0)
 
     def test_tolerance_respected(self):
-        recs = synthetic_records([0.0, 1.0], [1.0, 1.0 + 1e-12])
-        assert dg.lyapunov_check(recs, tol=1e-10).passed
-        assert not dg.lyapunov_check(recs, tol=1e-14).passed
+        # a relative rise within LYAPUNOV_TOL = 1e-10 passes, one beyond it fails
+        assert dg.lyapunov_check(synthetic_records([0.0, 1.0], [1.0, 1.0 + 1e-12])).passed
+        assert not dg.lyapunov_check(synthetic_records([0.0, 1.0], [1.0, 1.0 + 1e-9])).passed
 
 
 class TestEnergyIdentity:
@@ -353,18 +355,18 @@ class TestRateFit:
 class TestBoundCheck:
     def test_pass_when_faster_than_bound(self):
         fit = dg.RateFit(-1.3, (0.1, 1.0), 0.0)
-        assert dg.bound_check(0.0, fit, 0.1)
+        assert dg.bound_check(0.0, fit)
 
     def test_fail_when_slower_than_bound(self):
         fit = dg.RateFit(-0.2, (0.1, 1.0), 0.0)
-        assert not dg.bound_check(-1.5, fit, 0.1)
+        assert not dg.bound_check(-1.5, fit)
 
     def test_min_formula(self):
         # q* = -0.5 gives bound min{1.5, 1} = 1
         ok = dg.RateFit(-0.95, (0.1, 1.0), 0.0)
         bad = dg.RateFit(-0.85, (0.1, 1.0), 0.0)
-        assert dg.bound_check(-0.5, ok, 0.1)
-        assert not dg.bound_check(-0.5, bad, 0.1)
+        assert dg.bound_check(-0.5, ok)
+        assert not dg.bound_check(-0.5, bad)
 
     def test_one_sided_property(self):
         # any exponent at least the bound passes, however fast
@@ -374,7 +376,7 @@ class TestBoundCheck:
             bound = min(2.0 + q, 1.0)
             observed = bound + rng.uniform(0.0, 5.0)
             fit = dg.RateFit(-observed, (0.1, 1.0), 0.0)
-            assert dg.bound_check(q, fit, 0.1)
+            assert dg.bound_check(q, fit)
 
 
 class TestKeyInequality:

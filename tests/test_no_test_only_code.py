@@ -26,10 +26,18 @@ counting as the default, a literal as its value and any other expression
 as varying. A call is resolved by name as above, and through a class
 (`RadialQuadrature.build`); a parameter that takes one value is a
 constant, and one that no call reaches is test-only.
+
+A config key, a field of `HarnessConfig`, needs two values across its
+default and the per-experiment defaults, or it is a constant; the
+allow-list names the keys that state the problem rather than how a run
+is judged, each set by a user or the benchmark.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from critheat.config import _EXPERIMENT_DEFAULTS, HarnessConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "critheat"
 
@@ -46,6 +54,15 @@ MEMBERS_ALLOWED: dict[str, str] = {}
 DEFAULTS_ALLOWED = {
     "cli.main.argv": "the console entry point calls main() with no argument; tests pass argv",
     "evolution.step.forcing": "the manufactured-solution hook of criterion 10a; advance passes none",
+}
+
+CONFIG_ALLOWED = {
+    "side_length": "the grid of a problem: the benchmark's workloads set it",
+    "snapshot_count": "how densely a problem is sampled: the benchmark's workloads set it",
+    "delta": "defines the datum: its size against ||grad W||",
+    "profile_r": "defines the datum: its q*",
+    "cutoff_rho": "defines the datum: its frequency cutoff",
+    "datum_file": "the path of a file datum",
 }
 
 _VARYING = object()
@@ -303,3 +320,26 @@ def test_default_allow_list_names_exist():
         for name in defaults
     }
     assert set(DEFAULTS_ALLOWED) <= params
+
+
+def single_valued_config_keys() -> list[str]:
+    """Config keys that take one value across their default and every experiment default."""
+    default = HarnessConfig()
+    return sorted(
+        f.name
+        for f in fields(HarnessConfig)
+        if f.name not in CONFIG_ALLOWED
+        and len(
+            {repr(getattr(default, f.name))}
+            | {repr(over[f.name]) for over in _EXPERIMENT_DEFAULTS.values() if f.name in over}
+        )
+        < 2
+    )
+
+
+def test_every_config_key_takes_two_values():
+    assert single_valued_config_keys() == []
+
+
+def test_config_allow_list_names_exist():
+    assert set(CONFIG_ALLOWED) <= {f.name for f in fields(HarnessConfig)}

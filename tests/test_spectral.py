@@ -329,8 +329,8 @@ class TestHalfLatticeOracle:
         assert abs(got / want - 1.0) <= 1e-12
 
     def test_splitting_parts(self, small_grid, fields):
-        # radius 10 at t = 0 cuts through the lattice (dxi = 1, corner 16)
-        schedule = SplittingSchedule(POWER, alpha=2.5, c_tilde=0.025)
+        # radius sqrt(alpha) = 10 at t = 0 cuts through the lattice (dxi = 1, corner 16)
+        schedule = SplittingSchedule(POWER, alpha=100.0)
         a = fields[0]
         density, xi_mag = self.reference(small_grid, a, a, 1.0)
         inside = xi_mag <= schedule.radius(0.0)
