@@ -6,7 +6,6 @@ from .spectral import (  # noqa: F401
     PhysicalField,
     SpectralField,
     TorusGrid,
-    set_fft_workers,
     sobolev_norm_sq,
     transform_forward,
     transform_inverse,

@@ -26,18 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", default=None, help="output directory (default critheat-out/<experiment>)"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=(
-            "FFT worker count, at most the CPUs this process may use "
-            "(default 1; the outputs do not depend on it). It pays only on "
-            "large grids: on a 2-CPU machine, 2 workers slowed nonlinear-decay "
-            "at N = 16 from 0.6 s to 0.9-1.2 s, left N = 32 unchanged and cut "
-            "the step time at N = 48 by 22%%"
-        ),
-    )
     return parser
 
 
@@ -48,7 +36,6 @@ def main(argv: list[str] | None = None) -> int:
         name=args.experiment,
         config_path=args.config,
         out_dir=out_dir,
-        threads=args.threads,
     )
     return run_experiment(spec)
 

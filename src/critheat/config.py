@@ -6,12 +6,16 @@ message naming the key and the constraint. An empty (or absent) file
 yields the documented defaults: N = 32, L = 32, delta = 0.1, a q* = 0
 power-law datum.
 
-A config states the problem, in 11 keys:
+A config states the problem, in 10 keys:
   * the grid: `points_per_dim` N and `side_length` L;
-  * the run: `dt`, `t_end` (0 for T_box = (L / 2 pi)^2 / 4),
-    `snapshot_count` and `nonlinearity`;
+  * the run: `dt`, `t_end` (0 for T_box = (L / 2 pi)^2 / 4) and
+    `snapshot_count`;
   * the datum: `datum` (bump, power_law or file), `delta`, `profile_r`,
     `cutoff_rho` and `datum_file`.
+
+The experiment names the flow, so no key does: linear-decay steps the
+heat equation u_t = Delta u, and every other experiment that steps a
+state steps u_t = Delta u + u^3.
 
 How a run is judged is fixed, the same for every config:
   * the snapshots are `snapshot_count` log-spaced times from t_end / 500
@@ -64,10 +68,6 @@ splitting schedule) count towards the memory estimate.
 one as reached (`evolution.reached`), so the first snapshot and every gap
 between two must lie beyond that tolerance, or the run would record
 snapshots it never stepped to; a tiny t_end fails this.
-
-The FFT worker count is not a config key: it is a machine setting that
-changes no output, so it is set by `critheat --threads` alone and stays
-out of the config echo in summary.json.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class HarnessConfig:
     profile_r: float = 0.0        # q* of a power_law or file datum
     cutoff_rho: float = 1.4
     datum_file: str = ""
-    nonlinearity: bool = True
 
     @property
     def t_box(self) -> float:
@@ -163,7 +162,7 @@ class HarnessConfig:
 
 # experiment-specific default overrides, applied before user keys
 _EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
-    "linear-decay": {"nonlinearity": False, "dt": 1.0},
+    "linear-decay": {"dt": 1.0},
     "lyapunov": {"datum": "bump"},
     "energy-identity": {
         "datum": "bump",
@@ -172,15 +171,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
         "t_end": 0.5,
     },
 }
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean (true/false), got {raw!r}")
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -335,7 +325,6 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
 _PARSERS = {
     "int": _parse_int,
     "float": _parse_float,
-    "bool": _parse_bool,
     "str": lambda key, raw: raw,
 }
 

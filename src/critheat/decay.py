@@ -23,10 +23,10 @@ r) or r* = +inf (P_r zero for every r) are reported. Profiles are sampled
 at 64 nodes per decade: a power law on [1e-8, 1], stopping at its cutoff
 1, and the Gaussian on the 8 decades from 1e-6.
 
-The linear oracle evolves a radial profile under a scalar dissipative
-symbol -c |xi|^{2 alpha} and returns squared L^2 norms
+The linear oracle evolves a radial profile under the dissipative symbol
+-|xi|^{2 alpha} and returns squared L^2 norms
 
-    ||v(t)||^2 = (2 pi)^{-4} omega_3 int a(rho)^2 e^{-2 c t rho^{2 alpha}}
+    ||v(t)||^2 = (2 pi)^{-4} omega_3 int a(rho)^2 e^{-2 t rho^{2 alpha}}
                  rho^3 drho,
 
 whose large-time log-log slope is -(1/alpha)(2 + r*).
@@ -65,14 +65,6 @@ _OMEGA_3 = 2.0 * np.pi**2
 _NODES_PER_DECADE = 64
 _POWER_LAW_RHO_MIN, _POWER_LAW_CUTOFF = 1e-8, 1.0
 _GAUSSIAN_RHO_MIN, _GAUSSIAN_DECADES = 1e-6, 8.0
-
-
-@dataclass(frozen=True)
-class DissipationSymbol:
-    """Scalar dissipative symbol -c |xi|^{2 alpha}."""
-
-    c: float = 1.0
-    alpha: float = 1.0
 
 
 @dataclass
@@ -231,21 +223,21 @@ def classify_weighted(gamma: float, zero_mean: bool) -> float:
     return float(gamma) if zero_mean else 0.0
 
 
-def linear_decay_exponent(r_star: float, sym: DissipationSymbol, n: int) -> float:
-    """Exponent of the squared L^2 norm under the linear flow: (1/alpha)(n/2 + r*), r* > -n/2."""
-    return (1.0 / sym.alpha) * (n / 2.0 + r_star)
+def linear_decay_exponent(r_star: float, alpha: float) -> float:
+    """Exponent of the squared L^2 norm under the linear flow: (1/alpha)(2 + r*), r* > -2."""
+    return (1.0 / alpha) * (_DIM / 2.0 + r_star)
 
 
 def radial_linear_evolution(
-    profile: RadialProfile, sym: DissipationSymbol, times: Sequence[float]
+    profile: RadialProfile, alpha: float, times: Sequence[float]
 ) -> list[float]:
-    """Squared L^2 norms of the linear flow at the given times (1D quadrature)."""
+    """Squared L^2 norms of the flow of -|xi|^{2 alpha} at the given times (1D quadrature)."""
     u = np.log(profile.nodes)
     base = profile.amplitudes**2 * profile.nodes**_DIM
     const = (2.0 * np.pi) ** -_DIM * _OMEGA_3
     out = []
     for t in times:
-        integrand = base * np.exp(-2.0 * sym.c * t * profile.nodes ** (2 * sym.alpha))
+        integrand = base * np.exp(-2.0 * t * profile.nodes ** (2 * alpha))
         out.append(const * float(np.trapezoid(integrand, u)))
     return out
 

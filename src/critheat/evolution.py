@@ -2,7 +2,7 @@
 
 The equation u_t = Delta u + u^3 (real solutions) is advanced with an
 integrating-factor RK4 scheme on v_hat = e^{t |xi|^2} u_hat. A linear
-state (nonlinearity disabled) takes only the exact factor, so its step
+state (heat flow, no cubic) takes only the exact factor, so its step
 reproduces the heat semigroup to roundoff for any dt. The heat symbol
 e^{-t |xi|^2} of the factors, `heat_propagate` and the Duhamel check is
 `spectral.heat_multiplier`. Each step computes its factors, with no

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -28,7 +27,6 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     l4_fourth,
-    set_fft_workers,
     sobolev_norm_sq,
     transform_forward,
 )
@@ -43,7 +41,6 @@ class ExperimentSpec:
     name: str
     config_path: str | None
     out_dir: Path
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENT_NAMES:
@@ -77,11 +74,18 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
     a larger delta that breaks one is a config error. So is a file datum
     that cannot be read, is not finite or is too large to record, a
     power-law datum whose profile_r overflows it, and any datum with
-    ||grad u0|| = 0, which has no decay to measure.
+    ||grad u0|| = 0, which has no decay to measure. A bump or power-law
+    datum has ||grad u0||^2 = delta^2 ||grad W||^2, which must be a normal
+    float, so delta must be about 1.454e-155 or more: below that the
+    records' norms lose digits to subnormal floats or underflow to 0.
     """
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-    if cfg.datum != "file" and cfg.delta == 0:
-        raise ConfigError(f"delta = {cfg.delta} gives a zero {cfg.datum} datum (||grad u0|| = 0)")
+    grad_sq, tiny = cfg.delta**2 * GRAD_W_L2_SQ, np.finfo(float).tiny
+    if cfg.datum != "file" and grad_sq < tiny:
+        raise ConfigError(
+            f"delta = {cfg.delta} gives a {cfg.datum} datum with ||grad u0||^2 = delta^2 "
+            f"||grad W||^2 = {grad_sq:.4g}, not a normal float (the smallest is {tiny:.4g})"
+        )
     if cfg.datum == "bump":
         datum = bb.subcritical_datum(grid, cfg.delta)
         if not (datum.grad_condition and datum.energy_condition):
@@ -124,14 +128,18 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
 
 
 def run_simulation(
-    cfg: HarnessConfig, u0_hat: SpectralField, schedules: Mapping[str, dg.SplittingSchedule]
+    cfg: HarnessConfig,
+    u0_hat: SpectralField,
+    schedules: Mapping[str, dg.SplittingSchedule],
+    nonlinear: bool = True,
 ) -> dict[str, list[dg.DiagnosticsRecord]]:
     """Advance the datum u0_hat through the configured log-spaced snapshots.
 
+    The flow is u_t = Delta u + u^3, or the heat flow if not `nonlinear`.
     Returns, per schedule, one diagnostics record at t = 0 and one per snapshot.
     """
     times = (0.0, *cfg.snapshot_times())
-    states = ev.advance(ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity), times, cfg.dt)
+    states = ev.advance(ev.initial_state(u0_hat, nonlinear=nonlinear), times, cfg.dt)
     del u0_hat  # the state shares it; a datum built inline is freed after the first step
     records = {key: [] for key in schedules}
     for state in states:
@@ -303,11 +311,10 @@ def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     oracle_ok = True
     for r_star in (-1.0, -0.5, 0.0, 1.0):
         for alpha in (1.0, 0.5):
-            sym = dc.DissipationSymbol(c=1.0, alpha=alpha)
             prof = dc.power_law_profile(r_star)
-            vals = dc.radial_linear_evolution(prof, sym, times)
+            vals = dc.radial_linear_evolution(prof, alpha, times)
             slope = float(np.polyfit(np.log1p(times), np.log(vals), 1)[0])
-            want = -dc.linear_decay_exponent(r_star, sym, 4)
+            want = -dc.linear_decay_exponent(r_star, alpha)
             ok = abs(slope - want) <= 0.05
             oracle_ok &= ok
             oracle_cases.append(
@@ -316,13 +323,13 @@ def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
 
     gauss = dc.gaussian_profile()
     t_check = [0.0, 0.5, 1.0, 10.0, 1e3]
-    gvals = dc.radial_linear_evolution(gauss, dc.DissipationSymbol(), t_check)
+    gvals = dc.radial_linear_evolution(gauss, 1.0, t_check)
     gerr = max(
         abs(v / (np.pi**2 / (1.0 + 2.0 * t) ** 2) - 1.0) for v, t in zip(gvals, t_check)
     )
 
     schedules = {"primary": cfg.splitting_schedule()}
-    records = run_simulation(cfg, build_datum(cfg), schedules)["primary"]
+    records = run_simulation(cfg, build_datum(cfg), schedules, nonlinear=False)["primary"]
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
     expected_exponent = 2.0 + q_star
@@ -434,7 +441,7 @@ def _energy_identity(cfg: HarnessConfig) -> tuple[dict, list]:
     planned = [n0 * 2**k for k in range(REFINEMENT_LEVELS)]
     residuals, steps = [], []
     for n_steps in planned:
-        start = ev.initial_state(u0_hat, nonlinear=cfg.nonlinearity)
+        start = ev.initial_state(u0_hat)
         (end,) = ev.advance(start, (t_end,), t_end / n_steps)
         residuals.append(dg.energy_identity_residual(start, end))
         steps.append(end.step_count)
@@ -476,24 +483,6 @@ _RUNNERS = {
 EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
-def _fft_worker_count(threads: int | None) -> int:
-    """The --threads value as an FFT worker count; absent or 0 means 1.
-
-    Checked against the CPUs this process may use before any worker
-    starts.
-    """
-    if not threads:
-        return 1
-    if threads < 0:
-        raise ConfigError(f"threads must be >= 1 (--threads 0 means 1), got {threads}")
-    cpus = len(os.sched_getaffinity(0))
-    if threads > cpus:
-        raise ConfigError(
-            f"--threads {threads} exceeds the {cpus} CPUs this process may use"
-        )
-    return threads
-
-
 def _check_out_dir(out_dir: Path) -> None:
     """The output directory exists, or its nearest existing ancestor is a directory.
 
@@ -515,7 +504,6 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """
     try:
         cfg = parse_config(spec.config_path, spec.name)
-        set_fft_workers(_fft_worker_count(spec.threads))
         _check_out_dir(spec.out_dir)
         summary, records = _RUNNERS[spec.name](cfg)
     except ConfigError as exc:

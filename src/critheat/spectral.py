@@ -70,9 +70,7 @@ inverse is, bit for bit, its full inverse: `evolution` reads both from one
 transform.
 
 This module is the only one that calls scipy.fft or knows the lattice
-layout. The worker count is set once per process (`set_fft_workers`);
-results are bit-identical across worker counts and all reductions are
-fixed-order numpy sums.
+layout. All reductions are fixed-order numpy sums.
 """
 
 from __future__ import annotations
@@ -84,19 +82,9 @@ from itertools import product
 import numpy as np
 import scipy.fft as _fft
 
-_fft_workers = 1
-
 
 class NonFiniteField(ValueError):
     """A field holds NaN or infinity (overflow guard)."""
-
-
-def set_fft_workers(workers: int) -> None:
-    """Set the scipy.fft worker count used by all transforms."""
-    global _fft_workers
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    _fft_workers = int(workers)
 
 
 @dataclass(frozen=True)
@@ -252,7 +240,7 @@ def is_band_limited(field: SpectralField) -> bool:
 def _fft_pass(block: np.ndarray, axis: int, inverse: bool) -> None:
     """One unscaled complex FFT pass along `axis`, written into `block` in place."""
     fft, norm = (_fft.ifft, "forward") if inverse else (_fft.fft, "backward")
-    out = fft(block, axis=axis, norm=norm, overwrite_x=True, workers=_fft_workers)
+    out = fft(block, axis=axis, norm=norm, overwrite_x=True)
     if not np.may_share_memory(out, block):
         block[...] = out
 
@@ -260,7 +248,7 @@ def _fft_pass(block: np.ndarray, axis: int, inverse: bool) -> None:
 def _forward_passes(values: np.ndarray) -> np.ndarray:
     """The unscaled rfftn of `values`, correct on the kept band only (see the module docstring)."""
     full, half = _kept_band(values.shape[0])
-    spectrum = _fft.rfft(values, axis=3, workers=_fft_workers)
+    spectrum = _fft.rfft(values, axis=3)
     band = spectrum[..., half]
     _fft_pass(band, 0, inverse=False)
     for i in full:
@@ -285,7 +273,7 @@ def transform_forward(field: PhysicalField, dealiased: bool = False) -> Spectral
     grid = field.grid
     h4 = grid.spacing**4
     if not dealiased:
-        coeffs = _fft.rfftn(field.values, workers=_fft_workers)
+        coeffs = _fft.rfftn(field.values)
         coeffs *= h4
         return SpectralField(grid, coeffs)
     spectrum = _forward_passes(field.values)
@@ -304,7 +292,7 @@ def transform_inverse(field: SpectralField) -> PhysicalField:
     """Inverse transform of a half spectrum back to its real physical field."""
     _require_finite(field.coefficients, "coefficients in spectral field")
     grid = field.grid
-    vals = _fft.irfftn(field.coefficients, s=grid.shape, workers=_fft_workers)
+    vals = _fft.irfftn(field.coefficients, s=grid.shape)
     vals /= grid.spacing**4
     return PhysicalField(grid, vals)
 
@@ -323,7 +311,7 @@ def band_inverse(band: np.ndarray, grid: TorusGrid) -> PhysicalField:
     for k in full:
         _fft_pass(kept[:, :, k], 1, inverse=True)
     _fft_pass(kept, 2, inverse=True)
-    vals = _fft.irfft(work, n=n, axis=3, norm="forward", workers=_fft_workers)
+    vals = _fft.irfft(work, n=n, axis=3, norm="forward")
     vals *= 1.0 / n**4
     vals /= grid.spacing**4
     return PhysicalField(grid, vals)

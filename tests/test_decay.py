@@ -136,9 +136,9 @@ class TestClassifiers:
 
 class TestLinearDecayExponent:
     def test_formula_cases(self):
-        assert dc.linear_decay_exponent(0.0, dc.DissipationSymbol(1, 1.0), 4) == 2.0
-        assert dc.linear_decay_exponent(-1.0, dc.DissipationSymbol(1, 1.0), 4) == 1.0
-        assert dc.linear_decay_exponent(0.0, dc.DissipationSymbol(1, 0.5), 4) == 4.0
+        assert dc.linear_decay_exponent(0.0, 1.0) == 2.0
+        assert dc.linear_decay_exponent(-1.0, 1.0) == 1.0
+        assert dc.linear_decay_exponent(0.0, 0.5) == 4.0
 
 
 class TestRadialLinearEvolution:
@@ -146,33 +146,30 @@ class TestRadialLinearEvolution:
         # ||v(t)||^2 = pi^2 / (1 + 2t)^2 for the standard Gaussian datum
         prof = dc.gaussian_profile()
         times = [0.0, 0.3, 1.0, 10.0, 1e3, 1e6]
-        values = dc.radial_linear_evolution(prof, dc.DissipationSymbol(), times)
+        values = dc.radial_linear_evolution(prof, 1.0, times)
         for t, v in zip(times, values):
             assert v == pytest.approx(np.pi**2 / (1.0 + 2.0 * t) ** 2, rel=1e-8)
 
     def test_t_zero_matches_independent_quadrature(self):
         prof = dense_power_profile(0.5)
-        mass = dc.radial_linear_evolution(prof, dc.DissipationSymbol(), [0.0])[0]
+        mass = dc.radial_linear_evolution(prof, 1.0, [0.0])[0]
         oracle, _ = quad(lambda s: s ** (2 * 0.5) * s**3, 0.0, 1.0)
         oracle *= (2 * np.pi) ** -4 * 2 * np.pi**2
         assert mass == pytest.approx(oracle, rel=1e-3)
 
     def test_strictly_decreasing(self):
         prof = dc.power_law_profile(0.0)
-        vals = dc.radial_linear_evolution(
-            prof, dc.DissipationSymbol(), np.linspace(0, 5, 11)
-        )
+        vals = dc.radial_linear_evolution(prof, 1.0, np.linspace(0, 5, 11))
         assert np.all(np.diff(vals) < 0)
 
     @pytest.mark.parametrize("r_star", [-1.0, -0.5, 0.0, 1.0])
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_fitted_exponent_matches_theory(self, r_star, alpha):
-        sym = dc.DissipationSymbol(c=1.0, alpha=alpha)
         prof = dc.power_law_profile(r_star)
         times = np.geomspace(1e2, 1e6, 41)
-        vals = dc.radial_linear_evolution(prof, sym, times)
+        vals = dc.radial_linear_evolution(prof, alpha, times)
         slope = np.polyfit(np.log1p(times), np.log(vals), 1)[0]
-        assert abs(slope + dc.linear_decay_exponent(r_star, sym, 4)) <= 0.05
+        assert abs(slope + dc.linear_decay_exponent(r_star, alpha)) <= 0.05
 
 
 class TestSynthesizedDatum:

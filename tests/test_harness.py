@@ -53,12 +53,12 @@ class TestParseConfig:
         path.write_text(
             "# a comment\n"
             "points_per_dim = 64   # inline comment\n"
-            "nonlinearity = false\n"
+            "datum = bump\n"
             "delta = 0.25\n"
         )
         cfg = parse_config(path)
         assert cfg.points_per_dim == 64
-        assert cfg.nonlinearity is False
+        assert cfg.datum == "bump"
         assert cfg.delta == 0.25
 
     def test_odd_n_rejected(self, tmp_path):
@@ -188,6 +188,15 @@ class TestParseConfig:
         path.write_text("threads = 2\n")
         with pytest.raises(ConfigError, match="unknown key 'threads'"):
             parse_config(path)
+
+    def test_nonlinearity_key_exits_2_as_unknown(self, tmp_path, capsys):
+        # the experiment names the flow: linear-decay is the one linear run
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("points_per_dim = 16\nnonlinearity = false\n")
+        out = tmp_path / "out"
+        assert main(["linear-decay", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"config error: {cfg}:2: unknown key 'nonlinearity'\n"
+        assert not out.exists()
 
     # how a run is judged is fixed, not configured; each at its fixed value
     JUDGING_KEYS = {
@@ -417,7 +426,7 @@ class TestRunSimulation:
         sched = cfg.splitting_schedule()
 
         def run():
-            experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched})
+            experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched}, nonlinear=False)
 
         run()  # first calls, outside the trace
         assert traced_peak(run, TorusGrid(16, cfg.side_length)) <= 4.6
@@ -494,6 +503,15 @@ class TestBandLimitedDatum:
             run_experiment(ExperimentSpec(experiment, str(cfg), out))
             outputs[name] = [(out / f).read_bytes() for f in ("series.csv", "summary.json")]
         assert outputs["rates"] == outputs["full"]
+
+
+def _delta_case(datum: str, delta: str, grad_sq: str) -> tuple[str, str]:
+    """The config keys and config error of a datum whose ||grad u0||^2 is not a normal float."""
+    return (
+        f"datum = {datum}\ndelta = {delta}\n",
+        f"delta = {float(delta)} gives a {datum} datum with ||grad u0||^2 = delta^2 "
+        f"||grad W||^2 = {grad_sq}, not a normal float (the smallest is 2.225e-308)",
+    )
 
 
 class TestRunExperiment:
@@ -708,13 +726,13 @@ class TestRunExperiment:
         assert not out_dir.exists()
 
     ZERO_DATUM_CASES = {
-        "bump_delta": (
-            "datum = bump\ndelta = 0\n", "delta = 0.0 gives a zero bump datum (||grad u0|| = 0)"
-        ),
-        "power_law_delta": (
-            "datum = power_law\ndelta = 0\n",
-            "delta = 0.0 gives a zero power_law datum (||grad u0|| = 0)",
-        ),
+        # ||grad u0||^2 = delta^2 ||grad W||^2 is 0, subnormal, or 0 by underflow
+        "bump_delta": _delta_case("bump", "0", "0"),
+        "power_law_delta": _delta_case("power_law", "0", "0"),
+        "bump_delta_1e-160": _delta_case("bump", "1e-160", "1.053e-318"),
+        "power_law_delta_1e-160": _delta_case("power_law", "1e-160", "1.053e-318"),
+        "bump_delta_1e-200": _delta_case("bump", "1e-200", "0"),
+        "power_law_delta_1e-200": _delta_case("power_law", "1e-200", "0"),
         # the first lattice shell of L = 32 lies at 2 pi / 32 = 0.196
         "cutoff_rho": (
             "datum = power_law\ncutoff_rho = 0.15\n",
@@ -775,7 +793,7 @@ class TestRunExperiment:
         assert not out_dir.exists()
 
     def test_config_echo_has_no_worker_count(self, tmp_path):
-        spec = ExperimentSpec("bubble-constants", None, tmp_path / "out", threads=1)
+        spec = ExperimentSpec("bubble-constants", None, tmp_path / "out")
         assert run_experiment(spec) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert not any("thread" in key for key in summary["config"])
@@ -841,16 +859,11 @@ class TestRunExperiment:
         assert len(summary["residuals"]) == 3
 
     def test_linear_energy_identity_is_unchanged_by_held_states(self, tmp_path, monkeypatch):
-        # a step releases its old state unless its caller holds it; a caller
-        # that holds every state it steps changes no byte. Both runs exit 1:
-        # the second of the three levels' ratios reads 3.999995, under the
-        # refinement gate of 4, as second-order refinement approaches 4 from
-        # below at these steps (the known criterion-8 fault)
+        # a linear step releases its old state unless its caller holds it; a
+        # caller that holds every state it steps changes no byte
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(
-            "t_end = 0.05\nsnapshot_count = 4\nnonlinearity = false\n"
-        )
-        assert run_experiment(ExperimentSpec("energy-identity", str(cfg), tmp_path / "a")) == 1
+        cfg.write_text("points_per_dim = 16\nsnapshot_count = 16\n")
+        assert run_experiment(ExperimentSpec("linear-decay", str(cfg), tmp_path / "a")) == 0
         held, step = [], ev.step
 
         def holding(state, dt):
@@ -858,8 +871,9 @@ class TestRunExperiment:
             return step(state, dt)
 
         monkeypatch.setattr(ev, "step", holding)
-        assert run_experiment(ExperimentSpec("energy-identity", str(cfg), tmp_path / "b")) == 1
-        assert len(held) > 3 * 13
+        assert run_experiment(ExperimentSpec("linear-decay", str(cfg), tmp_path / "b")) == 0
+        # a step per snapshot interval, and more where an interval exceeds dt = 1
+        assert len(held) > 16 and not any(state.nonlinear for state in held)
         for name in ("summary.json", "series.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -945,23 +959,13 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "summary.json").is_file()
 
-    def test_main_threads_flag(self, tmp_path):
-        code = main(["bubble-constants", "--out", str(tmp_path / "out"), "--threads", "1"])
-        assert code == 0
-
-    def test_main_negative_threads_exits_2(self, tmp_path, capsys):
-        code = main(["bubble-constants", "--out", str(tmp_path / "out"), "--threads", "-1"])
-        assert code == 2
-        assert "config error: threads must be >= 1" in capsys.readouterr().out
-
-    def test_main_threads_above_cpu_count_exits_2(self, tmp_path, capsys):
-        # checked before any worker starts
-        cpus = len(os.sched_getaffinity(0))
+    def test_main_threads_flag(self, tmp_path, capsys):
+        # transforms run on one FFT worker; there is no flag to change that
         out = tmp_path / "out"
-        code = main(["bubble-constants", "--out", str(out), "--threads", str(cpus + 1)])
-        assert code == 2
-        message = f"config error: --threads {cpus + 1} exceeds the {cpus} CPUs this process may use"
-        assert message in capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(["bubble-constants", "--out", str(out), "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("under", [False, True])

@@ -6,7 +6,9 @@ loads scipy.linalg and OpenBLAS, is imported only where the decay
 character is fitted, so importing the experiments (what the CLI and every
 run do) leaves it unloaded. A private attribute (`x._name`) is used
 outside `self` only in the module that declares it, so a cache such as
-the solver state's rates stays one module's business.
+the solver state's rates stays one module's business. No module rebinds
+a module-level name from a function (`global`), so no call sets state
+that every later caller in the process shares.
 """
 
 import ast
@@ -98,3 +100,13 @@ def test_importing_the_experiments_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_no_global_statement():
+    rebinding = {
+        (path.stem, node.lineno)
+        for path in sorted((SRC / "critheat").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    }
+    assert rebinding == set()

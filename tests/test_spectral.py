@@ -17,7 +17,6 @@ from critheat.spectral import (
     heat_multiplier,
     is_band_limited,
     l4_fourth,
-    set_fft_workers,
     sobolev_inner,
     sobolev_multiplier,
     sobolev_norm_sq,
@@ -98,17 +97,6 @@ class TestTransforms:
         with pytest.raises(ValueError, match="non-finite"):
             transform_forward(PhysicalField(small_grid, values))
 
-    def test_worker_count_does_not_change_bits(self, small_grid, random_field):
-        set_fft_workers(1)
-        one = transform_forward(random_field).coefficients
-        norm_one = sobolev_norm_sq(transform_forward(random_field), 1.0)
-        set_fft_workers(2)
-        two = transform_forward(random_field).coefficients
-        norm_two = sobolev_norm_sq(transform_forward(random_field), 1.0)
-        set_fft_workers(1)
-        assert np.array_equal(one, two)
-        assert norm_one == norm_two
-
 
 class TestMultipliers:
     def test_heat_at_zero_time_is_identity(self, small_grid, random_field):
@@ -154,20 +142,15 @@ class TestDealias:
     `band_inverse` of the gathered band.
     """
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [16, 18, 24])
-    def test_pruned_transforms_are_the_masked_full_transforms(self, n, workers, rng):
+    def test_pruned_transforms_are_the_masked_full_transforms(self, n, rng):
         grid = TorusGrid(n, 7.0)
         field = PhysicalField(grid, rng.standard_normal(grid.shape))
         mask = kept_band_mask(grid)
-        set_fft_workers(workers)
-        try:
-            spec = transform_forward(field)
-            forward = transform_forward(field, dealiased=True).coefficients
-            inverse = band_inverse(gather_band(spec.coefficients), grid).values
-            masked_inverse = transform_inverse(SpectralField(grid, spec.coefficients * mask)).values
-        finally:
-            set_fft_workers(1)
+        spec = transform_forward(field)
+        forward = transform_forward(field, dealiased=True).coefficients
+        inverse = band_inverse(gather_band(spec.coefficients), grid).values
+        masked_inverse = transform_inverse(SpectralField(grid, spec.coefficients * mask)).values
         assert np.array_equal(forward, spec.coefficients * mask)
         assert np.array_equal(inverse, masked_inverse)
         assert 0 < np.count_nonzero(forward) <= np.count_nonzero(mask) < mask.size
