@@ -1,4 +1,4 @@
-"""The 4D ground-state bubble, its constants, and small data.
+"""The 4D ground-state bubble W, its constants, and the small-data bound it sets.
 
 W(x) = 1 / (1 + |x|^2 / 8) is the stationary solution of the 4D
 energy-critical heat equation (Delta W + W^3 = 0) and the extremizer of
@@ -16,10 +16,11 @@ independent test oracles.
 
 W is never placed on the torus as solver initial data: it is not in
 L^2(R^4) (truncated mass grows logarithmically), so torus truncation of
-its |x|^{-2} tail is uncontrolled. Torus work uses the localized bump
-from `subcritical_datum`, whose Hdot^1 norm is taken on its half
-spectrum through `spectral`, the one owner of the transforms. Nothing
-here resamples a field from one lattice to another.
+its |x|^{-2} tail is uncontrolled. W sets the small-data regime instead:
+every bump or power-law datum is scaled to ||grad u0|| = delta ||grad W||
+with the Beta value of ||grad W||^2 and, when delta^2 > 1/2, checked
+against E(W) (`experiments.build_datum`). This module knows nothing of
+the torus.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gamma as _gamma
 from numpy.polynomial.legendre import leggauss
-
-from .spectral import (
-    PhysicalField,
-    TorusGrid,
-    l4_fourth,
-    sobolev_norm_sq,
-    transform_forward,
-)
 
 
 def bubble_radial(rho: np.ndarray) -> np.ndarray:
@@ -145,7 +138,7 @@ def bubble_constants() -> BubbleConstants:
 
 
 def stationarity_residual(
-    points: Sequence[Sequence[float]] | np.ndarray, h_fd: float = 1e-2
+    points: Sequence[Sequence[float]] | np.ndarray, h_fd: float
 ) -> list[float]:
     """|Delta W + W^3| at each point via second-order central differences."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -176,48 +169,3 @@ def truncated_l2_growth(r_values: Sequence[float]) -> list[float]:
         out.append(quad.integrate(lambda rho: bubble_radial(rho) ** 2) + _HEAD_VOLUME)
     return out
 
-
-@dataclass(frozen=True)
-class SubcriticalDatum:
-    """A localized bump scaled into the small-data regime, with its checks."""
-
-    field: PhysicalField
-    grad_l2: float
-    energy: float
-    grad_condition: bool    # ||grad u0|| <= ||grad W||
-    energy_condition: bool  # E(u0) <= E(W)
-
-
-def subcritical_datum(grid: TorusGrid, delta: float) -> SubcriticalDatum:
-    """Gaussian bump (width L/8, zero mean) with ||grad u0|| = delta ||grad W||.
-
-    Both admissibility conditions are evaluated numerically; delta below
-    1/sqrt(2) guarantees them, and a larger delta in [0, 1] is checked.
-    """
-    length = grid.side_length
-    width = length / 8.0
-    x = grid.x_axis - length / 2.0
-    sq = x**2
-    r2 = (
-        sq[:, None, None, None]
-        + sq[None, :, None, None]
-        + sq[None, None, :, None]
-        + sq[None, None, None, :]
-    )
-    bump = np.exp(-r2 / (2.0 * width**2))
-    bump -= bump.mean()
-    consts = bubble_constants()
-    grad_w = np.sqrt(consts.grad_l2_sq)
-    raw = PhysicalField(grid, bump)
-    raw_grad = np.sqrt(sobolev_norm_sq(transform_forward(raw), 1.0))
-    scale = delta * grad_w / raw_grad
-    field = PhysicalField(grid, scale * bump)
-    grad_l2 = np.sqrt(sobolev_norm_sq(transform_forward(field), 1.0))
-    energy = 0.5 * grad_l2**2 - 0.25 * l4_fourth(field)
-    return SubcriticalDatum(
-        field=field,
-        grad_l2=grad_l2,
-        energy=energy,
-        grad_condition=bool(grad_l2 <= grad_w * (1 + 1e-12)),
-        energy_condition=bool(energy <= consts.energy),
-    )

@@ -50,16 +50,18 @@ setting `profile_r` with it is an error. The q* sets the decay bound
 min(2 + q*, 1) and the power-schedule alpha, which must keep g(t) and
 g'(t) finite up to t_end. Likewise `delta` sizes a bump or power-law
 datum and `cutoff_rho` cuts off a power-law one; setting either for a
-datum that does not read it is an error, so the config echo in
-summary.json names only keys that shaped the datum. decay-character is
-the exception: it builds its own power-law datum from `profile_r` and
-`cutoff_rho`, whatever `datum` says.
+datum that does not read it is an error. decay-character is the
+exception: it builds its own power-law datum from `profile_r` and
+`cutoff_rho`, whatever `datum` says. The config echo in summary.json
+lists all 10 keys; outside decay-character a key the datum does not read
+shows its default there: a file datum echoes delta = 0.1 and cutoff_rho
+= 1.4, a bump profile_r = 0.0.
 
-A bump datum must lie in the small-data regime, ||grad u0|| <= ||grad W||
-and E(u0) <= E(W), or the run is a config error. A file datum is not
-checked against that regime: it is the way to take a run out of it, for
-example to a datum that blows up, which the run then reports as a
-failed check.
+Every bump or power-law datum must lie in the small-data regime,
+||grad u0|| <= ||grad W|| and E(u0) <= E(W), or the run is a config
+error (`experiments.build_datum`). A file datum is not checked against
+that regime: it is the way to take a run out of it, for example to a
+datum that blows up, which the run then reports as a failed check.
 
 Each snapshot interval takes at least one step, so snapshot_count counts
 towards `_MAX_STEPS`, and each snapshot's records (about 1 KB per
@@ -86,10 +88,11 @@ from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
 # largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
-# N = 16, 200.8 at N = 32 when fitted, 66.0 and 187.0-190.8 now. The other
-# solver experiments peak lower: nonlinear-decay at 64.4-64.5 and
-# 168.6-171.3 MiB, lyapunov 64.9-65.0 and 177.0-177.1, linear-decay
-# 60.9-61.0 and 97.0
+# N = 16 and 200.8 at N = 32 when fitted. Fresh-process peaks now at N = 16
+# and 32, 3 to 7 runs each over hash seeds, the other keys at their
+# defaults: energy-identity 64.2-64.4 and 164.9-166.4 MiB, lyapunov
+# 62.5-62.7 and 141.2-141.7, nonlinear-decay 62.6-62.7 and 139.0-141.0,
+# linear-decay 61.0-61.2 and 97.0-97.3
 _RSS_BYTES_PER_POINT = 143
 _RSS_BASE_BYTES = 58 * 2**20
 # a snapshot's records, per splitting schedule: held records, the snapshot
@@ -329,14 +332,14 @@ _PARSERS = {
 }
 
 
-def parse_config(path: str | Path | None, experiment: str = "") -> HarnessConfig:
-    """Parse a key = value config file; None yields pure defaults.
+def parse_config(path: str | Path | None, experiment: str) -> HarnessConfig:
+    """Parse a key = value config file for `experiment`; None yields pure defaults.
 
     `experiment` selects documented per-experiment default overrides
     (applied before user keys, so explicit keys always win).
     """
     cfg = HarnessConfig()
-    if experiment and experiment in _EXPERIMENT_DEFAULTS:
+    if experiment in _EXPERIMENT_DEFAULTS:
         cfg = replace(cfg, **_EXPERIMENT_DEFAULTS[experiment])  # type: ignore[arg-type]
     if path is None:
         return _validate(cfg, experiment)

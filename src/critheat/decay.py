@@ -37,6 +37,11 @@ shells; the fit models the cumulative shell mass with the lattice's own
 low-shell lattice lumpiness. Shells are integrated whole, which matches
 the ball integral in the definition; strongly anisotropic data gets no
 special treatment.
+
+The lab's two synthetic torus data are built here at unit size, and
+`experiments.build_datum` scales them: the power law |xi|^{r-1}
+chi(|xi| / cutoff_rho) (`synthesize_datum`) and a mean-removed Gaussian
+bump (`bump_datum`).
 """
 
 from __future__ import annotations
@@ -46,7 +51,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, sobolev_density
+from .spectral import (
+    PhysicalField,
+    SpectralField,
+    TorusGrid,
+    sobolev_density,
+    transform_forward,
+)
 
 # a radial profile's S(rho) slope is fitted over its lowest 2 sampled
 # decades; if widening that window by a decade, twice, moves the slope by
@@ -257,10 +268,8 @@ def smooth_cutoff(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize_datum(
-    grid: TorusGrid, r: float, cutoff_rho: float, amplitude: float
-) -> SpectralField:
-    """Spectral datum with |u0_hat| = amplitude |xi|^{r-1} chi(|xi|/cutoff_rho).
+def synthesize_datum(grid: TorusGrid, r: float, cutoff_rho: float) -> SpectralField:
+    """Unit-size spectral datum with |u0_hat| = |xi|^{r-1} chi(|xi|/cutoff_rho).
 
     The half-Laplacian profile then scales as |xi| |u0_hat| ~ |xi|^r near 0,
     i.e. the datum has prescribed q* = r. Coefficients are real, radial and
@@ -271,8 +280,29 @@ def synthesize_datum(
     chi = smooth_cutoff(mag / cutoff_rho)
     support = (chi > 0) & (mag > 0)
     coeffs = np.zeros(grid.spectral_shape, dtype=complex)
-    coeffs[support] = amplitude * mag[support] ** (r - 1.0) * chi[support]
+    coeffs[support] = mag[support] ** (r - 1.0) * chi[support]
     return SpectralField(grid, coeffs)
+
+
+def bump_datum(grid: TorusGrid) -> SpectralField:
+    """Half spectrum of the unit bump exp(-|x - c|^2 / (2 w^2)) less its mean.
+
+    Centred in the box, of width w = L/8; its mean-removed transform is
+    flat off the origin, so the datum has q* = 1.
+    """
+    length = grid.side_length
+    width = length / 8.0
+    x = grid.x_axis - length / 2.0
+    sq = x**2
+    r2 = (
+        sq[:, None, None, None]
+        + sq[None, :, None, None]
+        + sq[None, None, :, None]
+        + sq[None, None, None, :]
+    )
+    bump = np.exp(-r2 / (2.0 * width**2))
+    bump -= bump.mean()
+    return transform_forward(PhysicalField(grid, bump))
 
 
 def estimate_decay_character_grid(field: SpectralField, rho_max: float) -> DecayCharacterEstimate:

@@ -2,7 +2,7 @@
 
 Each experiment writes `series.csv` (one diagnostics record per row,
 fixed columns) and `summary.json` (fitted exponents, verdicts, constants,
-T_box, a full config echo, and the version stamp) into the output
+a full config echo with T_box, and the version stamp) into the output
 directory, and reports pass/fail through the exit code: `passed` is true
 when every verdict is.
 """
@@ -29,6 +29,7 @@ from .spectral import (
     l4_fourth,
     sobolev_norm_sq,
     transform_forward,
+    transform_inverse,
 )
 
 GRAD_W_L2_SQ = 32.0 * np.pi**2 / 3.0   # ||grad W||^2, Beta-integral value
@@ -49,14 +50,17 @@ class ExperimentSpec:
             )
 
 
-def _unscaled_power_law(cfg: HarnessConfig, grid: TorusGrid) -> tuple[SpectralField, float]:
-    """The amplitude-1 power-law datum and its Hdot^1 norm.
+def _unit_datum(cfg: HarnessConfig, grid: TorusGrid, kind: str) -> tuple[SpectralField, float]:
+    """The unit-size bump or power-law datum and its Hdot^1 norm.
 
-    A profile_r that overflows the datum is a config error; `build_datum`
-    and `decay-character` both build their datum here.
+    A profile_r that overflows the power-law datum is a config error;
+    `build_datum` and `decay-character` both build their datum here.
     """
     with np.errstate(over="ignore"):
-        raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho, amplitude=1.0)
+        if kind == "bump":
+            raw = dc.bump_datum(grid)
+        else:
+            raw = dc.synthesize_datum(grid, cfg.profile_r, cfg.cutoff_rho)
         h1 = np.sqrt(sobolev_norm_sq(raw, 1.0))
     if not np.isfinite(h1):
         raise ConfigError(
@@ -69,43 +73,48 @@ def _unscaled_power_law(cfg: HarnessConfig, grid: TorusGrid) -> tuple[SpectralFi
 def build_datum(cfg: HarnessConfig) -> SpectralField:
     """Initial spectral datum per the config; its nominal q* is `cfg.nominal_q_star()`.
 
-    A bump datum must satisfy both small-data conditions, ||grad u0|| <=
-    ||grad W|| and E(u0) <= E(W); delta <= 1/sqrt(2) guarantees them, and
-    a larger delta that breaks one is a config error. So is a file datum
-    that cannot be read, is not finite or is too large to record, a
-    power-law datum whose profile_r overflows it, and any datum with
-    ||grad u0|| = 0, which has no decay to measure. A bump or power-law
-    datum has ||grad u0||^2 = delta^2 ||grad W||^2, which must be a normal
-    float, so delta must be about 1.454e-155 or more: below that the
-    records' norms lose digits to subnormal floats or underflow to 0.
+    Every bump or power-law datum is its unit datum (`decay.bump_datum`,
+    `decay.synthesize_datum`) scaled to ||grad u0|| = delta ||grad W||, and
+    must lie in the small-data regime. ||grad u0|| <= ||grad W|| holds since
+    delta <= 1. E(u0) <= ||grad u0||^2 / 2 = 2 delta^2 E(W), so E(u0) <= E(W)
+    holds for delta^2 <= 1/2; above that E(u0) is computed from the datum,
+    and E(u0) > E(W) is a config error. So is a file datum that cannot be
+    read, is not finite or is too large to record, a power-law datum whose
+    profile_r overflows it, and any datum with ||grad u0|| = 0, which has no
+    decay to measure. A bump or power-law datum has ||grad u0||^2 = delta^2
+    ||grad W||^2, which must be a normal float, so delta must be about
+    1.454e-155 or more: below that the records' norms lose digits to
+    subnormal floats or underflow to 0.
     """
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
+    if cfg.datum == "file":
+        return _file_datum(cfg, grid)
     grad_sq, tiny = cfg.delta**2 * GRAD_W_L2_SQ, np.finfo(float).tiny
-    if cfg.datum != "file" and grad_sq < tiny:
+    if grad_sq < tiny:
         raise ConfigError(
             f"delta = {cfg.delta} gives a {cfg.datum} datum with ||grad u0||^2 = delta^2 "
             f"||grad W||^2 = {grad_sq:.4g}, not a normal float (the smallest is {tiny:.4g})"
         )
-    if cfg.datum == "bump":
-        datum = bb.subcritical_datum(grid, cfg.delta)
-        if not (datum.grad_condition and datum.energy_condition):
+    raw, h1 = _unit_datum(cfg, grid, cfg.datum)
+    if h1 == 0:
+        raise ConfigError(
+            f"cutoff_rho = {cfg.cutoff_rho} gives a zero power_law datum: no lattice "
+            f"shell lies below it (the first is at 2 pi / side_length = "
+            f"{grid.frequency_spacing:.4g})"
+        )
+    u0_hat = SpectralField(grid, raw.coefficients * (cfg.delta * np.sqrt(GRAD_W_L2_SQ) / h1))
+    if cfg.delta**2 > 0.5:
+        energy = 0.5 * sobolev_norm_sq(u0_hat, 1.0) - 0.25 * l4_fourth(transform_inverse(u0_hat))
+        if energy > BUBBLE_ENERGY:
             raise ConfigError(
-                f"delta = {cfg.delta} gives a bump datum outside the small-data regime: "
-                f"||grad u0||^2 = {datum.grad_l2**2:.6g} (||grad W||^2 = {GRAD_W_L2_SQ:.6g}), "
-                f"E(u0) = {datum.energy:.6g} (E(W) = {BUBBLE_ENERGY:.6g})"
+                f"delta = {cfg.delta} gives a {cfg.datum} datum outside the small-data "
+                f"regime: E(u0) = {energy:.6g} > E(W) = {BUBBLE_ENERGY:.6g}"
             )
-        return transform_forward(datum.field)
-    if cfg.datum == "power_law":
-        raw, h1 = _unscaled_power_law(cfg, grid)
-        if h1 == 0:
-            raise ConfigError(
-                f"cutoff_rho = {cfg.cutoff_rho} gives a zero power_law datum: no lattice "
-                f"shell lies below it (the first is at 2 pi / side_length = "
-                f"{grid.frequency_spacing:.4g})"
-            )
-        target = cfg.delta * np.sqrt(GRAD_W_L2_SQ)
-        scale = target / h1
-        return SpectralField(grid, raw.coefficients * scale)
+    return u0_hat
+
+
+def _file_datum(cfg: HarnessConfig, grid: TorusGrid) -> SpectralField:
+    """The checkpoint `datum_file` on the config grid, not checked against the small-data regime."""
     try:
         field = ev.load_checkpoint(cfg.datum_file)
         u0_hat = transform_forward(field)
@@ -168,7 +177,6 @@ def _base_summary(name: str, cfg: HarnessConfig) -> dict:
         "experiment": name,
         "version": __version__,
         "config": cfg.echo(),
-        "t_box": cfg.t_box,
     }
 
 
@@ -263,7 +271,7 @@ def _decay_character(cfg: HarnessConfig) -> tuple[dict, list]:
     verdicts["gaussian_flat"] = abs(gauss.r_star) <= 0.05
 
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
-    datum, _ = _unscaled_power_law(cfg, grid)
+    datum, _ = _unit_datum(cfg, grid, "power_law")
     grid_est = dc.estimate_decay_character_grid(datum, rho_max=cfg.cutoff_rho / 2.0)
     verdicts["grid_shell_fit"] = abs(grid_est.r_star - cfg.profile_r) <= 0.1
 

@@ -5,7 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from critheat import bubble as bb
-from critheat.spectral import TorusGrid, transform_forward
+from critheat import decay as dc
+from critheat.config import ConfigError, HarnessConfig
+from critheat.experiments import build_datum
+from critheat.spectral import SpectralField, TorusGrid, sobolev_norm_sq, transform_inverse
 
 GRAD_EXACT = 32.0 * np.pi**2 / 3.0
 
@@ -75,12 +78,12 @@ class TestBubbleConstants:
 class TestStationarity:
     def test_residual_zero_at_origin(self):
         # Delta W(0) = -1 and W(0)^3 = 1 cancel
-        res = bb.stationarity_residual([[0.0, 0.0, 0.0, 0.0]], h_fd=1e-2)
+        res = bb.stationarity_residual([[0.0, 0.0, 0.0, 0.0]], 1e-2)
         assert res[0] <= 1e-4
 
     def test_residual_zero_at_half_height(self):
         # at |x| = sqrt(8): Delta W = -1/8 cancels W^3 = 1/8
-        res = bb.stationarity_residual([[np.sqrt(8.0), 0, 0, 0]], h_fd=1e-2)
+        res = bb.stationarity_residual([[np.sqrt(8.0), 0, 0, 0]], 1e-2)
         assert res[0] <= 1e-4
 
     def test_second_order_convergence(self):
@@ -121,33 +124,24 @@ class TestTruncatedL2Growth:
 
 
 class TestSubcriticalDatum:
-    def test_small_delta_conditions_hold(self):
-        grid = TorusGrid(16, 32.0)
-        datum = bb.subcritical_datum(grid, 0.1)
-        assert datum.grad_condition and datum.energy_condition
-        assert datum.grad_l2 == pytest.approx(0.1 * np.sqrt(GRAD_EXACT), rel=1e-10)
+    """The bump datum sized against W by `experiments.build_datum`."""
 
-    def test_zero_delta(self):
-        grid = TorusGrid(16, 32.0)
-        datum = bb.subcritical_datum(grid, 0.0)
-        assert np.all(datum.field.values == 0)
-        assert datum.energy == 0.0 and datum.energy_condition
+    def test_small_delta_conditions_hold(self):
+        u0 = build_datum(HarnessConfig(points_per_dim=16, datum="bump", delta=0.1))
+        grad_l2 = np.sqrt(sobolev_norm_sq(u0, 1.0))
+        energy = 0.5 * grad_l2**2 - 0.25 * u0.grid.spacing**4 * np.sum(transform_inverse(u0).values**4)
+        assert grad_l2 <= np.sqrt(GRAD_EXACT) and energy <= GRAD_EXACT / 4
+        assert grad_l2 == pytest.approx(0.1 * np.sqrt(GRAD_EXACT), rel=1e-10)
 
     def test_large_delta_energy_checked_not_assumed(self):
         # at delta = 0.9 the gradient condition holds but the energy
         # comparison fails: E ~ delta^2/2 ||grad W||^2 > E(W)
         grid = TorusGrid(16, 32.0)
-        datum = bb.subcritical_datum(grid, 0.9)
-        assert datum.grad_condition
-        direct = 0.5 * datum.grad_l2**2 - 0.25 * grid.spacing**4 * np.sum(datum.field.values**4)
-        assert datum.energy == pytest.approx(direct, rel=1e-12)
-        assert datum.energy_condition == (datum.energy <= 8.0 * np.pi**2 / 3.0)
-        assert not datum.energy_condition
-
-    def test_zero_mean(self):
-        grid = TorusGrid(16, 32.0)
-        datum = bb.subcritical_datum(grid, 0.1)
-        spec = transform_forward(datum.field)
-        assert abs(spec.coefficients[0, 0, 0, 0]) <= 1e-10 * np.max(
-            np.abs(spec.coefficients)
-        )
+        unit = dc.bump_datum(grid)
+        scale = 0.9 * np.sqrt(GRAD_EXACT / sobolev_norm_sq(unit, 1.0))
+        u0 = transform_inverse(SpectralField(grid, scale * unit.coefficients))
+        direct = 0.5 * 0.9**2 * GRAD_EXACT - 0.25 * grid.spacing**4 * np.sum(u0.values**4)
+        assert direct > GRAD_EXACT / 4
+        message = rf"^delta = 0.9 gives a bump datum outside the small-data regime: E\(u0\) = {direct:.6g} > "
+        with pytest.raises(ConfigError, match=message):
+            build_datum(HarnessConfig(points_per_dim=16, datum="bump", delta=0.9))

@@ -174,15 +174,20 @@ class TestRadialLinearEvolution:
 
 class TestSynthesizedDatum:
     def test_zero_amplitude(self, small_grid):
-        field = dc.synthesize_datum(small_grid, 0.0, 1.0, 0.0)
+        # a cutoff below the first lattice shell leaves every mode at zero amplitude
+        field = dc.synthesize_datum(small_grid, 0.0, 0.5 * small_grid.frequency_spacing)
         assert np.all(field.coefficients == 0)
 
     def test_real_zero_mean_datum(self, small_grid):
-        field = dc.synthesize_datum(small_grid, 0.0, 2.0, 1.0)
+        field = dc.synthesize_datum(small_grid, 0.0, 2.0)
         assert field.coefficients[0, 0, 0, 0] == 0.0
         assert np.all(field.coefficients.imag == 0)
         physical = transform_inverse(field)  # raises if not Hermitian
         assert np.all(np.isfinite(physical.values))
+
+    def test_bump_datum_zero_mean(self):
+        spec = dc.bump_datum(TorusGrid(16, 32.0))
+        assert abs(spec.coefficients[0, 0, 0, 0]) <= 1e-10 * np.max(np.abs(spec.coefficients))
 
     def test_cutoff_smoothness_range(self):
         s = np.linspace(0, 2, 401)
@@ -194,13 +199,13 @@ class TestSynthesizedDatum:
 
     def test_grid_estimator_recovers_r_zero(self):
         grid = TorusGrid(32, 32.0)
-        datum = dc.synthesize_datum(grid, 0.0, 1.4, 1.0)
+        datum = dc.synthesize_datum(grid, 0.0, 1.4)
         est = dc.estimate_decay_character_grid(datum, rho_max=0.7)
         assert abs(est.r_star) <= 0.1
 
     def test_grid_estimator_recovers_r_one(self):
         grid = TorusGrid(32, 32.0)
-        datum = dc.synthesize_datum(grid, 1.0, 1.4, 1.0)
+        datum = dc.synthesize_datum(grid, 1.0, 1.4)
         est = dc.estimate_decay_character_grid(datum, rho_max=0.7)
         assert abs(est.r_star - 1.0) <= 0.1
 
@@ -208,6 +213,6 @@ class TestSynthesizedDatum:
         # inside the cutoff plateau the lattice model matches exactly
         grid = TorusGrid(32, 32.0)
         for r in (-1.5, 0.0, 2.0):
-            datum = dc.synthesize_datum(grid, r, 2.4, 1.0)
+            datum = dc.synthesize_datum(grid, r, 2.4)
             est = dc.estimate_decay_character_grid(datum, rho_max=1.2)
             assert abs(est.r_star - r) <= 1e-3

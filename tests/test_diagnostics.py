@@ -231,7 +231,7 @@ class TestRecordCaches:
 
     def test_band_limited_linear_run_transforms_once_per_state(self, monkeypatch):
         # cutoff 1.4 lies inside the 2/3 band at N = L = 16
-        datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
+        datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4)
         full, band, forward, cubics = [], [], [], []
         monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, full))
         monkeypatch.setattr(ev, "band_inverse", _counted(ev.band_inverse, band))

@@ -7,7 +7,6 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from critheat import bubble as bb
 from critheat import decay as dc
 from critheat import evolution as ev
 from critheat.spectral import (
@@ -88,7 +87,7 @@ class TestNonlinearTerm:
     def test_state_rates_hold_the_same_cubic(self, random_spec, datum):
         # the first RK4 stage of a step is the cubic cached with the state's rates
         if datum == "power_law":
-            u_hat = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
+            u_hat = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4)
         else:
             u_hat = random_spec
         cached = ev.initial_state(u_hat).rates().nl_hat
@@ -133,12 +132,12 @@ class TestPaddedProduct:
         return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
     def test_power_law_datum_is_alias_free(self):
-        datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
+        datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4)
         assert self.defect(datum) <= 1e-14
 
     def test_bump_aliasing_is_small(self):
-        datum = bb.subcritical_datum(TorusGrid(16, 32.0), 0.1).field
-        assert self.defect(transform_forward(datum)) <= 1e-5
+        # the relative defect of a cubic does not depend on the datum's size
+        assert self.defect(dc.bump_datum(TorusGrid(16, 32.0))) <= 1e-5
 
     def test_oracle_sees_aliasing(self, random_spec):
         masked = random_spec.coefficients * kept_band_mask(random_spec.grid)
@@ -191,7 +190,8 @@ class TestStep:
     def test_band_limited_blow_up_guard(self):
         # a band-limited state's rates sum u^4 before the forward transform
         # of its cube names the blow-up; no overflow warning comes first
-        datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1000.0)
+        unit = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4)
+        datum = SpectralField(unit.grid, 1000.0 * unit.coefficients)
         state = ev.initial_state(datum)
         assert state.band_limited
         with warnings.catch_warnings():
@@ -259,7 +259,7 @@ class TestCompactStepOracle:
         if datum == "power_law":
             # band-limited, scaled so that the cubic is felt: sup |u| = 0.99
             grid = TorusGrid(16, 16.0)
-            u0 = SpectralField(grid, 200.0 * dc.synthesize_datum(grid, 0.0, 1.4, 1.0).coefficients)
+            u0 = SpectralField(grid, 200.0 * dc.synthesize_datum(grid, 0.0, 1.4).coefficients)
             dt = 0.05
         elif datum == "random":
             u0, dt = random_spec, 0.01
@@ -347,7 +347,7 @@ class TestHeldField:
     @pytest.fixture()
     def power_law(self) -> SpectralField:
         # cutoff 1.4 lies inside the 2/3 band at N = L = 16
-        return dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4, 1.0)
+        return dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4)
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_steps_keep_out_of_band_modes_zero(self, power_law, nonlinear):

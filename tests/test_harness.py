@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from critheat import bubble as bb
+from critheat import decay as dc
 from critheat import diagnostics as dg
 from critheat import evolution as ev
-from critheat import experiments
+from critheat import experiments, spectral
 from critheat.config import ConfigError, HarnessConfig, _parse_float, parse_config
 from critheat.diagnostics import CSV_COLUMNS
 from critheat.experiments import EXPERIMENT_NAMES, ExperimentSpec, build_datum, run_experiment
@@ -37,7 +38,7 @@ from conftest import traced_peak
 
 class TestParseConfig:
     def test_defaults_without_file(self):
-        cfg = parse_config(None)
+        cfg = parse_config(None, "nonlinear-decay")
         assert cfg.points_per_dim == 32
         assert cfg.side_length == 32.0
         assert cfg.delta == 0.1
@@ -46,7 +47,7 @@ class TestParseConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
-        assert parse_config(path) == parse_config(None)
+        assert parse_config(path, "nonlinear-decay") == parse_config(None, "nonlinear-decay")
 
     def test_comments_and_values(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -56,7 +57,7 @@ class TestParseConfig:
             "datum = bump\n"
             "delta = 0.25\n"
         )
-        cfg = parse_config(path)
+        cfg = parse_config(path, "nonlinear-decay")
         assert cfg.points_per_dim == 64
         assert cfg.datum == "bump"
         assert cfg.delta == 0.25
@@ -65,29 +66,29 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 15\n")
         with pytest.raises(ConfigError, match="even integer >= 16"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_profile_r_hypothesis_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("profile_r = -2.5\n")
         with pytest.raises(ConfigError, match="q\\* > -2"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dimension = 32\n")
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            parse_config(tmp_path / "nope.cfg")
+            parse_config(tmp_path / "nope.cfg", "nonlinear-decay")
 
     def test_experiment_defaults(self):
         cfg = parse_config(None, "energy-identity")
@@ -187,7 +188,7 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("threads = 2\n")
         with pytest.raises(ConfigError, match="unknown key 'threads'"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_nonlinearity_key_exits_2_as_unknown(self, tmp_path, capsys):
         # the experiment names the flow: linear-decay is the one linear run
@@ -225,19 +226,19 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text(f"dt = {dt}\n")
         with pytest.raises(ConfigError, match="dt must be positive"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_unknown_datum_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("datum = wavelet\n")
         with pytest.raises(ConfigError, match="datum must be one of .*; got 'wavelet'"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_file_datum_needs_a_path(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("datum = file\n")
         with pytest.raises(ConfigError, match="datum = file requires datum_file"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_grid_beyond_physical_memory_rejected(self, tmp_path):
         # parsed only: a real 512^4 array alone would be 512 GiB, and 10^400 is
@@ -251,19 +252,19 @@ class TestParseConfig:
                 r"\([0-9]+ bytes per N\^4 point plus [0-9]+ MiB\), more than the [0-9.e+]+ "
                 r"GiB of physical memory$",
             ):
-                parse_config(path)
+                parse_config(path, "nonlinear-decay")
 
     def test_bump_rejects_profile_r(self, tmp_path):
         # a bump's q* is 1 whatever profile_r says
         path = tmp_path / "c.cfg"
         path.write_text("datum = bump\nprofile_r = 0.5\n")
         with pytest.raises(ConfigError, match=r"profile_r = 0.5 .*datum = bump"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
         path.write_text("profile_r = 0.5\n")
         with pytest.raises(ConfigError, match="profile_r"):
             parse_config(path, "lyapunov")
         path.write_text("datum = bump\nprofile_r = 0\n")
-        assert parse_config(path).nominal_q_star() == 1.0
+        assert parse_config(path, "nonlinear-decay").nominal_q_star() == 1.0
 
     def test_datum_rejects_keys_it_ignores(self, tmp_path):
         # a file datum is given whole (see also test_key_the_datum_ignores_exits_2)
@@ -279,7 +280,7 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("cutoff_rho = 50\n")
         with pytest.raises(ConfigError, match="Nyquist"):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     def test_resolved_quantities(self):
         cfg = HarnessConfig()
@@ -293,15 +294,15 @@ class TestParseConfig:
         # a file datum's q* is profile_r (default 0); a bump's is 1
         path = tmp_path / "c.cfg"
         path.write_text("datum = file\ndatum_file = u0.chk\n")
-        cfg = parse_config(path)
+        cfg = parse_config(path, "nonlinear-decay")
         assert cfg.nominal_q_star() == 0.0
         assert cfg.resolved_schedule_alpha() == 3.0
         path.write_text("datum = file\ndatum_file = u0.chk\nprofile_r = 1\n")
-        cfg = parse_config(path)
+        cfg = parse_config(path, "nonlinear-decay")
         assert cfg.nominal_q_star() == 1.0
         assert cfg.resolved_schedule_alpha() == 4.0
         path.write_text("datum = bump\n")
-        assert parse_config(path).nominal_q_star() == 1.0
+        assert parse_config(path, "nonlinear-decay").nominal_q_star() == 1.0
 
 
 FLOAT_KEYS = [
@@ -321,7 +322,7 @@ class TestFloatKeys:
         path.write_text(f"{key} = {raw}\n")
         message = f"{key} must be a finite number, got '{raw}'"
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
-            parse_config(path)
+            parse_config(path, "nonlinear-decay")
 
     @given(key=st.sampled_from(FLOAT_KEYS), value=st.floats(allow_nan=False, allow_infinity=False))
     def test_finite_values_parse_exactly(self, key, value):
@@ -385,6 +386,51 @@ class TestBuildDatum:
         h1 = np.sqrt(sobolev_norm_sq(u0, 1.0))
         assert h1 == pytest.approx(0.1 * np.sqrt(32 * np.pi**2 / 3), rel=1e-10)
 
+    def test_energy_decides_above_delta_squared_half(self):
+        # ||grad u0|| = delta ||grad W|| for every size; above delta^2 = 1/2 the
+        # datum's own energy decides: the bump at 0.75 lies below E(W), the
+        # q* = 0 power law at 0.8 above it (the bump at 0.1 and 0.9 is in test_bubble)
+        grad_w_sq = 32 * np.pi**2 / 3
+        grid = TorusGrid(16, 32.0)
+        units = {"bump": dc.bump_datum(grid), "power_law": dc.synthesize_datum(grid, 0.0, 1.4)}
+        for datum, delta, admissible in (
+            ("bump", 0.75, True),
+            ("power_law", 0.8, False),
+        ):
+            unit = units[datum]
+            scale = delta * np.sqrt(grad_w_sq / sobolev_norm_sq(unit, 1.0))
+            u0 = transform_inverse(SpectralField(grid, scale * unit.coefficients))
+            energy = 0.5 * delta**2 * grad_w_sq - 0.25 * grid.spacing**4 * np.sum(u0.values**4)
+            assert (energy <= grad_w_sq / 4) == admissible
+            cfg = HarnessConfig(points_per_dim=16, datum=datum, delta=delta)
+            if admissible:
+                h1 = np.sqrt(sobolev_norm_sq(build_datum(cfg), 1.0))
+                assert h1 == pytest.approx(delta * np.sqrt(grad_w_sq), rel=1e-12)
+            else:
+                with pytest.raises(ConfigError, match=f"^delta = {delta} gives a {datum} datum"):
+                    build_datum(cfg)
+
+    @pytest.mark.parametrize(
+        "datum, delta, transforms",
+        [("bump", 0.1, (1, 0)), ("power_law", 0.1, (0, 0)), ("bump", 0.75, (1, 1))],
+    )
+    def test_transforms_per_datum(self, monkeypatch, datum, delta, transforms):
+        # a bump costs one forward transform; an inverse, for E(u0), only above delta^2 = 1/2
+        counts = dict.fromkeys(("transform_forward", "transform_inverse"), 0)
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "critheat"]
+        for name in counts:
+            original = getattr(spectral, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        build_datum(HarnessConfig(points_per_dim=16, datum=datum, delta=delta))
+        assert tuple(counts.values()) == transforms
+
     def test_file_datum_roundtrip(self, tmp_path):
         grid = TorusGrid(16, 32.0)
         rng = np.random.default_rng(3)
@@ -395,7 +441,7 @@ class TestBuildDatum:
         cfg_path.write_text(
             f"points_per_dim = 16\ndatum = file\ndatum_file = {chk}\n"
         )
-        cfg = parse_config(cfg_path)
+        cfg = parse_config(cfg_path, "nonlinear-decay")
         u0 = build_datum(cfg)
         back = sobolev_norm_sq(u0, 0.0)
         assert back == pytest.approx(grid.spacing**4 * np.sum(field.values**2), rel=1e-12)
@@ -407,7 +453,7 @@ class TestBuildDatum:
         ev.save_checkpoint(chk, field, t=0.0, step_count=0)
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(f"datum = file\ndatum_file = {chk}\n")  # default N=32
-        cfg = parse_config(cfg_path)
+        cfg = parse_config(cfg_path, "nonlinear-decay")
         with pytest.raises(ConfigError, match="does not match"):
             build_datum(cfg)
 
@@ -471,14 +517,15 @@ class TestBandLimitedDatum:
     def test_built_datum_flag(self, tmp_path, config, limited):
         path = tmp_path / "c.cfg"
         path.write_text(config)
-        assert ev.initial_state(build_datum(parse_config(path))).band_limited is limited
+        u0_hat = build_datum(parse_config(path, "nonlinear-decay"))
+        assert ev.initial_state(u0_hat).band_limited is limited
 
     def test_file_datum_is_not_band_limited(self, tmp_path):
         # a band-limited power-law spectrum with random phases; its round
         # trip through physical space leaves roundoff outside the band
         path = tmp_path / "c.cfg"
         path.write_text("points_per_dim = 16\nside_length = 16\n")
-        spectral = build_datum(parse_config(path))
+        spectral = build_datum(parse_config(path, "nonlinear-decay"))
         grid = spectral.grid
         noise = np.fft.rfftn(np.random.default_rng(7).standard_normal(grid.shape))
         phased = SpectralField(grid, spectral.coefficients * (noise / np.abs(noise)))
@@ -486,7 +533,7 @@ class TestBandLimitedDatum:
         chk = tmp_path / "u0.chk"
         ev.save_checkpoint(chk, transform_inverse(phased), t=0.0, step_count=0)
         path.write_text(f"points_per_dim = 16\nside_length = 16\ndatum = file\ndatum_file = {chk}\n")
-        assert not ev.initial_state(build_datum(parse_config(path))).band_limited
+        assert not ev.initial_state(build_datum(parse_config(path, "nonlinear-decay"))).band_limited
 
     @pytest.mark.parametrize("experiment", ["linear-decay", "nonlinear-decay"])
     def test_held_field_changes_no_byte(self, tmp_path, monkeypatch, experiment):
@@ -527,7 +574,8 @@ class TestRunExperiment:
         assert summary["passed"] is True
         got = summary["constants"]["grad_l2_sq"]
         assert abs(got / (32 * np.pi**2 / 3) - 1) <= 1e-6
-        assert "config" in summary and "t_box" in summary
+        # T_box is stated once, in the config echo
+        assert "t_box" in summary["config"] and "t_box" not in summary
         # header-only series for the no-simulation experiment
         csv = (tmp_path / "out" / "series.csv").read_text()
         assert csv.strip() == ",".join(CSV_COLUMNS)
@@ -664,18 +712,30 @@ class TestRunExperiment:
         assert out == f"config error: {named} needs more than 1e+09 steps\n"
         assert not out_dir.exists()
 
-    def test_inadmissible_bump_exits_2(self, tmp_path, capsys):
-        # at delta = 0.9 the bump's energy exceeds E(W): outside the small-data regime
+    @staticmethod
+    def assert_inadmissible(tmp_path, capsys, experiment, keys, named):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("points_per_dim = 16\ndelta = 0.9\n")
-        spec = ExperimentSpec("lyapunov", str(cfg), tmp_path / "out")
+        cfg.write_text("points_per_dim = 16\n" + keys)
+        spec = ExperimentSpec(experiment, str(cfg), tmp_path / "out")
         assert run_experiment(spec) == 2
         out = capsys.readouterr().out
-        assert "config error: delta = 0.9 gives a bump datum outside the small-data regime" in out
-        energy = re.search(r"E\(u0\) = ([0-9.e+]+) \(E\(W\) = ([0-9.e+]+)\)", out)
+        assert f"config error: {named} datum outside the small-data regime" in out
+        energy = re.search(r"E\(u0\) = ([0-9.e+]+) > E\(W\) = ([0-9.e+]+)$", out, re.M)
         assert energy and float(energy[1]) > float(energy[2])
         assert float(energy[2]) == pytest.approx(8 * np.pi**2 / 3, rel=1e-5)
         assert not (tmp_path / "out").exists()
+
+    def test_inadmissible_bump_exits_2(self, tmp_path, capsys):
+        # at delta = 0.9 the bump's energy exceeds E(W): outside the small-data regime
+        self.assert_inadmissible(
+            tmp_path, capsys, "lyapunov", "delta = 0.9\n", "delta = 0.9 gives a bump"
+        )
+
+    def test_inadmissible_power_law_exits_2(self, tmp_path, capsys):
+        # at delta = 0.8 the q* = 0 power law has E(u0) = 1.088 E(W)
+        self.assert_inadmissible(
+            tmp_path, capsys, "nonlinear-decay", "delta = 0.8\n", "delta = 0.8 gives a power_law"
+        )
 
     @staticmethod
     def write_datum(path, case):
@@ -922,7 +982,8 @@ class TestRunExperiment:
         cfg.write_text("t_end = 0.05\nsnapshot_count = 4\n")
         spec = ExperimentSpec("energy-identity", str(cfg), tmp_path / "out")
         assert run_experiment(spec) in (0, 1)
-        assert calls == {"build_datum": 1, "bubble_constants": 1}
+        # the datum is sized by the Beta value of ||grad W||^2, not by quadrature
+        assert calls == {"build_datum": 1, "bubble_constants": 0}
 
     def test_blow_up_is_a_failed_check(self, tmp_path):
         # 20 exp(-|x - c|^2) is far outside the small-data regime; a file

@@ -8,7 +8,8 @@ run do) leaves it unloaded. A private attribute (`x._name`) is used
 outside `self` only in the module that declares it, so a cache such as
 the solver state's rates stays one module's business. No module rebinds
 a module-level name from a function (`global`), so no call sets state
-that every later caller in the process shares.
+that every later caller in the process shares. `bubble`, the ground state
+W on R^4, imports no other critheat module: it knows nothing of the torus.
 """
 
 import ast
@@ -110,3 +111,9 @@ def test_no_global_statement():
         if isinstance(node, ast.Global)
     }
     assert rebinding == set()
+
+
+def test_bubble_imports_no_critheat_module():
+    tree = ast.parse((SRC / "critheat" / "bubble.py").read_text(encoding="utf-8"))
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == [] and not any(n.startswith("critheat") for n in _imported_modules(tree))

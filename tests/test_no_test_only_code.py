@@ -25,7 +25,8 @@ in `src/`: the values its calls there give it, an omitted argument
 counting as the default, a literal as its value and any other expression
 as varying. A call is resolved by name as above, and through a class
 (`RadialQuadrature.build`); a parameter that takes one value is a
-constant, and one that no call reaches is test-only.
+constant, and one that no call reaches is test-only. Some call in `src/`
+must also omit it, or its default serves only tests.
 
 A config key, a field of `HarnessConfig`, needs two values across its
 default and the per-experiment defaults, or it is a constant; the
@@ -251,11 +252,12 @@ def _qualified_callee(mod: _Module, func: ast.AST) -> str | None:
 
 
 def single_valued_defaults() -> list[str]:
-    """Defaulted parameters that every call in src/ gives one value, or no call reaches."""
+    """Defaulted parameters that every call in src/ gives one value, or none leaves to default."""
     functions = _defaulted_functions()
     values: dict[str, list[object]] = {
         f"{q}.{name}": [] for q, (_, defaults, _) in functions.items() for name in defaults
     }
+    defaulted: set[str] = set()
     for mod in _modules():
         for call in ast.walk(ast.Module(body=mod.body, type_ignores=[])):
             if not isinstance(call, ast.Call):
@@ -270,12 +272,16 @@ def single_valued_defaults() -> list[str]:
             for name, default in defaults.items():
                 node = given.get(name, default)
                 values[f"{callee}.{name}"].append(_VARYING if spread else _value(node))
+                if spread or node is default:
+                    defaulted.add(f"{callee}.{name}")
     return sorted(
         name
         for name, seen in values.items()
         if name not in DEFAULTS_ALLOWED
-        and _VARYING not in seen
-        and len({repr(v) for v in seen}) < 2
+        and (
+            name not in defaulted
+            or _VARYING not in seen and len({repr(v) for v in seen}) < 2
+        )
     )
 
 
