@@ -43,19 +43,26 @@ datum shows (a checkpoint that cannot be read or is not finite, a datum
 with ||grad u0|| = 0) is checked where the datum is built,
 `experiments.build_datum`.
 
+A run reads only some keys, and a config may set only those: the file
+setting any other key is a config error that names the key, the
+experiment and, where the datum decides, the datum. One table states the
+keys each run reads (`HarnessConfig.keys_read`):
+  * bubble-constants reads none;
+  * decay-character reads points_per_dim, side_length, profile_r and
+    cutoff_rho: it builds its own power-law datum;
+  * every other experiment steps a state and reads the grid, dt, t_end,
+    snapshot_count and datum, then its datum's keys: a bump reads delta,
+    a power_law delta, profile_r and cutoff_rho, a file profile_r and
+    datum_file.
+Only the keys a run reads are checked, and the config echo in summary.json
+lists only those; a run that steps adds T_box and the resolved t_end, fit
+window and schedule alpha.
+
 `profile_r` is the q* of the datum: the exponent a power-law datum is
 built with, and the stated q* of a `datum = file` checkpoint, which
-cannot be read off the file (default 0). A bump datum has q* = 1, so
-setting `profile_r` with it is an error. The q* sets the decay bound
-min(2 + q*, 1) and the power-schedule alpha, which must keep g(t) and
-g'(t) finite up to t_end. Likewise `delta` sizes a bump or power-law
-datum and `cutoff_rho` cuts off a power-law one; setting either for a
-datum that does not read it is an error. decay-character is the
-exception: it builds its own power-law datum from `profile_r` and
-`cutoff_rho`, whatever `datum` says. The config echo in summary.json
-lists all 10 keys; outside decay-character a key the datum does not read
-shows its default there: a file datum echoes delta = 0.1 and cutoff_rho
-= 1.4, a bump profile_r = 0.0.
+cannot be read off the file (default 0). A bump datum has q* = 1. The q*
+sets the decay bound min(2 + q*, 1) and the power-schedule alpha, which
+must keep g(t) and g'(t) finite up to t_end.
 
 Every bump or power-law datum must lie in the small-data regime,
 ||grad u0|| <= ||grad W|| and E(u0) <= E(W), or the run is a config
@@ -104,7 +111,20 @@ _RECORD_BYTES = 1200
 _MAX_STEPS = 10**9
 # energy-identity's nested dt halvings: dt, dt / 2, dt / 4
 REFINEMENT_LEVELS = 3
-_STEPLESS = ("decay-character", "bubble-constants")  # they advance no state
+
+# the keys each run reads: an experiment in _READS advances no state and
+# reads its own; every other one steps a state and reads _STEP_READS and
+# then its datum's _DATUM_READS
+_READS = {
+    "bubble-constants": (),
+    "decay-character": ("points_per_dim", "side_length", "profile_r", "cutoff_rho"),
+}
+_STEP_READS = ("points_per_dim", "side_length", "dt", "t_end", "snapshot_count", "datum")
+_DATUM_READS = {
+    "bump": ("delta",),
+    "power_law": ("delta", "profile_r", "cutoff_rho"),
+    "file": ("profile_r", "datum_file"),
+}
 
 
 class ConfigError(ValueError):
@@ -154,12 +174,21 @@ class HarnessConfig:
         """The power splitting schedule, with the alpha of the datum's q*."""
         return SplittingSchedule(POWER, self.resolved_schedule_alpha())
 
-    def echo(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["t_box"] = self.t_box
-        out["t_end_resolved"] = self.resolved_t_end()
-        out["fit_window_resolved"] = list(self.resolved_fit_window())
-        out["schedule_alpha_resolved"] = self.resolved_schedule_alpha()
+    def keys_read(self, experiment: str) -> tuple[str, ...]:
+        """The keys a run of `experiment` reads; for a run that steps, its datum decides."""
+        if experiment in _READS:
+            return _READS[experiment]
+        if self.datum not in _DATUM_READS:
+            raise ConfigError(f"datum must be one of {', '.join(_DATUM_READS)}; got {self.datum!r}")
+        return _STEP_READS + _DATUM_READS[self.datum]
+
+    def echo(self, experiment: str) -> dict:
+        """The keys the run reads, and what a run that steps resolves them to."""
+        out = {key: getattr(self, key) for key in self.keys_read(experiment)}
+        if experiment not in _READS:
+            out |= {"t_box": self.t_box, "t_end_resolved": self.resolved_t_end(),
+                    "fit_window_resolved": list(self.resolved_fit_window()),
+                    "schedule_alpha_resolved": self.resolved_schedule_alpha()}
         return out
 
 
@@ -194,6 +223,10 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
+    """Check the keys the run reads, and only those."""
+    read = cfg.keys_read(experiment)
+    if not read:
+        return cfg
     try:
         grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     except ValueError as exc:
@@ -220,52 +253,14 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             "volume h^4 = (L / N)^4 or the Hdot^2 weight (2 pi)^-4 dxi^4 |xi|^4 at the "
             "largest |xi| = N 2 pi / L"
         )
-    if not cfg.dt > 0:
-        raise ConfigError(f"dt must be positive, got {cfg.dt}")
-    if cfg.t_end < 0:
-        raise ConfigError(f"t_end must be positive (or 0 for T_box), got {cfg.t_end}")
-    if not 2 <= cfg.snapshot_count <= _MAX_STEPS:
-        raise ConfigError(
-            f"snapshot_count must lie in [2, {_MAX_STEPS:.0e}] (each snapshot interval takes "
-            f"a step), got {cfg.snapshot_count}"
-        )
-    # nonlinear-decay records every snapshot under two splitting schedules
-    schedules = 0 if experiment in _STEPLESS else 2 if experiment == "nonlinear-decay" else 1
-    records = _RECORD_BYTES * schedules * cfg.snapshot_count
-    if need + records > have:
-        raise ConfigError(
-            f"snapshot_count = {cfg.snapshot_count} adds an estimated {records / 2**30:.3g} GiB "
-            f"of records ({_RECORD_BYTES} bytes per snapshot and splitting schedule) to the "
-            f"{need / 2**30:.3g} GiB working set, more than the {have / 2**30:.3g} GiB of "
-            "physical memory"
-        )
-    if cfg.datum not in ("bump", "power_law", "file"):
-        raise ConfigError(
-            f"datum must be one of bump, power_law, file; got {cfg.datum!r}"
-        )
-    if not 0 <= cfg.delta <= 1:
-        raise ConfigError(
-            f"delta must lie in [0, 1] (small-data admissibility), got {cfg.delta}"
-        )
-    if cfg.datum == "bump" and cfg.profile_r != HarnessConfig.profile_r:
-        raise ConfigError(
-            f"profile_r = {cfg.profile_r} is the q* of a power_law or file datum; "
-            "datum = bump has q* = 1 and takes no profile_r"
-        )
-    if experiment != "decay-character":
-        for key, shapes in (("cutoff_rho", ("power_law",)), ("delta", ("bump", "power_law"))):
-            value = getattr(cfg, key)
-            if cfg.datum not in shapes and value != getattr(HarnessConfig, key):
-                raise ConfigError(
-                    f"{key} = {value} shapes a {' or '.join(shapes)} datum; "
-                    f"datum = {cfg.datum} takes no {key}"
-                )
-    if cfg.profile_r <= -2:
+    if "delta" in read and not 0 <= cfg.delta <= 1:
+        raise ConfigError(f"delta must lie in [0, 1] (small-data admissibility), got {cfg.delta}")
+    if "profile_r" in read and cfg.profile_r <= -2:
         raise ConfigError(
             f"profile_r = {cfg.profile_r} violates the decay-character hypothesis "
             "q* > -2"
         )
-    if not 0 < cfg.cutoff_rho <= grid.axis_nyquist:
+    if "cutoff_rho" in read and not 0 < cfg.cutoff_rho <= grid.axis_nyquist:
         raise ConfigError(
             f"cutoff_rho must lie in (0, {grid.axis_nyquist:.4g}] (axis Nyquist), "
             f"got {cfg.cutoff_rho}"
@@ -276,10 +271,28 @@ def _validate(cfg: HarnessConfig, experiment: str) -> HarnessConfig:
             f"cutoff_rho / 2, and the first lies at 2 pi / side_length = "
             f"{grid.frequency_spacing:.4g}"
         )
-    if cfg.datum == "file" and not cfg.datum_file:
+    if "datum_file" in read and not cfg.datum_file:
         raise ConfigError("datum = file requires datum_file")
-    if experiment in _STEPLESS:
+    if experiment in _READS:
         return cfg
+    if not cfg.dt > 0:
+        raise ConfigError(f"dt must be positive, got {cfg.dt}")
+    if cfg.t_end < 0:
+        raise ConfigError(f"t_end must be positive (or 0 for T_box), got {cfg.t_end}")
+    if not 2 <= cfg.snapshot_count <= _MAX_STEPS:
+        raise ConfigError(
+            f"snapshot_count must lie in [2, {_MAX_STEPS:.0e}] (each snapshot interval takes "
+            f"a step), got {cfg.snapshot_count}"
+        )
+    # nonlinear-decay records every snapshot under two splitting schedules
+    records = _RECORD_BYTES * (2 if experiment == "nonlinear-decay" else 1) * cfg.snapshot_count
+    if need + records > have:
+        raise ConfigError(
+            f"snapshot_count = {cfg.snapshot_count} adds an estimated {records / 2**30:.3g} GiB "
+            f"of records ({_RECORD_BYTES} bytes per snapshot and splitting schedule) to the "
+            f"{need / 2**30:.3g} GiB working set, more than the {have / 2**30:.3g} GiB of "
+            "physical memory"
+        )
     # records read g and g' up to t_end, past float range the ball radius is NaN
     sched = cfg.splitting_schedule()
     t_end = np.float64(cfg.resolved_t_end())
@@ -336,7 +349,8 @@ def parse_config(path: str | Path | None, experiment: str) -> HarnessConfig:
     """Parse a key = value config file for `experiment`; None yields pure defaults.
 
     `experiment` selects documented per-experiment default overrides
-    (applied before user keys, so explicit keys always win).
+    (applied before user keys, so explicit keys always win), and with the
+    datum the keys the file may set: those the run reads.
     """
     cfg = HarnessConfig()
     if experiment in _EXPERIMENT_DEFAULTS:
@@ -363,4 +377,10 @@ def parse_config(path: str | Path | None, experiment: str) -> HarnessConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         overrides[key] = _PARSERS[valid[key]](key, raw)
     cfg = replace(cfg, **overrides)  # type: ignore[arg-type]
+    read = cfg.keys_read(experiment)
+    for key in overrides:
+        if key not in read:
+            run = experiment if experiment in _READS else f"{experiment} with datum = {cfg.datum}"
+            reads = ", ".join(read) or "no key"
+            raise ConfigError(f"{path}: {run} does not read {key}; it reads {reads}")
     return _validate(cfg, experiment)

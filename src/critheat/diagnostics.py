@@ -65,7 +65,7 @@ LYAPUNOV_TOL = 1e-10
 class SplittingSchedule:
     """Splitting ball schedule: r(t) = sqrt(g'(t) / g(t)), the constant C being 1."""
 
-    kind: str = POWER
+    kind: str
     alpha: float = 2.5
 
     def g(self, t: float) -> float:

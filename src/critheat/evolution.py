@@ -193,14 +193,14 @@ class Observables:
 class SolverState:
     t: float
     u_hat: SpectralField
+    nonlinear: bool
+    band_limited: bool
     step_count: int = 0
     dissipation_integral: float = 0.0
     pairing_integral: float = 0.0
     l6_integral: float = 0.0
-    nonlinear: bool = True
-    band_limited: bool = False
-    _rates: Rates | None = dataclass_field(default=None, repr=False)
-    _observables: Observables | None = dataclass_field(default=None, repr=False)
+    _rates: Rates | None = dataclass_field(default=None, init=False, repr=False)
+    _observables: Observables | None = dataclass_field(default=None, init=False, repr=False)
 
     def rates(self) -> Rates:
         """The state's step-endpoint rates, computed on first use.

@@ -2,9 +2,9 @@
 
 Each experiment writes `series.csv` (one diagnostics record per row,
 fixed columns) and `summary.json` (fitted exponents, verdicts, constants,
-a full config echo with T_box, and the version stamp) into the output
-directory, and reports pass/fail through the exit code: `passed` is true
-when every verdict is.
+an echo of the config keys the run reads, with T_box for a run that
+steps, and the version stamp) into the output directory, and reports
+pass/fail through the exit code: `passed` is true when every verdict is.
 """
 
 from __future__ import annotations
@@ -173,11 +173,7 @@ def write_summary_json(path: Path, summary: dict) -> None:
 
 
 def _base_summary(name: str, cfg: HarnessConfig) -> dict:
-    return {
-        "experiment": name,
-        "version": __version__,
-        "config": cfg.echo(),
-    }
+    return {"experiment": name, "version": __version__, "config": cfg.echo(name)}
 
 
 # ------------------------------------------------------------- experiments

@@ -20,7 +20,7 @@ from critheat.spectral import (
 from conftest import cosine_field, full_cubic
 
 
-SCHEDULE = dg.SplittingSchedule()
+SCHEDULE = dg.SplittingSchedule(dg.POWER, 2.5)
 
 
 @pytest.fixture(scope="module")
@@ -157,20 +157,20 @@ class TestRecordCaches:
     def test_sobolev_masses_match_sobolev_norm_sq(self, datum, nonlinear):
         (state,) = ev.advance(ev.initial_state(datum, nonlinear=nonlinear), (0.01,), 0.005)
         assert state.step_count == 2
-        rec = dg.record(state, dg.SplittingSchedule(dg.POWER))
+        rec = dg.record(state, dg.SplittingSchedule(dg.POWER, 2.5))
         assert rec.h1_sq == sobolev_norm_sq(state.u_hat, 1.0)
         assert rec.grad_h1_sq == sobolev_norm_sq(state.u_hat, 2.0)
 
     def test_h1_density_sum_is_sobolev_norm_sq(self, rng):
         big = TorusGrid(32, 32.0)
         spec = transform_forward(PhysicalField(big, rng.standard_normal(big.shape)))
-        total, low, high = dg.splitting_split(spec, dg.SplittingSchedule(dg.POWER), 0.5)
+        total, low, high = dg.splitting_split(spec, dg.SplittingSchedule(dg.POWER, 2.5), 0.5)
         assert total == sobolev_norm_sq(spec, 1.0)
         assert low > 0 and high > 0
 
     def test_second_record_reuses_the_state(self, datum, monkeypatch):
         (state,) = ev.advance(ev.initial_state(datum), (0.01,), 0.005)
-        first = dg.record(state, dg.SplittingSchedule(dg.POWER))
+        first = dg.record(state, dg.SplittingSchedule(dg.POWER, 2.5))
         calls = []
         names = ("transform_inverse", "band_inverse", "transform_forward", "sobolev_norm_sq")
         for module in (ev, dg):
@@ -189,7 +189,7 @@ class TestRecordCaches:
         # a linear state caches its rates and observables: the second record
         # transforms nothing
         (state,) = ev.advance(ev.initial_state(datum, nonlinear=False), (0.01,), 0.005)
-        first = dg.record(state, dg.SplittingSchedule(dg.POWER))
+        first = dg.record(state, dg.SplittingSchedule(dg.POWER, 2.5))
         calls = []
         names = ("transform_inverse", "band_inverse", "transform_forward", "sobolev_inner")
         for module in (ev, dg):
@@ -210,7 +210,7 @@ class TestRecordCaches:
         monkeypatch.setattr(ev, "nonlinear_term", _counted(ev.nonlinear_term, stage_cubics))
         start = ev.initial_state(datum)
         (end,) = ev.advance(start, (0.02,), 0.005)
-        dg.record(end, dg.SplittingSchedule(dg.POWER))
+        dg.record(end, dg.SplittingSchedule(dg.POWER, 2.5))
         dg.record(end, dg.SplittingSchedule(dg.LOG_CUBED))
         ev.stability_bound(end)
         n = end.step_count

@@ -155,8 +155,9 @@ class TestParseConfig:
         message = r"^snapshot_count = 1000000000 adds an estimated [0-9.e+]+ GiB of records "
         with pytest.raises(ConfigError, match=message):
             parse_config(path, "nonlinear-decay")
-        # a stepless experiment records no snapshot
-        assert parse_config(path, "decay-character").snapshot_count == 10**9
+        # an experiment that steps no state reads no snapshot_count
+        with pytest.raises(ConfigError, match="decay-character does not read snapshot_count"):
+            parse_config(path, "decay-character")
 
     @pytest.mark.parametrize(
         "experiment, config",
@@ -255,26 +256,35 @@ class TestParseConfig:
                 parse_config(path, "nonlinear-decay")
 
     def test_bump_rejects_profile_r(self, tmp_path):
-        # a bump's q* is 1 whatever profile_r says
+        # a bump's q* is 1, so a bump run reads no profile_r, not even its default
         path = tmp_path / "c.cfg"
-        path.write_text("datum = bump\nprofile_r = 0.5\n")
-        with pytest.raises(ConfigError, match=r"profile_r = 0.5 .*datum = bump"):
-            parse_config(path, "nonlinear-decay")
-        path.write_text("profile_r = 0.5\n")
-        with pytest.raises(ConfigError, match="profile_r"):
-            parse_config(path, "lyapunov")
-        path.write_text("datum = bump\nprofile_r = 0\n")
+        for text, experiment in (
+            ("datum = bump\nprofile_r = 0.5\n", "nonlinear-decay"),
+            ("profile_r = 0.5\n", "lyapunov"),
+            ("datum = bump\nprofile_r = 0\n", "nonlinear-decay"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=f"{experiment} with datum = bump does not "
+                               "read profile_r; it reads .*, datum, delta$"):
+                parse_config(path, experiment)
+        path.write_text("datum = bump\n")
         assert parse_config(path, "nonlinear-decay").nominal_q_star() == 1.0
 
     def test_datum_rejects_keys_it_ignores(self, tmp_path):
         # a file datum is given whole (see also test_key_the_datum_ignores_exits_2)
         path = tmp_path / "c.cfg"
         path.write_text("datum = file\ndatum_file = u0.chk\ncutoff_rho = 0.5\n")
-        with pytest.raises(ConfigError, match=r"cutoff_rho = 0.5 .*datum = file"):
+        message = f"{path}: nonlinear-decay with datum = file does not read cutoff_rho"
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
             parse_config(path, "nonlinear-decay")
-        # decay-character builds its own power-law datum from cutoff_rho
-        path.write_text("datum = bump\ncutoff_rho = 0.5\n")
+        # decay-character builds its own power-law datum from cutoff_rho,
+        # whatever datum a config names, so it reads no datum
+        path.write_text("cutoff_rho = 0.5\n")
         assert parse_config(path, "decay-character").cutoff_rho == 0.5
+        path.write_text("datum = bump\ncutoff_rho = 0.5\n")
+        message = f"{path}: decay-character does not read datum"
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            parse_config(path, "decay-character")
 
     def test_cutoff_validation_names_nyquist(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -329,16 +339,21 @@ class TestFloatKeys:
         assert _parse_float(key, repr(value)) == value
 
 
-# extreme values: an int key draws ints up to 2 10^400, every other key these
+# extreme values: an int key draws ints up to 2 10^400 and a float key these;
+# a str key draws from STR_VALUES, every datum and one unknown name, or a path
 EXTREME = [
     "0", "5e-324", "1e-321", "1e-300", "1e-38", "1e38", "1e300", "1.7e308",
     "-5e-324", "-1e-321", "-1e-300", "-1e-38", "-1e38", "-1e300", "-1.7e308", "-1",
 ]
+STR_VALUES = {
+    "datum": ["bump", "power_law", "file", "wavelet"],
+    "datum_file": ["u0.chk", "/nonexistent/u0.chk"],
+}
 EXTREME_CONFIGS = st.lists(st.sampled_from(fields(HarnessConfig)), max_size=5, unique=True).flatmap(
     lambda keys: st.fixed_dictionaries({
         f.name: st.integers(-2 * 10**400, 2 * 10**400).map(str)
         if f.type == "int"
-        else st.sampled_from(EXTREME)
+        else st.sampled_from(STR_VALUES[f.name] if f.type == "str" else EXTREME)
         for f in keys
     })
 )
@@ -357,6 +372,8 @@ class TestTotality:
     @example(experiment="lyapunov", keys={"t_end": "5e-324"})
     @example(experiment="linear-decay", keys={"t_end": "1e-321"})
     @example(experiment="linear-decay", keys={"points_per_dim": "1" + "0" * 400})
+    @example(experiment="nonlinear-decay", keys={"datum": "file", "datum_file": "u0.chk"})
+    @example(experiment="lyapunov", keys={"datum": "power_law", "cutoff_rho": "1e-38"})
     def test_parse_config_is_total(self, totality_cfg, experiment, keys):
         totality_cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         with warnings.catch_warnings():
@@ -365,6 +382,54 @@ class TestTotality:
                 parse_config(totality_cfg, experiment)
             except ConfigError:
                 pass
+
+
+TINY = "points_per_dim = 16\nt_end = 0.01\nsnapshot_count = 4\n"
+DERIVED = {"t_box", "t_end_resolved", "fit_window_resolved", "schedule_alpha_resolved"}
+
+
+class TestKeysRead:
+    """Each runner reads exactly the config keys that `HarnessConfig.keys_read` states."""
+
+    @pytest.mark.parametrize(
+        "experiment, keys",
+        [
+            ("bubble-constants", ""),
+            ("decay-character", "points_per_dim = 16\n"),
+            ("linear-decay", TINY),
+            ("nonlinear-decay", TINY),
+            ("lyapunov", TINY),
+            ("energy-identity", TINY),
+            ("lyapunov", TINY + "datum = power_law\n"),
+            ("lyapunov", TINY + "datum = file\n"),
+        ],
+    )
+    def test_runner_reads_the_keys_of_the_table(self, tmp_path, experiment, keys):
+        if "datum = file" in keys:
+            chk = tmp_path / "u0.chk"
+            bump = build_datum(HarnessConfig(points_per_dim=16, datum="bump"))
+            ev.save_checkpoint(chk, transform_inverse(bump), t=0.0, step_count=0)
+            keys += f"datum_file = {chk}\n"
+        path = tmp_path / "c.cfg"
+        path.write_text(keys)
+        cfg = parse_config(path, experiment)
+        names, read = {f.name for f in fields(HarnessConfig)}, set()
+
+        class Recording(HarnessConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+            def echo(self, experiment):
+                return {}  # what the echo reads is checked below
+
+        experiments._RUNNERS[experiment](Recording(**{n: getattr(cfg, n) for n in names}))
+        table = set(cfg.keys_read(experiment))
+        assert read == table
+        echo = cfg.echo(experiment)
+        steps = experiment not in ("bubble-constants", "decay-character")
+        assert set(echo) == table | (DERIVED if steps else set())
 
 
 class TestBuildDatum:
@@ -552,6 +617,10 @@ class TestBandLimitedDatum:
         assert outputs["rates"] == outputs["full"]
 
 
+# the keys every run that steps a state reads, before its datum's
+STEP_KEYS = "points_per_dim, side_length, dt, t_end, snapshot_count, datum"
+
+
 def _delta_case(datum: str, delta: str, grad_sq: str) -> tuple[str, str]:
     """The config keys and config error of a datum whose ||grad u0||^2 is not a normal float."""
     return (
@@ -574,8 +643,8 @@ class TestRunExperiment:
         assert summary["passed"] is True
         got = summary["constants"]["grad_l2_sq"]
         assert abs(got / (32 * np.pi**2 / 3) - 1) <= 1e-6
-        # T_box is stated once, in the config echo
-        assert "t_box" in summary["config"] and "t_box" not in summary
+        # it reads no config key and steps no state: its echo is empty, no T_box
+        assert summary["config"] == {} and "t_box" not in summary
         # header-only series for the no-simulation experiment
         csv = (tmp_path / "out" / "series.csv").read_text()
         assert csv.strip() == ",".join(CSV_COLUMNS)
@@ -590,7 +659,7 @@ class TestRunExperiment:
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("points_per_dim = 15\n")
-        spec = ExperimentSpec("bubble-constants", str(bad), tmp_path / "out")
+        spec = ExperimentSpec("lyapunov", str(bad), tmp_path / "out")
         assert run_experiment(spec) == 2
 
     @pytest.mark.parametrize(
@@ -598,23 +667,64 @@ class TestRunExperiment:
         [
             (
                 "lyapunov",
-                "cutoff_rho = 0.5\n",
-                "cutoff_rho = 0.5 shapes a power_law datum; datum = bump takes no cutoff_rho",
+                "points_per_dim = 16\ncutoff_rho = 0.5\n",
+                f"lyapunov with datum = bump does not read cutoff_rho; it reads {STEP_KEYS}, "
+                "delta",
             ),
             (
                 "nonlinear-decay",
-                "datum = file\ndatum_file = u0.chk\ndelta = 0.7\n",
-                "delta = 0.7 shapes a bump or power_law datum; datum = file takes no delta",
+                "points_per_dim = 16\ndatum = file\ndatum_file = u0.chk\ndelta = 0.7\n",
+                f"nonlinear-decay with datum = file does not read delta; it reads {STEP_KEYS}, "
+                "profile_r, datum_file",
+            ),
+            # decay-character builds its own power-law datum: no datum, no checkpoint path
+            (
+                "decay-character",
+                "datum = file\ndatum_file = nowhere.chk\ndelta = 0.7\n",
+                "decay-character does not read datum; it reads points_per_dim, side_length, "
+                "profile_r, cutoff_rho",
+            ),
+            # bubble-constants steps no state and has no fit window or schedule alpha
+            (
+                "bubble-constants",
+                "dt = 5\nt_end = 3\nsnapshot_count = 7\ndelta = 0.3\n",
+                "bubble-constants does not read dt; it reads no key",
+            ),
+            (
+                "lyapunov",
+                "datum_file = /nonexistent.chk\n",
+                f"lyapunov with datum = bump does not read datum_file; it reads {STEP_KEYS}, "
+                "delta",
             ),
         ],
-        ids=["bump-cutoff_rho", "file-delta"],
+        ids=["bump-cutoff_rho", "file-delta", "decay-character-datum", "bubble-constants-dt",
+             "bump-datum_file"],
     )
     def test_key_the_datum_ignores_exits_2(self, tmp_path, capsys, experiment, keys, reason):
+        # a key the run does not read, for its datum or for any datum
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("points_per_dim = 16\n" + keys)
+        cfg.write_text(keys)
         assert run_experiment(ExperimentSpec(experiment, str(cfg), tmp_path / "out")) == 2
-        assert capsys.readouterr().out == f"config error: {reason}\n"
+        assert capsys.readouterr().out == f"config error: {cfg}: {reason}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("datum", ["bump", "file"])
+    def test_unread_default_is_not_checked(self, tmp_path, datum):
+        # on N = 16, L = 40 the axis Nyquist is 1.257, below the default
+        # cutoff_rho = 1.4, which only a power-law datum reads (a power-law
+        # datum there exits 2: test_cutoff_validation_names_nyquist)
+        cfg = tmp_path / "c.cfg"
+        keys = "points_per_dim = 16\nside_length = 40\nt_end = 0.01\nsnapshot_count = 4\n"
+        keys += f"datum = {datum}\n"
+        if datum == "file":
+            bump = build_datum(HarnessConfig(points_per_dim=16, side_length=40.0, datum="bump"))
+            chk = tmp_path / "u0.chk"
+            ev.save_checkpoint(chk, transform_inverse(bump), t=0.0, step_count=0)
+            keys += f"datum_file = {chk}\n"
+        cfg.write_text(keys)
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("lyapunov", str(cfg), out)) == 0
+        assert "cutoff_rho" not in json.loads((out / "summary.json").read_text())["config"]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_profile_r_exits_2(self, tmp_path, capsys):
@@ -687,7 +797,7 @@ class TestRunExperiment:
     def test_power_schedule_overflow_needs_a_schedule(self, tmp_path):
         # decay-character runs no splitting schedule, so its alpha is never formed
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("points_per_dim = 16\nt_end = 5\nprofile_r = 700\n")
+        cfg.write_text("points_per_dim = 16\nprofile_r = 700\n")
         assert parse_config(cfg, "decay-character").profile_r == 700.0
         cfg.write_text("points_per_dim = 16\nt_end = 5\nprofile_r = 200\n")
         assert parse_config(cfg, "linear-decay").resolved_schedule_alpha() == 203.0
@@ -1079,7 +1189,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "experiment, config, code",
         [
-            ("decay-character", "t_end = 0.2\nsnapshot_count = 8\n", 0),
+            ("decay-character", "", 0),
             # the torus fit window holds too few snapshots at t_end = 0.2
             ("linear-decay", "t_end = 0.2\nsnapshot_count = 8\n", 1),
             ("lyapunov", "t_end = 0.2\nsnapshot_count = 8\n", 0),

@@ -26,7 +26,11 @@ counting as the default, a literal as its value and any other expression
 as varying. A call is resolved by name as above, and through a class
 (`RadialQuadrature.build`); a parameter that takes one value is a
 constant, and one that no call reaches is test-only. Some call in `src/`
-must also omit it, or its default serves only tests.
+must also omit it, or its default serves only tests. The same holds for
+the field defaults of a dataclass that `src/` constructs by name: its
+fields are the parameters of its constructor, a `field(init=False)` is
+none. `HarnessConfig` is left to the config-key rule below, since its
+defaults are what a config file leaves unset.
 
 A config key, a field of `HarnessConfig`, needs two values across its
 default and the per-experiment defaults, or it is a constant; the
@@ -203,6 +207,40 @@ def unread_members() -> list[str]:
     return sorted(unread)
 
 
+def _dataclass_init(cls: ast.ClassDef) -> tuple[list[str], dict[str, ast.AST]] | None:
+    """The constructor's parameters and their defaults of a dataclass, None for another class."""
+    decorators = {
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) for d in cls.decorator_list
+    }
+    if "dataclass" not in decorators:
+        return None
+    positional, defaults = [], {}
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        default = node.value
+        if isinstance(default, ast.Call):  # dataclasses.field(...)
+            options = {kw.arg: kw.value for kw in default.keywords}
+            if "init" in options and _value(options["init"]) is False:
+                continue
+            default = options.get("default", options.get("default_factory"))
+        positional.append(node.target.id)
+        if default is not None:
+            defaults[node.target.id] = default
+    return positional, defaults
+
+
+def _dataclass_inits() -> dict[str, tuple[list[str], dict[str, ast.AST], int]]:
+    """Qualified class name -> its constructor, as `_defaulted_functions` gives a function."""
+    out = {}
+    for mod in _modules():
+        for node in mod.body:
+            init = isinstance(node, ast.ClassDef) and _dataclass_init(node)
+            if init and init[1] and f"{mod.name}.{node.name}" != "config.HarnessConfig":
+                out[f"{mod.name}.{node.name}"] = (*init, 0)
+    return out
+
+
 def _defaulted_functions() -> dict[str, tuple[list[str], dict[str, object], int]]:
     """Qualified name -> (positional parameters, defaults by parameter, bound leading ones)."""
     out = {}
@@ -252,12 +290,17 @@ def _qualified_callee(mod: _Module, func: ast.AST) -> str | None:
 
 
 def single_valued_defaults() -> list[str]:
-    """Defaulted parameters that every call in src/ gives one value, or none leaves to default."""
-    functions = _defaulted_functions()
+    """Defaulted parameters that every call in src/ gives one value, or none leaves to default.
+
+    A dataclass counts only if src/ constructs it.
+    """
+    classes = _dataclass_inits()
+    functions = {**_defaulted_functions(), **classes}
     values: dict[str, list[object]] = {
         f"{q}.{name}": [] for q, (_, defaults, _) in functions.items() for name in defaults
     }
     defaulted: set[str] = set()
+    called: set[str] = set()
     for mod in _modules():
         for call in ast.walk(ast.Module(body=mod.body, type_ignores=[])):
             if not isinstance(call, ast.Call):
@@ -265,6 +308,7 @@ def single_valued_defaults() -> list[str]:
             callee = _qualified_callee(mod, call.func)
             if callee not in functions:
                 continue
+            called.add(callee)
             positional, defaults, bound = functions[callee]
             given = dict(zip(positional[bound:], call.args))
             given.update((kw.arg, kw.value) for kw in call.keywords)
@@ -278,6 +322,7 @@ def single_valued_defaults() -> list[str]:
         name
         for name, seen in values.items()
         if name not in DEFAULTS_ALLOWED
+        and (name.rsplit(".", 1)[0] not in classes or name.rsplit(".", 1)[0] in called)
         and (
             name not in defaulted
             or _VARYING not in seen and len({repr(v) for v in seen}) < 2
