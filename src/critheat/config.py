@@ -1,10 +1,10 @@
 """Plain-text configuration for the experiment harness.
 
 Format: UTF-8, one `key = value` per line, `#` starts a comment, blank
-lines ignored. Unknown keys are rejected. Every value is validated with a
-message naming the key and the constraint. An empty (or absent) file
-yields the documented defaults: N = 32, L = 32, delta = 0.1, a q* = 0
-power-law datum.
+lines ignored. Unknown keys are rejected, and so is a key set twice.
+Every value is validated with a message naming the key and the
+constraint. An empty (or absent) file yields the documented defaults:
+N = 32, L = 32, delta = 0.1, a q* = 0 power-law datum.
 
 A config states the problem, in 10 keys:
   * the grid: `points_per_dim` N and `side_length` L;
@@ -366,6 +366,7 @@ def parse_config(path: str | Path | None, experiment: str) -> HarnessConfig:
         raise ConfigError(f"config file {path}: {exc}") from exc
     valid = {f.name: f.type for f in fields(HarnessConfig)}
     overrides: dict[str, object] = {}
+    seen: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -375,6 +376,8 @@ def parse_config(path: str | Path | None, experiment: str) -> HarnessConfig:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in valid:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: {key} is set twice (first on line {seen[key]})")
         overrides[key] = _PARSERS[valid[key]](key, raw)
     cfg = replace(cfg, **overrides)  # type: ignore[arg-type]
     read = cfg.keys_read(experiment)

@@ -8,16 +8,20 @@ Each solver snapshot yields one record, each field from one source:
     the exact partition stays a check; `low_sq` and `high_sq` are its sums
     inside and outside the ball B(t);
   * `grad_h1_sq`: the Hdot^2 dissipation of `SolverState.rates()`;
-  * `l4_fourth`: `spectral.l4_fourth` of the undealiased field, in
-    `SolverState.observables()`, and `energy` = (1/2) h1_sq - (1/4)
-    l4_fourth;
+  * `l4_fourth`: h^4 sum u^4 of the dealiased field, in
+    `SolverState.rates()`, and `energy` = (1/2) h1_sq - (1/4) l4_fourth;
   * `l6_accum`: the space-time L^6 integral the solver accumulates;
   * `pairing`: the Hdot^1 pairing with the dealiased cubic of
     `SolverState.rates()`, the integrand the energy identity integrates,
     0 for a linear state; `pairing_ratio` = |pairing| / (grad_h1_sq h1_sq).
 
-The two solver caches are computed once per state, on first use (see
-`evolution`), so a record may read them in either order.
+The solver computes the 2/3-truncated system, whose cubic sees only the
+dealiased field (see `evolution`). So the L^4 mass of that field is the
+one the equation's nonlinearity carries, and `energy` is the computed
+system's Lyapunov functional: it is nonincreasing along a nonlinear run,
+up to the time discretisation, where the full field's L^4 mass carries
+no such guarantee. The sup |u| of the stability bound is read from the
+same field, for the same reason.
 
 The splitting ball is
 
@@ -124,21 +128,21 @@ def splitting_split(
 def record(state: SolverState, schedule: SplittingSchedule) -> DiagnosticsRecord:
     """Assemble all monitored quantities from one solver snapshot.
 
-    Everything but the Hdot^1 density comes from the state's two caches:
-    the dissipation and the pairing from `rates()`, where a linear state's
-    pairing is 0, and h^4 sum u^4 from `observables()`. So a second record
-    of the same state (another schedule) transforms nothing.
+    Everything but the Hdot^1 density comes from the state's one cache,
+    `rates()`: the dissipation, the pairing, where a linear state's pairing
+    is 0, and h^4 sum u^4 of the dealiased field, the field the cubic sees,
+    so that `energy` is the computed system's. A second record of the
+    same state (another schedule) transforms nothing.
     """
     h1_sq, low_sq, high_sq = splitting_split(state.u_hat, schedule, state.t)
     rates = state.rates()
-    l4 = state.observables().l4_fourth
     denom = rates.dissipation * h1_sq
     return DiagnosticsRecord(
         t=state.t,
         h1_sq=h1_sq,
         grad_h1_sq=rates.dissipation,
-        energy=0.5 * h1_sq - 0.25 * l4,
-        l4_fourth=l4,
+        energy=0.5 * h1_sq - 0.25 * rates.l4_fourth,
+        l4_fourth=rates.l4_fourth,
         l6_accum=state.l6_integral,
         low_sq=low_sq,
         high_sq=high_sq,

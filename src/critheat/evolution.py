@@ -75,29 +75,26 @@ the first two.
 Apart from the three RK4 stage evaluations of a step (`nonlinear_term`,
 one `spectral.band_inverse` and one `band_forward` each), each solver
 state computes its transforms at most once, on first use, and caches them
-in two results (`diagnostics` lists which record field reads which):
+in one result, `SolverState.rates()` (`diagnostics` lists which record
+field reads which): one dealiased inverse transform of the field, its
+cube, and, for a nonlinear state, one dealiased forward transform of the
+cube. This gives:
 
-  * `SolverState.rates()`: one dealiased inverse transform of the field,
-    its cube, and, for a nonlinear state, one dealiased forward transform
-    of the cube. This gives the step-endpoint integrands (Hdot^2
-    dissipation, L^6 mass as cube * cube, and the Hdot^1 pairing with the
-    dealiased cubic, which is 0 for a linear state, whose equation has no
-    cubic) and the dealiased cubic as a full half spectrum, whose band is
-    the first RK4 stage of the next step;
-  * `SolverState.observables()`: sup |u| for the stability bound and
-    h^4 sum u^4, both of the undealiased field.
+  * sup |u| for the stability bound and h^4 sum u^4, both of the
+    dealiased field, taken before it is cubed;
+  * the step-endpoint integrands: Hdot^2 dissipation, L^6 mass as
+    cube * cube, and the Hdot^1 pairing with the dealiased cubic, which is
+    0 for a linear state, whose equation has no cubic;
+  * the dealiased cubic as a full half spectrum, whose band is the first
+    RK4 stage of the next step.
 
-A state is band-limited when every mode outside the 2/3 band is exactly
-zero. `initial_state` checks the datum once, and a step passes the flag
-on: the heat factor and the IF-RK4 update leave an out-of-band mode at
-e2 * 0 = 0, since every RK4 stage is a dealiased cubic. A forcing clears
-the flag. A spectral power-law datum whose cutoff lies inside the band is
-band-limited; a bump, a file datum (whose round trip through physical
-space leaves roundoff outside the band) and a power law cut off past the
-band are not. A band-limited state computes its observables inside its
-rates, from the dealiased field, which is bit for bit its full field (see
-`spectral`); any other state computes them on first use from one full
-inverse transform.
+The solver advances the 2/3-truncated system: a mode outside the band
+follows the heat flow and never enters the cubic, so the field the cubic
+sees, and the one whose sup and L^4 mass a state reports, is the
+dealiased field. For a field with no mode outside the band (a power law
+cut off inside it) that is bit for bit the full field (see `spectral`);
+for a bump or a file datum it differs from the full field by the modes
+the rule discards.
 
 Powers of the field are products (v * v * v), never the generic `pow`;
 the cube is built in place (v * v, then *= v) and u^6 is its in-place
@@ -138,13 +135,11 @@ from .spectral import (
     band_inverse,
     gather_band,
     heat_multiplier,
-    is_band_limited,
     l4_fourth,
     sobolev_inner,
     sobolev_norm_sq,
     scatter_band,
     transform_forward,
-    transform_inverse,
 )
 
 CHECKPOINT_MAGIC = b"CRITHEAT"
@@ -166,27 +161,16 @@ class BlowUpSuspected(RuntimeError):
 
 @dataclass(frozen=True)
 class Rates:
-    """Step-endpoint integrands and the dealiased cubic (None for a linear state)."""
+    """sup |u| and h^4 sum u^4 of the dealiased field, the step-endpoint
+    integrands, and the dealiased cubic (None for a linear state).
+    """
 
+    sup: float
+    l4_fourth: float
     dissipation: float
     pairing: float
     l6: float
     nl_hat: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class Observables:
-    """sup |u| and h^4 sum u^4 of the undealiased field."""
-
-    sup: float
-    l4_fourth: float
-
-    @classmethod
-    def of(cls, u: PhysicalField) -> Observables:
-        """Both norms of u; an overflowing u^4 is left as inf, as in `_cube`."""
-        with np.errstate(over="ignore"):
-            l4 = l4_fourth(u)
-        return cls(float(max(u.values.max(), -u.values.min())), l4)
 
 
 @dataclass
@@ -194,13 +178,11 @@ class SolverState:
     t: float
     u_hat: SpectralField
     nonlinear: bool
-    band_limited: bool
     step_count: int = 0
     dissipation_integral: float = 0.0
     pairing_integral: float = 0.0
     l6_integral: float = 0.0
     _rates: Rates | None = dataclass_field(default=None, init=False, repr=False)
-    _observables: Observables | None = dataclass_field(default=None, init=False, repr=False)
 
     def rates(self) -> Rates:
         """The state's step-endpoint rates, computed on first use.
@@ -209,16 +191,17 @@ class SolverState:
         inverse: it has no cube to transform and the heat flow cannot blow
         up, so the density's temporaries come and go before the field and
         its cube are allocated. A nonlinear state transforms its cube first
-        (see below). A band-limited state computes its observables here as
-        well, from the dealiased field, which is bit for bit its full field.
+        (see below). sup |u| and h^4 sum u^4 are read from the dealiased
+        field before it is cubed; an overflowing u^4 is left as inf.
         """
         if self._rates is None:
             grid = self.u_hat.grid
             if not self.nonlinear:
                 diss = sobolev_norm_sq(self.u_hat, 2.0)
             field = band_inverse(gather_band(self.u_hat.coefficients), grid)
-            if self.band_limited:
-                self._observables = Observables.of(field)
+            sup = float(max(field.values.max(), -field.values.min()))
+            with np.errstate(over="ignore"):
+                l4 = l4_fourth(field)
             cube = _cube(field.values)
             del field
             nl = None
@@ -230,25 +213,12 @@ class SolverState:
                 cube *= cube  # u^6, bit for bit cube * cube
                 l6 = float(grid.spacing**4 * np.sum(cube))
             if nl is None:
-                self._rates = Rates(diss, 0.0, l6, None)
+                self._rates = Rates(sup, l4, diss, 0.0, l6, None)
             else:
                 diss = sobolev_norm_sq(self.u_hat, 2.0)
                 pair = sobolev_inner(self.u_hat, nl, 1.0)
-                self._rates = Rates(diss, pair, l6, nl.coefficients)
+                self._rates = Rates(sup, l4, diss, pair, l6, nl.coefficients)
         return self._rates
-
-    def observables(self) -> Observables:
-        """The state's observables, computed on first use.
-
-        A band-limited state takes them from its rates, any other state
-        from one full inverse transform.
-        """
-        if self._observables is None:
-            if self.band_limited:
-                self.rates()
-            else:
-                self._observables = Observables.of(transform_inverse(self.u_hat))
-        return self._observables
 
 
 def heat_propagate(u_hat: SpectralField, t: float) -> SpectralField:
@@ -280,7 +250,6 @@ def initial_state(u0_hat: SpectralField, nonlinear: bool = True) -> SolverState:
         t=0.0,
         u_hat=SpectralField(u0_hat.grid, coeffs),
         nonlinear=nonlinear,
-        band_limited=is_band_limited(u0_hat),
     )
 
 
@@ -352,8 +321,6 @@ def step(
             pairing_integral=state.pairing_integral,
             l6_integral=state.l6_integral,
             nonlinear=state.nonlinear,
-            # out-of-band modes stay e2 * 0 = 0; a forcing may fill them
-            band_limited=state.band_limited and forcing is None,
         )
         if state.nonlinear:
             new_state.rates()
@@ -376,8 +343,8 @@ def stable_dt(grid: TorusGrid, sup: float) -> float:
 
 
 def stability_bound(state: SolverState) -> float:
-    """Largest admissible dt of the state, `stable_dt` of its sup |u|."""
-    return stable_dt(state.u_hat.grid, state.observables().sup)
+    """Largest admissible dt of the state, `stable_dt` of its dealiased field's sup |u|."""
+    return stable_dt(state.u_hat.grid, state.rates().sup)
 
 
 def reached(t: float | np.ndarray, t_target: float | np.ndarray) -> bool | np.ndarray:

@@ -64,11 +64,6 @@ Each line that runs is the same 1D transform as in the full pass. Each
 transform checks its input for finiteness; the band inverse checks only
 the band, and `evolution.initial_state` the modes it drops.
 
-A field is band-limited when every mode outside the kept band is exactly
-zero (`is_band_limited`). The mask then changes nothing, so its dealiased
-inverse is, bit for bit, its full inverse: `evolution` reads both from one
-transform.
-
 This module is the only one that calls scipy.fft or knows the lattice
 layout. All reductions are fixed-order numpy sums.
 """
@@ -225,16 +220,6 @@ def scatter_band(band: np.ndarray, out: np.ndarray) -> None:
     """Write a compact band into its place in the half-lattice array `out`."""
     mesh, half = _band_index(out.shape[0])
     out[..., half][mesh] = band
-
-
-def is_band_limited(field: SpectralField) -> bool:
-    """Whether every mode of the half spectrum outside the 2/3 band is exactly zero.
-
-    It is when the band holds every nonzero mode; -0.0 counts as zero, and
-    NaN does not.
-    """
-    c = field.coefficients
-    return bool(np.count_nonzero(c) == np.count_nonzero(gather_band(c)))
 
 
 def _fft_pass(block: np.ndarray, axis: int, inverse: bool) -> None:

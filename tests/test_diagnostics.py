@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from critheat import decay as dc
 from critheat import diagnostics as dg
 from critheat import evolution as ev
+from critheat import spectral
 from critheat.spectral import (
     PhysicalField,
     SpectralField,
@@ -17,7 +17,7 @@ from critheat.spectral import (
     transform_inverse,
 )
 
-from conftest import cosine_field, full_cubic
+from conftest import cosine_field, full_cubic, kept_band_mask
 
 
 SCHEDULE = dg.SplittingSchedule(dg.POWER, 2.5)
@@ -148,9 +148,11 @@ class TestRecordCaches:
         pairing = dg.record(state, SCHEDULE).pairing
         assert pairing == 0.0 and pairing == state.rates().pairing
 
-    def test_l4_mass_of_undealiased_field(self, datum):
+    def test_l4_mass_of_dealiased_field(self, datum):
+        # the field the cubic sees; the random datum has modes out of the band
         rec = dg.record(ev.initial_state(datum), SCHEDULE)
-        u = transform_inverse(datum).values
+        mask = kept_band_mask(datum.grid)
+        u = transform_inverse(SpectralField(datum.grid, datum.coefficients * mask)).values
         assert rec.l4_fourth == pytest.approx(datum.grid.spacing**4 * np.sum(u**4), rel=1e-14)
 
     @pytest.mark.parametrize("nonlinear", [True, False])
@@ -186,7 +188,7 @@ class TestRecordCaches:
         )
 
     def test_second_linear_record_transforms_nothing(self, datum, monkeypatch):
-        # a linear state caches its rates and observables: the second record
+        # a linear state caches its rates: the second record
         # transforms nothing
         (state,) = ev.advance(ev.initial_state(datum, nonlinear=False), (0.01,), 0.005)
         first = dg.record(state, dg.SplittingSchedule(dg.POWER, 2.5))
@@ -200,59 +202,38 @@ class TestRecordCaches:
         assert calls == []
         assert second.pairing.hex() == first.pairing.hex()
 
-    def test_transforms_per_state(self, datum, monkeypatch):
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_transforms_per_state(self, datum, monkeypatch, nonlinear):
         full, band, forward = [], [], []
         stage_cubics, stage_forward = [], []
-        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, full))
+        for module in (spectral, ev, dg):
+            if hasattr(module, "transform_inverse"):
+                monkeypatch.setattr(
+                    module, "transform_inverse", _counted(module.transform_inverse, full)
+                )
         monkeypatch.setattr(ev, "band_inverse", _counted(ev.band_inverse, band))
         monkeypatch.setattr(ev, "transform_forward", _counted(ev.transform_forward, forward))
         monkeypatch.setattr(ev, "band_forward", _counted(ev.band_forward, stage_forward))
         monkeypatch.setattr(ev, "nonlinear_term", _counted(ev.nonlinear_term, stage_cubics))
-        start = ev.initial_state(datum)
+        start = ev.initial_state(datum, nonlinear=nonlinear)
         (end,) = ev.advance(start, (0.02,), 0.005)
         dg.record(end, dg.SplittingSchedule(dg.POWER, 2.5))
         dg.record(end, dg.SplittingSchedule(dg.LOG_CUBED))
         ev.stability_bound(end)
         n = end.step_count
         assert n == 4
-        # no record computes a cubic: each one is a step's RK4 stage
-        assert len(stage_cubics) == 3 * n
-        # one full-field inverse per state whose observables are read: the
-        # bound at the start, and both records and the next bound at the end
-        assert [f is start.u_hat for f, _ in full] == [True, False]
-        assert [f is end.u_hat for f, _ in full] == [False, True]
-        # each of the n + 1 states: one dealiased inverse and one forward
-        # transform of its cube; each step: three RK4 stage cubics, which
-        # transform the compact band
-        assert len(band) == (n + 1) + 3 * n
-        assert len(forward) + len(stage_forward) == (n + 1) + 3 * n
-        assert len(stage_forward) == 3 * n
-        assert all(dealiased for _, dealiased in forward)
-
-    def test_band_limited_linear_run_transforms_once_per_state(self, monkeypatch):
-        # cutoff 1.4 lies inside the 2/3 band at N = L = 16
-        datum = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4)
-        full, band, forward, cubics = [], [], [], []
-        monkeypatch.setattr(ev, "transform_inverse", _counted(ev.transform_inverse, full))
-        monkeypatch.setattr(ev, "band_inverse", _counted(ev.band_inverse, band))
-        monkeypatch.setattr(ev, "transform_forward", _counted(ev.transform_forward, forward))
-        monkeypatch.setattr(ev, "band_forward", _counted(ev.band_forward, forward))
-        monkeypatch.setattr(ev, "nonlinear_term", _counted(ev.nonlinear_term, cubics))
-        state = ev.initial_state(datum, nonlinear=False)
-        assert state.band_limited
-        dg.record(state, SCHEDULE)
-        for t in (0.01, 0.02):
-            (state,) = ev.advance(state, (t,), 0.005)
-            dg.record(state, SCHEDULE)
-        ev.stability_bound(state)
-        n = state.step_count
-        assert n == 4
-        assert cubics == []
-        # each of the n + 1 states: one dealiased inverse, no full inverse
-        # and, with no cubic, no forward transform
-        assert len(band) == n + 1
+        # the records and the bounds read the rates: no full inverse
         assert full == []
-        assert forward == []
+        # each of the n + 1 states: one dealiased inverse and, nonlinear,
+        # one forward transform of its cube; each nonlinear step: three RK4
+        # stage cubics, which transform the compact band; no record
+        # computes a cubic
+        stages = 3 * n if nonlinear else 0
+        assert len(stage_cubics) == stages
+        assert len(band) == (n + 1) + stages
+        assert len(forward) == (n + 1 if nonlinear else 0)
+        assert len(stage_forward) == stages
+        assert all(dealiased for _, dealiased in forward)
 
 
 class TestSplittingSplit:

@@ -2,7 +2,6 @@
 
 import warnings
 import weakref
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from critheat.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    l4_fourth,
     sobolev_inner,
     sobolev_norm_sq,
     transform_forward,
@@ -188,18 +188,16 @@ class TestStep:
         assert err.value.last_state.step_count >= 0
 
     def test_band_limited_blow_up_guard(self):
-        # a band-limited state's rates sum u^4 before the forward transform
-        # of its cube names the blow-up; no overflow warning comes first
+        # a state's rates sum u^4 before the forward transform of its cube
+        # names the blow-up; no overflow warning comes first
         unit = dc.synthesize_datum(TorusGrid(16, 16.0), 0.0, 1.4)
         datum = SpectralField(unit.grid, 1000.0 * unit.coefficients)
         state = ev.initial_state(datum)
-        assert state.band_limited
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ev.BlowUpSuspected) as err:
+            with pytest.raises(ev.BlowUpSuspected):
                 for _ in range(100):
                     state = ev.step(state, 0.01)
-        assert err.value.last_state.band_limited
 
     def test_duhamel_order_small_amplitude(self, grid):
         # ||u(t) - e^{t Delta} u0|| = O(delta^3)
@@ -217,12 +215,12 @@ class TestStep:
 
 
 def masked_cubic(coeffs: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The dealiased cubic from the full transforms and the 2/3 mask, and the cube it transforms."""
+    """The dealiased cubic from the full transforms and the 2/3 mask, and the masked field."""
     mask = kept_band_mask(grid)
     v = transform_inverse(SpectralField(grid, coeffs * mask)).values
     cube = v * v
     cube *= v
-    return transform_forward(PhysicalField(grid, cube)).coefficients * mask, cube
+    return transform_forward(PhysicalField(grid, cube)).coefficients * mask, v
 
 
 class TestCompactStepOracle:
@@ -230,7 +228,8 @@ class TestCompactStepOracle:
 
     The oracle keeps the whole update on the half lattice, with every stage
     a cubic of the masked field, so it never gathers or scatters a band.
-    The step must reproduce it bit for bit: coefficients and rates.
+    The step must reproduce it bit for bit: coefficients and rates, sup |u|
+    and h^4 sum u^4 of the masked field included.
     """
 
     @staticmethod
@@ -244,9 +243,11 @@ class TestCompactStepOracle:
             c, _ = masked_cubic(e1 * u + 0.5 * dt * b, grid)
             d, _ = masked_cubic(e2 * u + dt * e1 * c, grid)
             u = e2 * u + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
-            a, cube = masked_cubic(u, grid)
-            spec = SpectralField(grid, u)
+            a, v = masked_cubic(u, grid)
+            spec, sq, cube = SpectralField(grid, u), v * v, v * v * v
             rates = (
+                float(np.abs(v).max()),
+                float(grid.spacing**4 * np.sum(sq * sq)),
                 sobolev_norm_sq(spec, 2.0),
                 sobolev_inner(spec, SpectralField(grid, a), 1.0),
                 float(grid.spacing**4 * np.sum(cube * cube)),
@@ -270,12 +271,12 @@ class TestCompactStepOracle:
             dt = 0.01
         grid = u0.grid
         state = ev.initial_state(u0)
-        assert state.band_limited == (datum == "power_law")
         for want, want_rates in self.oracle(u0.coefficients, grid, dt, 3):
             state = ev.step(state, dt)
             assert np.array_equal(state.u_hat.coefficients, want)
             got = state.rates()
-            assert [x.hex() for x in (got.dissipation, got.pairing, got.l6)] == [
+            got_rates = (got.sup, got.l4_fourth, got.dissipation, got.pairing, got.l6)
+            assert [x.hex() for x in got_rates] == [
                 x.hex() for x in want_rates
             ]
         assert state.pairing_integral != 0.0
@@ -342,7 +343,8 @@ class TestLatticeArraysHeldOnce:
 
 
 class TestHeldField:
-    """A band-limited state stays band-limited, and its rates compute its norms."""
+    """A power law inside the band keeps its out-of-band modes zero, and every
+    state's rates compute its norms from its dealiased field."""
 
     @pytest.fixture()
     def power_law(self) -> SpectralField:
@@ -353,55 +355,55 @@ class TestHeldField:
     def test_steps_keep_out_of_band_modes_zero(self, power_law, nonlinear):
         outside = ~kept_band_mask(power_law.grid)
         state = ev.initial_state(power_law, nonlinear=nonlinear)
-        assert state.band_limited
         for _ in range(3):
             state = ev.step(state, 0.05)
-            assert state.band_limited
             assert np.all(state.u_hat.coefficients[outside] == 0)
             assert np.count_nonzero(state.u_hat.coefficients) > 0
-
-    def test_forcing_clears_the_flag(self, power_law):
-        state = ev.initial_state(power_law)
-        forced = ev.step(state, 0.05, forcing=lambda t: np.zeros(power_law.grid.spectral_shape))
-        assert not forced.band_limited
 
     @pytest.mark.parametrize("datum", ["power_law", "random"])
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_norms_equal_the_full_inverse_norms(self, power_law, random_spec, datum, nonlinear):
-        # a band-limited state reads the dealiased field of its rates; any
-        # other state, like the fresh one here, a full inverse transform
+        # the norms are those of the full inverse of the masked field; for a
+        # power law inside the band the mask changes nothing
         u0 = power_law if datum == "power_law" else random_spec
         (state,) = ev.advance(ev.initial_state(u0, nonlinear=nonlinear), (0.1,), 0.05)
-        assert state.band_limited == (datum == "power_law")
-        got = state.observables()
-        fresh = ev.SolverState(state.t, state.u_hat, nonlinear=nonlinear, band_limited=False)
-        assert got == fresh.observables()
+        full = transform_inverse(state.u_hat)
+        if datum == "random":
+            mask = kept_band_mask(u0.grid)
+            masked = transform_inverse(SpectralField(u0.grid, state.u_hat.coefficients * mask))
+            assert l4_fourth(full) != l4_fourth(masked)
+            full = masked
+        rates = state.rates()
+        assert (rates.sup, rates.l4_fourth) == (float(np.abs(full.values).max()), l4_fourth(full))
 
     @pytest.mark.parametrize("datum", ["power_law", "random"])
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_observables_after_a_step_left_the_state(
         self, power_law, random_spec, datum, nonlinear
     ):
-        # a step computes the rates of the state it leaves, and with them
-        # the observables of a band-limited one
+        # a step computes the rates of the state it leaves, sup |u| and
+        # h^4 sum u^4 with them
         u0 = power_law if datum == "power_law" else random_spec
         left = ev.initial_state(u0, nonlinear)
         ev.step(left, 0.05)
-        fresh = ev.initial_state(u0, nonlinear).observables()
-        got = left.observables()
-        assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(fresh)]
+        fresh = ev.initial_state(u0, nonlinear).rates()
+        got = left.rates()
+        assert [v.hex() for v in (got.sup, got.l4_fourth)] == [
+            v.hex() for v in (fresh.sup, fresh.l4_fourth)
+        ]
 
     @pytest.mark.parametrize("datum", ["power_law", "random"])
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_which_rates_compute_the_observables(self, power_law, random_spec, datum, nonlinear):
+        # every state's rates carry its observables, whatever its datum
         state = ev.initial_state(power_law if datum == "power_law" else random_spec, nonlinear)
         state.rates()
-        assert (state._observables is not None) == (datum == "power_law")
         before = dict(vars(state))
         new = ev.step(state, 0.05)
         # the step writes nothing to the state it leaves
         assert all(getattr(state, name) is value for name, value in before.items())
-        assert (new._observables is not None) == (datum == "power_law")
+        for rates in (state._rates, new._rates):
+            assert rates.sup > 0 and rates.l4_fourth > 0
 
 
 class TestManufacturedOrder:

@@ -27,7 +27,6 @@ from critheat.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    is_band_limited,
     sobolev_norm_sq,
     transform_inverse,
 )
@@ -85,6 +84,22 @@ class TestParseConfig:
         path.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(path, "nonlinear-decay")
+
+    def test_key_set_twice_rejected(self, tmp_path, capsys):
+        # the later value does not silently win: the run exits 2 and writes nothing
+        path = tmp_path / "c.cfg"
+        path.write_text(
+            "points_per_dim = 16\nt_end = 0.01\ndt = 0.001\n# a comment\n"
+            "snapshot_count = 4\ndt = 0.002\n"
+        )
+        reason = f"{path}:6: dt is set twice (first on line 3)"
+        with pytest.raises(ConfigError) as err:
+            parse_config(path, "lyapunov")
+        assert str(err.value) == reason
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentSpec("lyapunov", str(path), out)) == 2
+        assert capsys.readouterr().out == f"config error: {reason}\n"
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -340,7 +355,8 @@ class TestFloatKeys:
 
 
 # extreme values: an int key draws ints up to 2 10^400 and a float key these;
-# a str key draws from STR_VALUES, every datum and one unknown name, or a path
+# a str key draws from STR_VALUES, every datum and one unknown name, or a path;
+# a config is up to five lines, and a key may be set on more than one
 EXTREME = [
     "0", "5e-324", "1e-321", "1e-300", "1e-38", "1e38", "1e300", "1.7e308",
     "-5e-324", "-1e-321", "-1e-300", "-1e-38", "-1e38", "-1e300", "-1.7e308", "-1",
@@ -349,13 +365,16 @@ STR_VALUES = {
     "datum": ["bump", "power_law", "file", "wavelet"],
     "datum_file": ["u0.chk", "/nonexistent/u0.chk"],
 }
-EXTREME_CONFIGS = st.lists(st.sampled_from(fields(HarnessConfig)), max_size=5, unique=True).flatmap(
-    lambda keys: st.fixed_dictionaries({
-        f.name: st.integers(-2 * 10**400, 2 * 10**400).map(str)
-        if f.type == "int"
-        else st.sampled_from(STR_VALUES[f.name] if f.type == "str" else EXTREME)
-        for f in keys
-    })
+EXTREME_CONFIGS = st.lists(
+    st.sampled_from(fields(HarnessConfig)).flatmap(
+        lambda f: st.tuples(
+            st.just(f.name),
+            st.integers(-2 * 10**400, 2 * 10**400).map(str)
+            if f.type == "int"
+            else st.sampled_from(STR_VALUES[f.name] if f.type == "str" else EXTREME),
+        )
+    ),
+    max_size=5,
 )
 
 
@@ -365,23 +384,27 @@ def totality_cfg(tmp_path_factory):
 
 
 class TestTotality:
-    """parse_config returns or raises ConfigError on every config, and warns of nothing."""
+    """parse_config returns or raises ConfigError on every config, and warns of
+    nothing; a config that sets a key twice always raises."""
 
     @settings(max_examples=500, derandomize=True, deadline=None)
-    @given(experiment=st.sampled_from(EXPERIMENT_NAMES), keys=EXTREME_CONFIGS)
-    @example(experiment="lyapunov", keys={"t_end": "5e-324"})
-    @example(experiment="linear-decay", keys={"t_end": "1e-321"})
-    @example(experiment="linear-decay", keys={"points_per_dim": "1" + "0" * 400})
-    @example(experiment="nonlinear-decay", keys={"datum": "file", "datum_file": "u0.chk"})
-    @example(experiment="lyapunov", keys={"datum": "power_law", "cutoff_rho": "1e-38"})
-    def test_parse_config_is_total(self, totality_cfg, experiment, keys):
-        totality_cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    @given(experiment=st.sampled_from(EXPERIMENT_NAMES), lines=EXTREME_CONFIGS)
+    @example(experiment="lyapunov", lines=[("t_end", "5e-324")])
+    @example(experiment="linear-decay", lines=[("t_end", "1e-321")])
+    @example(experiment="linear-decay", lines=[("points_per_dim", "1" + "0" * 400)])
+    @example(experiment="nonlinear-decay", lines=[("datum", "file"), ("datum_file", "u0.chk")])
+    @example(experiment="lyapunov", lines=[("datum", "power_law"), ("cutoff_rho", "1e-38")])
+    @example(experiment="lyapunov", lines=[("t_end", "0"), ("t_end", "0")])
+    def test_parse_config_is_total(self, totality_cfg, experiment, lines):
+        totality_cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+        repeated = len({k for k, _ in lines}) < len(lines)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 parse_config(totality_cfg, experiment)
             except ConfigError:
-                pass
+                return
+        assert not repeated
 
 
 TINY = "points_per_dim = 16\nt_end = 0.01\nsnapshot_count = 4\n"
@@ -496,6 +519,18 @@ class TestBuildDatum:
         build_datum(HarnessConfig(points_per_dim=16, datum=datum, delta=delta))
         assert tuple(counts.values()) == transforms
 
+    def test_bump_state_reads_its_dealiased_field(self):
+        # a bump has modes outside the 2/3 band: the record and the stability
+        # bound read the dealiased field the cubic sees, not the full field
+        u0 = build_datum(HarnessConfig(points_per_dim=16, side_length=32.0, datum="bump"))
+        state = ev.initial_state(u0)
+        rec = dg.record(state, dg.SplittingSchedule(dg.POWER, 2.5))
+        field = spectral.band_inverse(spectral.gather_band(u0.coefficients), u0.grid)
+        sup = float(np.abs(field.values).max())
+        assert rec.l4_fourth.hex() == spectral.l4_fourth(field).hex()
+        assert ev.stability_bound(state).hex() == ev.stable_dt(u0.grid, sup).hex()
+        assert spectral.l4_fourth(transform_inverse(u0)) != rec.l4_fourth
+
     def test_file_datum_roundtrip(self, tmp_path):
         grid = TorusGrid(16, 32.0)
         rng = np.random.default_rng(3)
@@ -567,54 +602,6 @@ class TestRunSimulation:
         experiments.run_simulation(cfg, build_datum(cfg), {"primary": sched})
         assert len(snapshots) == 5 and later_substeps
         assert pinned == []
-
-
-class TestBandLimitedDatum:
-    """Which data start band-limited, and that their rates' norms change no byte."""
-
-    @pytest.mark.parametrize("config, limited", [
-        # the power-law cutoff 1.4 against the band edge floor(N/3) 2 pi / L
-        ("points_per_dim = 16\nside_length = 16\n", True),   # edge 1.96
-        ("points_per_dim = 32\nside_length = 32\n", True),   # edge 1.96
-        ("points_per_dim = 16\nside_length = 32\n", False),  # edge 0.98
-        ("points_per_dim = 16\ndatum = bump\n", False),
-    ])
-    def test_built_datum_flag(self, tmp_path, config, limited):
-        path = tmp_path / "c.cfg"
-        path.write_text(config)
-        u0_hat = build_datum(parse_config(path, "nonlinear-decay"))
-        assert ev.initial_state(u0_hat).band_limited is limited
-
-    def test_file_datum_is_not_band_limited(self, tmp_path):
-        # a band-limited power-law spectrum with random phases; its round
-        # trip through physical space leaves roundoff outside the band
-        path = tmp_path / "c.cfg"
-        path.write_text("points_per_dim = 16\nside_length = 16\n")
-        spectral = build_datum(parse_config(path, "nonlinear-decay"))
-        grid = spectral.grid
-        noise = np.fft.rfftn(np.random.default_rng(7).standard_normal(grid.shape))
-        phased = SpectralField(grid, spectral.coefficients * (noise / np.abs(noise)))
-        assert is_band_limited(phased)
-        chk = tmp_path / "u0.chk"
-        ev.save_checkpoint(chk, transform_inverse(phased), t=0.0, step_count=0)
-        path.write_text(f"points_per_dim = 16\nside_length = 16\ndatum = file\ndatum_file = {chk}\n")
-        assert not ev.initial_state(build_datum(parse_config(path, "nonlinear-decay"))).band_limited
-
-    @pytest.mark.parametrize("experiment", ["linear-decay", "nonlinear-decay"])
-    def test_held_field_changes_no_byte(self, tmp_path, monkeypatch, experiment):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("points_per_dim = 16\nside_length = 16\nt_end = 0.2\nsnapshot_count = 8\n")
-        assert ev.initial_state(build_datum(parse_config(cfg, experiment))).band_limited
-        outputs = {}
-        for name in ("rates", "full"):
-            if name == "full":
-                # every state then takes its norms from a full inverse transform
-                monkeypatch.setattr(ev, "is_band_limited", lambda field: False)
-                assert not ev.initial_state(build_datum(parse_config(cfg, experiment))).band_limited
-            out = tmp_path / name
-            run_experiment(ExperimentSpec(experiment, str(cfg), out))
-            outputs[name] = [(out / f).read_bytes() for f in ("series.csv", "summary.json")]
-        assert outputs["rates"] == outputs["full"]
 
 
 # the keys every run that steps a state reads, before its datum's
@@ -1118,9 +1105,11 @@ class TestRunExperiment:
         assert summary["passed"] is False
         assert summary["verdicts"] == {"no_blow_up": False}
         blow_up = summary["blow_up"]
-        assert blow_up["step_count"] == 19
-        assert blow_up["t"] == pytest.approx(0.0115189, rel=1e-5)
-        assert "non-finite values at t=0.0115189 after 19 steps" in blow_up["reason"]
+        # the step bound reads the dealiased field's sup |u|, 11.88 against
+        # the full field's 20
+        assert blow_up["step_count"] == 14
+        assert blow_up["t"] == pytest.approx(0.011562, rel=1e-5)
+        assert "non-finite values at t=0.011562 after 14 steps" in blow_up["reason"]
         assert (out / "series.csv").read_text().strip() == ",".join(CSV_COLUMNS)
 
 
