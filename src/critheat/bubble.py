@@ -9,18 +9,21 @@ s = rho^2 / 8 to Beta integrals:
     E(W) = 8 pi^2 / 3 = (1/4) ||W||_{Hdot^1}^2,
     C_Sobolev = ||grad W||_{L^2}^{-1/2} = (3 / (32 pi^2))^{1/4}.
 
-This module evaluates them by radial quadrature (composite Gauss-Legendre
-of order 16 in log rho on [1e-6, r_max], r_max = 1e6 by default, with a
-recorded truncation estimate) so the hard-coded Beta values stay
-independent test oracles.
+The Beta values, and the slope 128 pi^2 of W's truncated L^2 mass
+against ln R (W^2 ~ 64 |x|^{-4}), are defined here and nowhere else:
+`GRAD_W_L2_SQ`, `BUBBLE_ENERGY` and `L2_GROWTH_SLOPE`. This module also
+evaluates the integrals by radial quadrature (composite Gauss-Legendre of
+order 16 in log rho on [1e-6, r_max], r_max = 1e6 by default, with a
+recorded truncation estimate), so the Beta values stay independent
+oracles for it.
 
 W is never placed on the torus as solver initial data: it is not in
 L^2(R^4) (truncated mass grows logarithmically), so torus truncation of
 its |x|^{-2} tail is uncontrolled. W sets the small-data regime instead:
 every bump or power-law datum is scaled to ||grad u0|| = delta ||grad W||
-with the Beta value of ||grad W||^2 and, when delta^2 > 1/2, checked
-against E(W) (`experiments.build_datum`). This module knows nothing of
-the torus.
+with `GRAD_W_L2_SQ` and, when delta^2 > 1/2, its recorded energy is
+checked against `BUBBLE_ENERGY` (`experiments.build_datum`). This module
+knows nothing of the torus and imports no other critheat module.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gamma as _gamma
 from numpy.polynomial.legendre import leggauss
+
+GRAD_W_L2_SQ = 32.0 * np.pi**2 / 3.0   # ||grad W||^2 = ||W||_{L^4}^4
+BUBBLE_ENERGY = 8.0 * np.pi**2 / 3.0   # E(W)
+L2_GROWTH_SLOPE = 128.0 * np.pi**2     # d/d(ln R) of the truncated mass of W^2
 
 
 def bubble_radial(rho: np.ndarray) -> np.ndarray:

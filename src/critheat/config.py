@@ -61,12 +61,16 @@ window and schedule alpha.
 `profile_r` is the q* of the datum: the exponent a power-law datum is
 built with, and the stated q* of a `datum = file` checkpoint, which
 cannot be read off the file (default 0). A bump datum has q* = 1. The q*
-sets the decay bound min(2 + q*, 1) and the power-schedule alpha, which
-must keep g(t) and g'(t) finite up to t_end.
+sets the decay bound min(2 + q*, 1) (`diagnostics.decay_bound`) and the
+power-schedule alpha, which must keep g(t) and g'(t) finite up to t_end.
 
 Every bump or power-law datum must lie in the small-data regime,
 ||grad u0|| <= ||grad W|| and E(u0) <= E(W), or the run is a config
-error (`experiments.build_datum`). A file datum is not checked against
+error (`experiments.build_datum`). The first holds for every delta <= 1,
+and the second for every delta^2 <= 1/2; above that the datum's E(u0) is
+the energy its run records at t = 0, that of the computed 2/3-truncated
+system, so a datum is admitted exactly when its series.csv starts at or
+below E(W) (`bubble.BUBBLE_ENERGY`). A file datum is not checked against
 that regime: it is the way to take a run out of it, for example to a
 datum that blows up, which the run then reports as a failed check.
 

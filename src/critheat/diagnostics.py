@@ -40,8 +40,9 @@ Monitors:
     with centered differences on the snapshot grid and an allowance for
     their truncation error;
   * rate fits: least-squares slope of log h1_sq against log(1+t),
-    compared one-sidedly with min{2 + q*, 1}, less `BOUND_TOL`: observed
-    decay may be faster than the bound, never slower.
+    compared one-sidedly with the paper's bound min{2 + q*, 1}
+    (`decay_bound`, its one definition), less `BOUND_TOL`: observed decay
+    may be faster than the bound, never slower.
 """
 
 from __future__ import annotations
@@ -228,14 +229,18 @@ def fit_decay_rate(records: Sequence[DiagnosticsRecord], window: tuple[float, fl
     return RateFit(float(slope), (float(t0), float(t1)), resid)
 
 
+def decay_bound(q_star: float) -> float:
+    """The exponent of the decay bound ||u(t)||_{Hdot^1}^2 <= C (1+t)^{-min{2+q*, 1}}."""
+    return min(2.0 + q_star, 1.0)
+
+
 def bound_check(q_star: float, fit: RateFit) -> bool:
-    """One-sided check of the decay bound (1+t)^{-min{2+q*, 1}}.
+    """One-sided check of the decay bound `decay_bound(q_star)`.
 
     Passes when the observed decay exponent (-fit.exponent) is at least
-    min{2+q*, 1} - `BOUND_TOL`; faster observed decay always passes.
+    the bound less `BOUND_TOL`; faster observed decay always passes.
     """
-    bound = min(2.0 + q_star, 1.0)
-    return bool(-fit.exponent >= bound - BOUND_TOL)
+    return bool(-fit.exponent >= decay_bound(q_star) - BOUND_TOL)
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,7 @@ from . import decay as dc
 from . import diagnostics as dg
 from . import evolution as ev
 from .config import REFINEMENT_LEVELS, ConfigError, HarnessConfig, parse_config
-from .spectral import (
-    SpectralField,
-    TorusGrid,
-    l4_fourth,
-    sobolev_norm_sq,
-    transform_forward,
-    transform_inverse,
-)
-
-GRAD_W_L2_SQ = 32.0 * np.pi**2 / 3.0   # ||grad W||^2, Beta-integral value
-BUBBLE_ENERGY = 8.0 * np.pi**2 / 3.0
-L2_GROWTH_SLOPE = 128.0 * np.pi**2     # d/d(ln R) of the truncated mass of W^2
+from .spectral import SpectralField, TorusGrid, l4_fourth, sobolev_norm_sq, transform_forward
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,9 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
     `decay.synthesize_datum`) scaled to ||grad u0|| = delta ||grad W||, and
     must lie in the small-data regime. ||grad u0|| <= ||grad W|| holds since
     delta <= 1. E(u0) <= ||grad u0||^2 / 2 = 2 delta^2 E(W), so E(u0) <= E(W)
-    holds for delta^2 <= 1/2; above that E(u0) is computed from the datum,
+    holds for delta^2 <= 1/2; above that E(u0) is the energy the run records
+    at t = 0 (`diagnostics.record` of the initial state, bit for bit
+    series.csv's first `energy`), that of the computed 2/3-truncated system,
     and E(u0) > E(W) is a config error. So is a file datum that cannot be
     read, is not finite or is too large to record, a power-law datum whose
     profile_r overflows it, and any datum with ||grad u0|| = 0, which has no
@@ -89,7 +80,7 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
     grid = TorusGrid(cfg.points_per_dim, cfg.side_length)
     if cfg.datum == "file":
         return _file_datum(cfg, grid)
-    grad_sq, tiny = cfg.delta**2 * GRAD_W_L2_SQ, np.finfo(float).tiny
+    grad_sq, tiny = cfg.delta**2 * bb.GRAD_W_L2_SQ, np.finfo(float).tiny
     if grad_sq < tiny:
         raise ConfigError(
             f"delta = {cfg.delta} gives a {cfg.datum} datum with ||grad u0||^2 = delta^2 "
@@ -102,13 +93,16 @@ def build_datum(cfg: HarnessConfig) -> SpectralField:
             f"shell lies below it (the first is at 2 pi / side_length = "
             f"{grid.frequency_spacing:.4g})"
         )
-    u0_hat = SpectralField(grid, raw.coefficients * (cfg.delta * np.sqrt(GRAD_W_L2_SQ) / h1))
+    u0_hat = SpectralField(grid, raw.coefficients * (cfg.delta * np.sqrt(bb.GRAD_W_L2_SQ) / h1))
     if cfg.delta**2 > 0.5:
-        energy = 0.5 * sobolev_norm_sq(u0_hat, 1.0) - 0.25 * l4_fourth(transform_inverse(u0_hat))
-        if energy > BUBBLE_ENERGY:
+        # a linear state records the nonlinear one's energy, from the same
+        # dealiased field, and transforms no cube
+        start = ev.initial_state(u0_hat, nonlinear=False)
+        energy = dg.record(start, cfg.splitting_schedule()).energy
+        if energy > bb.BUBBLE_ENERGY:
             raise ConfigError(
                 f"delta = {cfg.delta} gives a {cfg.datum} datum outside the small-data "
-                f"regime: E(u0) = {energy:.6g} > E(W) = {BUBBLE_ENERGY:.6g}"
+                f"regime: E(u0) = {energy:.6g} > E(W) = {bb.BUBBLE_ENERGY:.6g}"
             )
     return u0_hat
 
@@ -182,9 +176,9 @@ def _base_summary(name: str, cfg: HarnessConfig) -> dict:
 def _bubble_constants(cfg: HarnessConfig) -> tuple[dict, list]:
     consts = bb.bubble_constants()
     checks = {
-        "grad_l2_sq": (consts.grad_l2_sq, GRAD_W_L2_SQ),
-        "l4_fourth": (consts.l4_fourth, GRAD_W_L2_SQ),
-        "energy": (consts.energy, BUBBLE_ENERGY),
+        "grad_l2_sq": (consts.grad_l2_sq, bb.GRAD_W_L2_SQ),
+        "l4_fourth": (consts.l4_fourth, bb.GRAD_W_L2_SQ),
+        "energy": (consts.energy, bb.BUBBLE_ENERGY),
         "sobolev_constant": (consts.sobolev_constant, (3.0 / (32.0 * np.pi**2)) ** 0.25),
     }
     verdicts = {
@@ -209,7 +203,7 @@ def _bubble_constants(cfg: HarnessConfig) -> tuple[dict, list]:
     radii = np.geomspace(1e2, 1e4, 9)
     masses = bb.truncated_l2_growth(radii)
     slope = float(np.polyfit(np.log(radii), masses, 1)[0])
-    verdicts["l2_growth_slope"] = abs(slope / L2_GROWTH_SLOPE - 1.0) <= 0.02
+    verdicts["l2_growth_slope"] = abs(slope / bb.L2_GROWTH_SLOPE - 1.0) <= 0.02
 
     summary = _base_summary("bubble-constants", cfg)
     summary.update(
@@ -231,7 +225,7 @@ def _bubble_constants(cfg: HarnessConfig) -> tuple[dict, list]:
                 "radii": list(map(float, radii)),
                 "masses": masses,
                 "slope_vs_lnR": slope,
-                "expected_slope": L2_GROWTH_SLOPE,
+                "expected_slope": bb.L2_GROWTH_SLOPE,
             },
             "verdicts": verdicts,
         }
@@ -336,7 +330,7 @@ def _linear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     records = run_simulation(cfg, build_datum(cfg), schedules, nonlinear=False)["primary"]
     fit, fit_entry = _fit_decay(records, cfg.resolved_fit_window())
     q_star = cfg.nominal_q_star()
-    expected_exponent = 2.0 + q_star
+    expected_exponent = dc.linear_decay_exponent(q_star, 1.0)
 
     verdicts = {
         "oracle_grid": oracle_ok,
@@ -389,7 +383,7 @@ def _nonlinear_decay(cfg: HarnessConfig) -> tuple[dict, list]:
     summary.update(
         {
             "q_star": q_star,
-            "decay_bound": min(2.0 + q_star, 1.0),
+            "decay_bound": dg.decay_bound(q_star),
             "bound_tol": dg.BOUND_TOL,
             "fit": fit_entry,
             "partition_max_defect": partition,

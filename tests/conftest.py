@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from critheat import evolution as ev
-from critheat.spectral import PhysicalField, SpectralField, TorusGrid, gather_band, scatter_band
+from critheat.spectral import (
+    PhysicalField,
+    SpectralField,
+    TorusGrid,
+    gather_band,
+    l4_fourth,
+    scatter_band,
+    sobolev_norm_sq,
+    transform_inverse,
+)
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +37,12 @@ def kept_band_mask(grid: TorusGrid) -> np.ndarray:
     full = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= n / 3.0
     half = np.abs(np.fft.rfftfreq(n, 1.0 / n)) <= n / 3.0
     return full[:, None, None, None] & full[None, :, None, None] & full[None, None, :, None] & half
+
+
+def masked_energy(u_hat: SpectralField) -> float:
+    """(1/2) ||grad u||^2 - (1/4) ||u||_{L^4}^4 with u the full inverse of the 2/3-masked spectrum."""
+    masked = SpectralField(u_hat.grid, u_hat.coefficients * kept_band_mask(u_hat.grid))
+    return 0.5 * sobolev_norm_sq(u_hat, 1.0) - 0.25 * l4_fourth(transform_inverse(masked))
 
 
 def full_cubic(u_hat: SpectralField) -> SpectralField:

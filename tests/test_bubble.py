@@ -8,7 +8,9 @@ from critheat import bubble as bb
 from critheat import decay as dc
 from critheat.config import ConfigError, HarnessConfig
 from critheat.experiments import build_datum
-from critheat.spectral import SpectralField, TorusGrid, sobolev_norm_sq, transform_inverse
+from critheat.spectral import SpectralField, TorusGrid, sobolev_norm_sq
+
+from conftest import masked_energy
 
 GRAD_EXACT = 32.0 * np.pi**2 / 3.0
 
@@ -124,13 +126,16 @@ class TestTruncatedL2Growth:
 
 
 class TestSubcriticalDatum:
-    """The bump datum sized against W by `experiments.build_datum`."""
+    """The bump datum sized against W by `experiments.build_datum`.
+
+    E(u0) is that of the computed 2/3-truncated system, the energy a run
+    records: here the full inverse of the masked spectrum.
+    """
 
     def test_small_delta_conditions_hold(self):
         u0 = build_datum(HarnessConfig(points_per_dim=16, datum="bump", delta=0.1))
         grad_l2 = np.sqrt(sobolev_norm_sq(u0, 1.0))
-        energy = 0.5 * grad_l2**2 - 0.25 * u0.grid.spacing**4 * np.sum(transform_inverse(u0).values**4)
-        assert grad_l2 <= np.sqrt(GRAD_EXACT) and energy <= GRAD_EXACT / 4
+        assert grad_l2 <= np.sqrt(GRAD_EXACT) and masked_energy(u0) <= GRAD_EXACT / 4
         assert grad_l2 == pytest.approx(0.1 * np.sqrt(GRAD_EXACT), rel=1e-10)
 
     def test_large_delta_energy_checked_not_assumed(self):
@@ -139,8 +144,7 @@ class TestSubcriticalDatum:
         grid = TorusGrid(16, 32.0)
         unit = dc.bump_datum(grid)
         scale = 0.9 * np.sqrt(GRAD_EXACT / sobolev_norm_sq(unit, 1.0))
-        u0 = transform_inverse(SpectralField(grid, scale * unit.coefficients))
-        direct = 0.5 * 0.9**2 * GRAD_EXACT - 0.25 * grid.spacing**4 * np.sum(u0.values**4)
+        direct = masked_energy(SpectralField(grid, scale * unit.coefficients))
         assert direct > GRAD_EXACT / 4
         message = rf"^delta = 0.9 gives a bump datum outside the small-data regime: E\(u0\) = {direct:.6g} > "
         with pytest.raises(ConfigError, match=message):

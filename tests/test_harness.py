@@ -32,7 +32,7 @@ from critheat.spectral import (
 )
 from critheat.cli import main
 
-from conftest import traced_peak
+from conftest import masked_energy, traced_peak
 
 
 class TestParseConfig:
@@ -474,37 +474,59 @@ class TestBuildDatum:
         h1 = np.sqrt(sobolev_norm_sq(u0, 1.0))
         assert h1 == pytest.approx(0.1 * np.sqrt(32 * np.pi**2 / 3), rel=1e-10)
 
-    def test_energy_decides_above_delta_squared_half(self):
+    def test_energy_decides_above_delta_squared_half(self, tmp_path, capsys, monkeypatch):
         # ||grad u0|| = delta ||grad W|| for every size; above delta^2 = 1/2 the
-        # datum's own energy decides: the bump at 0.75 lies below E(W), the
-        # q* = 0 power law at 0.8 above it (the bump at 0.1 and 0.9 is in test_bubble)
+        # energy the run records at t = 0 decides, that of the dealiased field
+        # the cubic sees. Near E(W) the full field's energy falls on the other
+        # side: the power law at 0.76 lies above E(W) and its full field below,
+        # the bump at 0.787023 below and its full field above (the bump at 0.1
+        # and 0.9 is in test_bubble)
         grad_w_sq = 32 * np.pi**2 / 3
         grid = TorusGrid(16, 32.0)
         units = {"bump": dc.bump_datum(grid), "power_law": dc.synthesize_datum(grid, 0.0, 1.4)}
-        for datum, delta, admissible in (
-            ("bump", 0.75, True),
-            ("power_law", 0.8, False),
+        records, record = [], dg.record
+        monkeypatch.setattr(dg, "record", lambda *a: records.append(record(*a)) or records[-1])
+        for datum, delta, admissible, edge in (
+            ("bump", 0.75, True, False),
+            ("bump", 0.787023, True, True),
+            ("power_law", 0.76, False, True),
+            ("power_law", 0.8, False, False),
         ):
             unit = units[datum]
-            scale = delta * np.sqrt(grad_w_sq / sobolev_norm_sq(unit, 1.0))
-            u0 = transform_inverse(SpectralField(grid, scale * unit.coefficients))
-            energy = 0.5 * delta**2 * grad_w_sq - 0.25 * grid.spacing**4 * np.sum(u0.values**4)
+            scale = delta * np.sqrt(grad_w_sq) / np.sqrt(sobolev_norm_sq(unit, 1.0))
+            u0 = SpectralField(grid, unit.coefficients * scale)
+            energy = masked_energy(u0)
             assert (energy <= grad_w_sq / 4) == admissible
-            cfg = HarnessConfig(points_per_dim=16, datum=datum, delta=delta)
+            full = 0.5 * sobolev_norm_sq(u0, 1.0) - 0.25 * spectral.l4_fourth(transform_inverse(u0))
+            assert (full <= grad_w_sq / 4) == (admissible != edge)
+            path, out = tmp_path / f"{datum}-{delta}.cfg", tmp_path / f"{datum}-{delta}"
+            path.write_text(
+                f"points_per_dim = 16\nside_length = 32\ndatum = {datum}\ndelta = {delta}\n"
+                "t_end = 0.01\nsnapshot_count = 4\n"
+            )
+            records.clear()
+            code = main(["lyapunov", "--config", str(path), "--out", str(out)])
+            printed = capsys.readouterr().out
             if admissible:
-                h1 = np.sqrt(sobolev_norm_sq(build_datum(cfg), 1.0))
-                assert h1 == pytest.approx(delta * np.sqrt(grad_w_sq), rel=1e-12)
+                # the gate's record is the first, made before the run's
+                assert code == 0
+                header, first = (out / "series.csv").read_text().splitlines()[:2]
+                recorded = float(first.split(",")[header.split(",").index("energy")])
+                assert records[0].energy.hex() == recorded.hex() == energy.hex()
+                assert records[0].h1_sq == pytest.approx(delta**2 * grad_w_sq, rel=1e-12)
             else:
-                with pytest.raises(ConfigError, match=f"^delta = {delta} gives a {datum} datum"):
-                    build_datum(cfg)
+                assert code == 2 and not out.exists()
+                assert f"E(u0) = {energy:.6g} > E(W) = {grad_w_sq / 4:.6g}" in printed
 
     @pytest.mark.parametrize(
         "datum, delta, transforms",
-        [("bump", 0.1, (1, 0)), ("power_law", 0.1, (0, 0)), ("bump", 0.75, (1, 1))],
+        [("bump", 0.1, (1, 0, 0)), ("power_law", 0.1, (0, 0, 0)), ("bump", 0.75, (1, 0, 1))],
     )
     def test_transforms_per_datum(self, monkeypatch, datum, delta, transforms):
-        # a bump costs one forward transform; an inverse, for E(u0), only above delta^2 = 1/2
-        counts = dict.fromkeys(("transform_forward", "transform_inverse"), 0)
+        # a bump costs one forward transform; above delta^2 = 1/2, E(u0) costs
+        # one dealiased inverse, the initial state's, and never a full one
+        names = ("transform_forward", "transform_inverse", "band_inverse")
+        counts = dict.fromkeys(names, 0)
         modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "critheat"]
         for name in counts:
             original = getattr(spectral, name)

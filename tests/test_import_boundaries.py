@@ -10,6 +10,9 @@ the solver state's rates stays one module's business. No module rebinds
 a module-level name from a function (`global`), so no call sets state
 that every later caller in the process shares. `bubble`, the ground state
 W on R^4, imports no other critheat module: it knows nothing of the torus.
+No run takes a full inverse transform: every field a run reads is the
+dealiased one, so `spectral.transform_inverse` is named only in `spectral`
+and in the package's exports, as the tests' oracle.
 """
 
 import ast
@@ -117,3 +120,14 @@ def test_bubble_imports_no_critheat_module():
     tree = ast.parse((SRC / "critheat" / "bubble.py").read_text(encoding="utf-8"))
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     assert relative == [] and not any(n.startswith("critheat") for n in _imported_modules(tree))
+
+
+def test_only_spectral_and_the_exports_name_the_full_inverse():
+    naming = {
+        path.stem
+        for path in sorted((SRC / "critheat").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "transform_inverse"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert naming == {"spectral", "__init__"}
