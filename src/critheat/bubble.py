@@ -28,11 +28,11 @@ knows nothing of the torus and imports no other critheat module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 from numpy.polynomial.legendre import leggauss
 
 GRAD_W_L2_SQ = 32.0 * np.pi**2 / 3.0   # ||grad W||^2 = ||W||_{L^4}^4
@@ -115,9 +115,13 @@ class BubbleConstants:
 
 def sobolev_constant_general(n: int) -> float:
     """Best constant of Hdot^1(R^n) subset L^{2n/(n-2)}:
-    sqrt(1/(pi n (n-2))) (Gamma(n)/Gamma(n/2))^{1/n}, n >= 3."""
+    sqrt(1/(pi n (n-2))) (Gamma(n)/Gamma(n/2))^{1/n}, n >= 3.
+
+    Gamma is `math.gamma`, exact at the integers; at a half-integer n/2 it
+    can differ from `scipy.special.gamma` in the last bit.
+    """
     return float(
-        np.sqrt(1.0 / (np.pi * n * (n - 2))) * (_gamma(n) / _gamma(n / 2.0)) ** (1.0 / n)
+        np.sqrt(1.0 / (np.pi * n * (n - 2))) * (math.gamma(n) / math.gamma(n / 2.0)) ** (1.0 / n)
     )
 
 

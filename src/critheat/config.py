@@ -98,14 +98,18 @@ from .evolution import reached, stable_dt
 from .spectral import TorusGrid
 
 # peak RSS of a run, a slope per N^4 point plus an intercept fitted to the
-# largest peak, energy-identity's (t_end 0.2, 8 snapshots): 66.9 MiB at
-# N = 16 and 200.8 at N = 32 when fitted. Fresh-process peaks now at N = 16
-# and 32, 3 to 7 runs each over hash seeds, the other keys at their
-# defaults: energy-identity 64.2-64.4 and 164.9-166.4 MiB, lyapunov
-# 62.5-62.7 and 141.2-141.7, nonlinear-decay 62.6-62.7 and 139.0-141.0,
-# linear-decay 61.0-61.2 and 97.0-97.3
+# largest peak, energy-identity's (t_end 0.2, 8 snapshots). The slope, 143
+# bytes, was fitted to its peaks of 66.9 MiB at N = 16 and 200.8 at N = 32.
+# The intercept fits its N = 16 peak, since no run imports scipy: 39.0-39.1
+# MiB less 143 * 16^4 bytes is 30.2 MiB, so 31 (it was 58 MiB with scipy's
+# ~27 MB loaded). Fresh-process peaks at N = 16 and 32, 3 runs each over
+# hash seeds 0-2, the other keys at their defaults: energy-identity
+# 38.8-39.1 and 140.0-141.2 MiB, lyapunov 37.4-38.3 and 116.6,
+# nonlinear-decay 36.9-37.1 and 117.3-117.4, linear-decay 34.7-34.9 and
+# 71.7-71.9. decay-character, which loads scipy.optimize to fit, peaks at
+# 79.9-80.1 and 92.8-92.9 MiB, above the line at N = 16 as it was before
 _RSS_BYTES_PER_POINT = 143
-_RSS_BASE_BYTES = 58 * 2**20
+_RSS_BASE_BYTES = 31 * 2**20
 # a snapshot's records, per splitting schedule: held records, the snapshot
 # time and the series.csv write, 1107 bytes with one schedule and 757 each
 # with two (tracemalloc peaks over 10^5 snapshots)

@@ -41,30 +41,50 @@ band (`_band_index`) holds only those modes, 22 % of a half spectrum at
 N = 16 and 18 % at N = 32; `gather_band` and `scatter_band` copy it out
 of and into a half-lattice array.
 
-The dealiased transforms run each 1D FFT pass only over the lines that
-hold a kept mode, and return, bit for bit, what the full `irfftn`/`rfftn`
-return on the masked input. `band_inverse(gather_band(c))` is the one
-dealiased inverse of a half spectrum c. `transform_forward(dealiased=True)`
-zeroes the discarded modes of a half spectrum, and `band_forward` gathers
-h^4 times the kept modes straight into a band. Bit identity rests on
-repeating pocketfft's own order and scaling:
+The FFTs are numpy.fft's 1D transforms, pocketfft as in scipy.fft. The
+dealiased transforms run each 1D FFT pass only over the lines that hold
+a kept mode, and return, bit for bit, what scipy.fft's full
+`irfftn`/`rfftn` return on the masked input (the tests' oracle).
+`band_inverse(gather_band(c))` is the one dealiased inverse of a half
+spectrum c. `transform_forward(dealiased=True)` zeroes the discarded
+modes of a half spectrum, and `band_forward` gathers h^4 times the kept
+modes straight into a band. Bit identity rests on repeating pocketfft's
+own order and scaling:
 
-  * inverse: the band is scattered into a zeroed half-lattice array;
-    complex passes over axes 0, 1 and 2, in that order, then one real
-    pass over axis 3, all unscaled, then one multiplication by 1/N^4,
-    the single factor `irfftn` applies after its last pass. A pass runs
-    only on the lines whose indices on the axes not yet transformed are
-    kept; every other line holds zeros and would stay zero;
+  * inverse: complex passes over axes 0, 1 and 2, in that order, then
+    one real pass over axis 3, all unscaled, then one multiplication by
+    1/N^4, the single factor `irfftn` applies after its last pass. A pass
+    runs only on the lines whose indices on the axes not yet transformed
+    are kept; every other line holds zeros and would stay zero. The real
+    pass (`irfft` with n = N) reads only the k_4 <= N/3 lines and
+    zero-pads them to N/2 + 1 itself;
   * forward: one real pass over axis 3, then complex passes over axes 0,
     1 and 2, all unscaled, each only on the lines whose indices on the
     axes already transformed are kept; every other line ends in discarded
-    modes.
+    modes. The full forward transform is the same passes over every line.
 
-Each line that runs is the same 1D transform as in the full pass. Each
-transform checks its input for finiteness; the band inverse checks only
-the band, and `evolution.initial_state` the modes it drops.
+`numpy.fft.rfftn` and `irfftn` are not used: they run the complex axes
+in the reverse order, which changes the last bit (at N = 16, 18 and 32).
 
-This module is the only one that calls scipy.fft or knows the lattice
+Each complex pass runs in place on the last, contiguous axis of an array
+that holds only the lines the pass transforms (`_fft_pass`): numpy's FFT
+runs its inner loop once per outer index it cannot merge, so a pass over
+a strided view of the lattice costs 2-3 times as much. Between passes one
+copy rotates the axes left, (a, b, c, d) -> (b, c, d, a), bringing the
+next axis last: the forward copy keeps only the kept indices of the axis
+just transformed (`_rotated_gather`), the inverse copy spreads the next
+axis's kept indices over N lines with zeros between (`_rotated_spread`).
+The inverse's real pass reads its lines along the first axis and writes
+the field in place. The inverse allocates the field first and runs its
+first two passes in the field's memory, which the real pass overwrites
+last, so it allocates one array besides its output and frees little at
+the top of the heap (glibc returns a large free heap top to the system,
+and the next arrays fault its pages in again). Each line that runs is the same 1D transform as in
+the full pass. Each transform checks its input for finiteness; the band
+inverse checks only the band, and `evolution.initial_state` the modes it
+drops.
+
+This module is the only one that calls an FFT or knows the lattice
 layout. All reductions are fixed-order numpy sums.
 """
 
@@ -72,10 +92,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
-import scipy.fft as _fft
 
 
 class NonFiniteField(ValueError):
@@ -207,13 +225,10 @@ def _band_index(n: int) -> tuple[tuple[np.ndarray, ...], slice]:
     return np.ix_(full, full, full), half
 
 
-def gather_band(a: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """The compact band of a half-lattice array, times `scale` if given."""
+def gather_band(a: np.ndarray) -> np.ndarray:
+    """The compact band of a half-lattice array."""
     mesh, half = _band_index(a.shape[0])
-    band = a[..., half][mesh]
-    if scale is not None:
-        band *= scale
-    return band
+    return a[..., half][mesh]
 
 
 def scatter_band(band: np.ndarray, out: np.ndarray) -> None:
@@ -222,25 +237,44 @@ def scatter_band(band: np.ndarray, out: np.ndarray) -> None:
     out[..., half][mesh] = band
 
 
-def _fft_pass(block: np.ndarray, axis: int, inverse: bool) -> None:
-    """One unscaled complex FFT pass along `axis`, written into `block` in place."""
-    fft, norm = (_fft.ifft, "forward") if inverse else (_fft.fft, "backward")
-    out = fft(block, axis=axis, norm=norm, overwrite_x=True)
-    if not np.may_share_memory(out, block):
-        block[...] = out
+def _fft_pass(lines: np.ndarray, inverse: bool) -> None:
+    """One unscaled complex FFT pass over the last axis of `lines`, in place."""
+    if inverse:
+        np.fft.ifft(lines, norm="forward", out=lines)
+    else:
+        np.fft.fft(lines, out=lines)
 
 
-def _forward_passes(values: np.ndarray) -> np.ndarray:
-    """The unscaled rfftn of `values`, correct on the kept band only (see the module docstring)."""
-    full, half = _kept_band(values.shape[0])
-    spectrum = _fft.rfft(values, axis=3)
-    band = spectrum[..., half]
-    _fft_pass(band, 0, inverse=False)
-    for i in full:
-        _fft_pass(band[i], 1, inverse=False)
-    for i, j in product(full, repeat=2):
-        _fft_pass(band[i, j], 2, inverse=False)
-    return spectrum
+def _rotated_gather(lines: np.ndarray, pieces: tuple[slice, ...]) -> np.ndarray:
+    """Axes (a, b, c, d) -> (b, c, k, a): a C-contiguous copy rotated left, d cut to its `pieces`."""
+    a, b, c, _ = lines.shape
+    out = np.empty((b, c, sum(p.stop - p.start for p in pieces), a), dtype=complex)
+    start = 0
+    for p in pieces:
+        out[:, :, start : start + p.stop - p.start] = lines[..., p].transpose(1, 2, 3, 0)
+        start += p.stop - p.start
+    return out
+
+
+def _rotated_spread(lines: np.ndarray, pieces: tuple[slice, ...], out: np.ndarray) -> np.ndarray:
+    """Axes (k, b, c, d) -> (b, c, d, n) in `out`: rotated left, k spread over `pieces`, zeros elsewhere."""
+    start = stop = 0
+    for p in pieces:
+        out[..., stop : p.start] = 0
+        out[..., p] = lines[start : start + p.stop - p.start].transpose(1, 2, 3, 0)
+        start += p.stop - p.start
+        stop = p.stop
+    out[..., stop:] = 0
+    return out
+
+
+def _forward_passes(values: np.ndarray, full: tuple[slice, ...], half: slice) -> np.ndarray:
+    """The unscaled rfftn of `values` on the kept lines `full` of each full axis and `half`."""
+    lines = _rotated_gather(np.fft.rfft(values), (half,))
+    for _ in range(3):
+        _fft_pass(lines, inverse=False)
+        lines = _rotated_gather(lines, full)
+    return lines
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -256,47 +290,72 @@ def transform_forward(field: PhysicalField, dealiased: bool = False) -> Spectral
     """
     _require_finite(field.values, "values in physical field")
     grid = field.grid
-    h4 = grid.spacing**4
+    n = grid.points_per_dim
     if not dealiased:
-        coeffs = _fft.rfftn(field.values)
-        coeffs *= h4
+        coeffs = _forward_passes(field.values, (slice(0, n),), slice(0, n // 2 + 1))
+        coeffs *= grid.spacing**4
         return SpectralField(grid, coeffs)
-    spectrum = _forward_passes(field.values)
+    band = _forward_passes(field.values, *_kept_band(n))
+    band *= grid.spacing**4
     coeffs = np.zeros(grid.spectral_shape, dtype=complex)
-    scatter_band(gather_band(spectrum, h4), coeffs)
+    scatter_band(band, coeffs)
     return SpectralField(grid, coeffs)
 
 
 def band_forward(field: PhysicalField) -> np.ndarray:
     """The compact band of the dealiased forward transform, with no zeroed half spectrum."""
     _require_finite(field.values, "values in physical field")
-    return gather_band(_forward_passes(field.values), field.grid.spacing**4)
+    band = _forward_passes(field.values, *_kept_band(field.grid.points_per_dim))
+    band *= field.grid.spacing**4
+    return band
 
 
 def transform_inverse(field: SpectralField) -> PhysicalField:
-    """Inverse transform of a half spectrum back to its real physical field."""
+    """Inverse transform of a half spectrum back to its real physical field.
+
+    No run takes it (the tests' full inverse): each pass runs over one
+    strided axis of the whole lattice, in the dealiased inverse's order.
+    """
     _require_finite(field.coefficients, "coefficients in spectral field")
     grid = field.grid
-    vals = _fft.irfftn(field.coefficients, s=grid.shape)
+    n = grid.points_per_dim
+    lines = field.coefficients
+    for axis in range(3):
+        lines = np.fft.ifft(lines, axis=axis, norm="forward")
+    vals = np.fft.irfft(lines, n, axis=3, norm="forward")
+    vals *= 1.0 / n**4
     vals /= grid.spacing**4
     return PhysicalField(grid, vals)
 
 
 def band_inverse(band: np.ndarray, grid: TorusGrid) -> PhysicalField:
-    """The physical field of a compact band, the one dealiased inverse."""
+    """The physical field of a compact band, the one dealiased inverse.
+
+    The field is allocated first, and the first two passes run in its
+    memory, which the real pass overwrites last: only the third pass's
+    lines, (m + 1) N^3 values, are a separate array.
+    """
     _require_finite(band, "coefficients in spectral band")
     n = grid.points_per_dim
-    work = np.zeros(grid.spectral_shape, dtype=complex)
-    scatter_band(band, work)
+    full, _ = _kept_band(n)
+    k, k3 = band.shape[0], band.shape[3]
+    vals = np.empty(grid.shape)
+    work = vals.reshape(-1).view(complex)
+    split = k * k * k3 * n
+    first = work[:split].reshape(k, k, k3, n)
+    second = work[split : split + k * k3 * n * n].reshape(k, k3, n, n)
+    lines = _rotated_spread(band, full, first)
     del band  # a band the caller handed over is freed before the passes
-    full, half = _kept_band(n)
-    kept = work[..., half]
-    for j, k in product(full, repeat=2):
-        _fft_pass(kept[:, j, k], 0, inverse=True)
-    for k in full:
-        _fft_pass(kept[:, :, k], 1, inverse=True)
-    _fft_pass(kept, 2, inverse=True)
-    vals = _fft.irfft(work, n=n, axis=3, norm="forward")
+    _fft_pass(lines, inverse=True)
+    lines = _rotated_spread(lines, full, second)
+    _fft_pass(lines, inverse=True)
+    lines = _rotated_spread(lines, full, np.empty((k3, n, n, n), dtype=complex))
+    _fft_pass(lines, inverse=True)
+    del first, second
+    # the real pass reads the k_4 <= N/3 lines from the first axis and
+    # zero-pads the rest up to N/2 + 1
+    np.fft.irfft(lines, n, axis=0, norm="forward", out=vals.transpose(3, 0, 1, 2))
+    del lines
     vals *= 1.0 / n**4
     vals /= grid.spacing**4
     return PhysicalField(grid, vals)

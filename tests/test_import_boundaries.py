@@ -1,10 +1,11 @@
 """Guard the package's import boundaries.
 
-`spectral` is the only module that imports scipy.fft, as its docstring
-says; every other module transforms through it. scipy.optimize, which
-loads scipy.linalg and OpenBLAS, is imported only where the decay
-character is fitted, so importing the experiments (what the CLI and every
-run do) leaves it unloaded. A private attribute (`x._name`) is used
+`spectral` is the only module that calls an FFT (numpy.fft), as its
+docstring says; every other module transforms through it, and no module
+imports scipy.fft. Importing the experiments and the CLI (what every run
+does) loads no scipy module at all: scipy is needed only by
+`decay-character`, which imports scipy.optimize's `minimize_scalar` where
+it fits the decay character, and by the tests' oracles. A private attribute (`x._name`) is used
 outside `self` only in the module that declares it, so a cache such as
 the solver state's rates stays one module's business. No module rebinds
 a module-level name from a function (`global`), so no call sets state
@@ -84,26 +85,43 @@ def test_private_attributes_stay_in_their_module():
     assert outside == set()
 
 
-def test_only_spectral_imports_scipy_fft():
-    importers = {
-        path.stem
+def _calls_numpy_fft(tree: ast.AST) -> bool:
+    """Whether a module calls a numpy.fft function: `np.fft.<name>(...)` or `numpy.fft.<name>(...)`."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "fft"
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id in ("np", "numpy")
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_spectral_calls_numpy_fft():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((SRC / "critheat").glob("*.py"))
-        if any(
-            name == "scipy.fft" or name.startswith("scipy.fft.")
-            for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
-        )
     }
-    assert importers == {"spectral"}
+    assert {module for module, tree in trees.items() if _calls_numpy_fft(tree)} == {"spectral"}
+    assert not any(
+        name == "numpy.fft" or name.startswith(("numpy.fft.", "scipy.fft"))
+        for tree in trees.values()
+        for name in _imported_modules(tree)
+    )
 
 
-def test_importing_the_experiments_leaves_scipy_optimize_unloaded():
+def test_importing_the_experiments_and_the_cli_loads_no_scipy():
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, critheat.experiments; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, critheat.experiments, critheat.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_global_statement():

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from critheat import evolution as ev
 from critheat import spectral
@@ -12,6 +13,7 @@ from critheat.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    band_forward,
     band_inverse,
     gather_band,
     heat_multiplier,
@@ -201,9 +203,9 @@ class TestDealias:
         ref = weakref.ref(band)
         dead, fft_pass = [], spectral._fft_pass
 
-        def traced(block, axis, inverse):
+        def traced(lines, inverse):
             dead.append(ref() is None)
-            fft_pass(block, axis, inverse)
+            fft_pass(lines, inverse)
 
         monkeypatch.setattr(spectral, "_fft_pass", traced)
         held = [band]
@@ -211,6 +213,47 @@ class TestDealias:
         got = band_inverse(held.pop(), small_grid).values
         assert dead and all(dead)
         assert np.array_equal(got, want)
+
+
+class TestScipyOracle:
+    """Every transform against scipy.fft's rfftn and irfftn, bit for bit.
+
+    `spectral` runs numpy.fft's 1D passes in pocketfft's own order: the real
+    pass over axis 3, then axes 0, 1 and 2 forward, the reverse inverse.
+    scipy's n-dimensional transforms run that order too, while numpy's
+    `rfftn` runs the complex axes in reverse and can differ in the last bit.
+    """
+
+    @pytest.mark.parametrize("n, length", [(16, 16.0), (16, 32.0), (18, 20.0), (24, 24.0), (32, 32.0)])
+    def test_transforms_equal_scipy(self, n, length):
+        grid = TorusGrid(n, length)
+        h4 = grid.spacing**4
+        field = PhysicalField(grid, np.random.default_rng(n).standard_normal(grid.shape))
+        mask = kept_band_mask(grid)
+        want = scipy.fft.rfftn(field.values)
+        want *= h4
+        masked = want * mask
+        want_inverse = scipy.fft.irfftn(want, s=grid.shape)
+        want_inverse /= h4
+        want_masked_inverse = scipy.fft.irfftn(masked, s=grid.shape)
+        want_masked_inverse /= h4
+        assert np.array_equal(transform_forward(field).coefficients, want)
+        assert np.array_equal(transform_forward(field, dealiased=True).coefficients, masked)
+        assert np.array_equal(band_forward(field), gather_band(masked))
+        got = transform_inverse(SpectralField(grid, want)).values
+        assert np.array_equal(got, want_inverse)
+        got = band_inverse(gather_band(want), grid).values
+        assert np.array_equal(got, want_masked_inverse)
+
+    def test_numpy_rfftn_order_fails_the_oracle(self):
+        # the oracle tells the pass order apart: numpy's rfftn is the same
+        # transform to roundoff, but not bit for bit
+        grid = TorusGrid(16, 16.0)
+        values = np.random.default_rng(16).standard_normal(grid.shape)
+        want = scipy.fft.rfftn(values)
+        reordered = np.fft.rfftn(values)
+        assert np.allclose(reordered, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert not np.array_equal(reordered, want)
 
 
 class TestSobolevNorms:
